@@ -8,8 +8,8 @@ coefficients, and cross-check against direct simulation of both the
 discrete skeleton and the reconstructed continuous trajectory.
 """
 
-from .exprlang import Expr, ParseError, compile_expr, evaluate, parse, to_source
-from .quad import NoConvergence, QuadResult, SingularIntegrand, exponent, integrate
+from .exprlang import Expr, ParseError, compile_expr, parse, to_source
+from .quad import NoConvergence, QuadResult, SingularIntegrand, integrate
 from .reduction import (
     DiagnosticMismatch,
     Direction,

@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -74,10 +74,16 @@ class ProblemFile:
     tail_fraction: float
 
 
-def _require_number(doc, key, value) -> float:
+def _require_number(key, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"key {key!r} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"key {key!r} must be finite")
+    return number
 
 
 def _parse_expr(source, variable, key) -> Expr:
@@ -96,15 +102,15 @@ def _parse_impulse(value) -> ImpulseSpec:
         raise SchemaError('impulse must be "none" or an object')
     keys = set(value)
     if keys == {"factor"}:
-        return ImpulseSpec.constant(_require_number(value, "impulse.factor", value["factor"]))
+        return ImpulseSpec.constant(_require_number("impulse.factor", value["factor"]))
     if keys == {"formula"}:
         return ImpulseSpec.formula(_parse_expr(value["formula"], "n", "impulse.formula"))
     if keys in ({"table"}, {"table", "default"}):
         table = value["table"]
         if not isinstance(table, list) or not table:
             raise SchemaError("impulse.table must be a nonempty list of numbers")
-        entries = [_require_number(value, "impulse.table", v) for v in table]
-        default = _require_number(value, "impulse.default", value.get("default", 1.0))
+        entries = [_require_number("impulse.table", v) for v in table]
+        default = _require_number("impulse.default", value.get("default", 1.0))
         return ImpulseSpec.table(entries, default=default)
     raise SchemaError(f"unrecognized impulse object with keys {sorted(keys)}")
 
@@ -137,12 +143,12 @@ def validate_problem(doc: dict) -> ProblemFile:
     window = doc["initial_window"]
     if not isinstance(window, list) or len(window) != k + 1:
         raise SchemaError(f"initial_window must be a list of {k + 1} numbers")
-    window = [_require_number(doc, "initial_window", v) for v in window]
+    window = [_require_number("initial_window", v) for v in window]
 
-    tol = _require_number(doc, "tol", doc.get("tol", 1e-10))
+    tol = _require_number("tol", doc.get("tol", 1e-10))
     if tol <= 0.0:
         raise SchemaError("tol must be positive")
-    tail_fraction = _require_number(doc, "tail_fraction", doc.get("tail_fraction", 0.5))
+    tail_fraction = _require_number("tail_fraction", doc.get("tail_fraction", 0.5))
     if not 0.0 < tail_fraction <= 1.0:
         raise SchemaError("tail_fraction must lie in (0, 1]")
 
@@ -154,7 +160,6 @@ def validate_problem(doc: dict) -> ProblemFile:
         spec = ProblemSpec(
             a=a, b=b, direction=direction, k=k, impulse=impulse,
             initial_window=tuple(window), horizon=horizon, n0=n0,
-            t_start=float(n0),
         )
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
@@ -386,24 +391,20 @@ def main(argv=None) -> int:
     try:
         pf = load_problem(args.problem)
         if args.tol is not None:
-            if args.tol <= 0:
+            if _require_number("tol", args.tol) <= 0:
                 raise SchemaError("tol must be positive")
-            pf = ProblemFile(pf.spec, args.tol, pf.tail_fraction)
+            pf = replace(pf, tol=args.tol)
         if args.tail is not None:
             if not 0.0 < args.tail <= 1.0:
                 raise SchemaError("tail fraction must lie in (0, 1]")
-            pf = ProblemFile(pf.spec, pf.tol, args.tail)
+            pf = replace(pf, tail_fraction=args.tail)
         if args.horizon is not None:
             try:
-                spec = ProblemSpec(
-                    a=pf.spec.a, b=pf.spec.b, direction=pf.spec.direction,
-                    k=pf.spec.k, impulse=pf.spec.impulse,
-                    initial_window=pf.spec.initial_window,
-                    horizon=args.horizon, n0=pf.spec.n0, t_start=pf.spec.t_start,
-                )
+                pf = replace(pf, spec=replace(pf.spec, horizon=args.horizon))
             except ValueError as exc:
                 raise SchemaError(str(exc)) from exc
-            pf = ProblemFile(spec, pf.tol, pf.tail_fraction)
+        if args.samples < 1:
+            raise SchemaError("samples must be a positive integer")
 
         if args.command == "coeffs":
             return cmd_coeffs(pf, args.out)

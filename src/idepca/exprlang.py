@@ -33,7 +33,6 @@ __all__ = [
     "Binary",
     "ParseError",
     "parse",
-    "evaluate",
     "compile_expr",
     "to_source",
 ]
@@ -234,31 +233,8 @@ _UNARY_FN: dict = {
 }
 
 
-def evaluate(e: Expr, x: float) -> float:
-    """Evaluate *e* at variable value *x*.  Non-finite results propagate."""
-    if isinstance(e, Constant):
-        return e.value
-    if isinstance(e, Variable):
-        return float(x)
-    if isinstance(e, Unary):
-        return _UNARY_FN[e.op](evaluate(e.child, x))
-    if isinstance(e, Binary):
-        l = evaluate(e.left, x)
-        r = evaluate(e.right, x)
-        if e.op == "add":
-            return l + r
-        if e.op == "sub":
-            return l - r
-        if e.op == "mul":
-            return l * r
-        if e.op == "div":
-            return _safe_div(l, r)
-        return _safe_pow(l, r)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 def compile_expr(e: Expr) -> Callable[[float], float]:
-    """Build a closure evaluating *e*; same semantics as evaluate, but faster.
+    """Build a closure evaluating *e* at x; non-finite results propagate.
 
     Compiled closures are cached per AST (ASTs are immutable and hashable).
     """

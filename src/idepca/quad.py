@@ -12,16 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
-
-from .exprlang import Expr, compile_expr
+from typing import Callable
 
 __all__ = [
     "QuadResult",
     "SingularIntegrand",
     "NoConvergence",
     "integrate",
-    "exponent",
     "MAX_DEPTH",
 ]
 
@@ -98,9 +95,3 @@ def _adapt(sample, a, fa, m, fm, b, fb, whole, tol, depth):
     rv, re_ = _adapt(sample, m, fm, rm, frm, b, fb, right, half, depth + 1)
     return lv + rv, le + re_
 
-
-def exponent(a: Union[Expr, Callable[[float], float]], s: float, T: float,
-             tol: float = 1e-10) -> float:
-    """Integral of the coefficient function a from s to T (signed)."""
-    fn = a if callable(a) else compile_expr(a)
-    return integrate(fn, s, T, tol).value

@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .exprlang import Expr, compile_expr, evaluate, _safe_exp
-from .quad import integrate, exponent
+from .exprlang import Expr, compile_expr, _safe_exp
+from .quad import integrate
 
 __all__ = [
     "Direction",
@@ -42,9 +42,9 @@ __all__ = [
     "IndexOutOfRange",
     "compute_an",
     "compute_bn",
-    "compute_alpha",
     "compute_qn",
     "compute_qn_direct",
+    "weighted_integral",
     "build_discrete_system",
 ]
 
@@ -102,8 +102,8 @@ class ImpulseSpec:
     """Jump factors r_n = 1 + c_n applied at integer nodes.
 
     kind is one of "none", "factor", "formula", "table".  For "formula" the
-    expression is in the node index n; for "table" indices past the end of
-    the list fall back to the default.
+    expression is in the node index n; for "table" entry i applies at node i
+    and nodes past the end of the list fall back to the default.
     """
 
     kind: str = "none"
@@ -111,7 +111,6 @@ class ImpulseSpec:
     expr: Optional[Expr] = None
     values: Tuple[float, ...] = ()
     default: float = 1.0
-    n0: int = 0  # first index the table entry list refers to
 
     @classmethod
     def none(cls) -> "ImpulseSpec":
@@ -126,9 +125,8 @@ class ImpulseSpec:
         return cls(kind="formula", expr=expr)
 
     @classmethod
-    def table(cls, values: Sequence[float], default: float = 1.0,
-              n0: int = 0) -> "ImpulseSpec":
-        return cls(kind="table", values=tuple(values), default=default, n0=n0)
+    def table(cls, values: Sequence[float], default: float = 1.0) -> "ImpulseSpec":
+        return cls(kind="table", values=tuple(values), default=default)
 
     def factor(self, n: int) -> float:
         """The realized jump factor 1 + c_n; never zero."""
@@ -137,10 +135,9 @@ class ImpulseSpec:
         elif self.kind == "factor":
             r = self.value
         elif self.kind == "formula":
-            r = evaluate(self.expr, float(n))
+            r = compile_expr(self.expr)(float(n))
         elif self.kind == "table":
-            i = n - self.n0
-            r = self.values[i] if 0 <= i < len(self.values) else self.default
+            r = self.values[n] if 0 <= n < len(self.values) else self.default
         else:
             raise ValueError(f"unknown impulse kind {self.kind!r}")
         if not math.isfinite(r) or r == 0.0:
@@ -160,7 +157,6 @@ class ProblemSpec:
     initial_window: Tuple[float, ...]
     horizon: int
     n0: int = 0
-    t_start: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "initial_window", tuple(self.initial_window))
@@ -170,18 +166,31 @@ class ProblemSpec:
             raise ValueError("horizon must exceed n0 + k")
         if len(self.initial_window) != self.k + 1:
             raise ValueError(f"initial_window must have exactly {self.k + 1} entries")
-        if self.n0 < self.t_start:
-            raise ValueError("n0 must not precede t_start")
 
 
 def compute_an(spec: ProblemSpec, n: int, tol: float = 1e-10) -> float:
     """a_n = r_{n+1} * exp(integral of a over [n, n+1])."""
     r = spec.impulse.factor(n + 1)
-    expo = exponent(spec.a, n, n + 1, tol)
+    expo = integrate(compile_expr(spec.a), n, n + 1, tol).value
     value = r * _safe_exp(expo)
     if not math.isfinite(value):
         raise CoefficientError(n, f"a_n overflowed (exponent {expo!r})")
     return value
+
+
+def weighted_integral(fa: Callable[[float], float], fb: Callable[[float], float],
+                      lo: float, hi: float, target: float, tol: float) -> float:
+    """int_lo^hi exp(I(s, target)) b(s) ds, the inner integral I at tol/10.
+
+    I(s, target) is signed, so a target left of the interval gives the
+    decaying weight exp(-I(target, s)).
+    """
+    inner_tol = tol / 10.0
+
+    def integrand(s: float) -> float:
+        return _safe_exp(integrate(fa, s, target, inner_tol).value) * fb(s)
+
+    return integrate(integrand, lo, hi, tol).value
 
 
 def compute_bn(spec: ProblemSpec, n: int, tol: float = 1e-10) -> float:
@@ -189,28 +198,10 @@ def compute_bn(spec: ProblemSpec, n: int, tol: float = 1e-10) -> float:
     r = spec.impulse.factor(n + 1)
     fa = compile_expr(spec.a)
     fb = compile_expr(spec.b)
-    inner_tol = tol / 10.0
-
-    def integrand(s: float) -> float:
-        return _safe_exp(exponent(fa, s, n + 1, inner_tol)) * fb(s)
-
-    value = r * integrate(integrand, n, n + 1, tol).value
+    value = r * weighted_integral(fa, fb, n, n + 1, n + 1, tol)
     if not math.isfinite(value):
         raise CoefficientError(n, "b_n overflowed")
     return value
-
-
-def compute_alpha(a_seq: Sequence[float], n0: int, n: int) -> float:
-    """alpha_n = product over j in [n0, n) of 1/a_j; alpha_{n0} = 1."""
-    if n < n0 or n - n0 > len(a_seq):
-        raise IndexOutOfRange(n, f"alpha needs a_j for j in [{n0}, {n})")
-    prod = 1.0
-    for j in range(n0, n):
-        aj = a_seq[j - n0]
-        if aj == 0.0:
-            raise ZeroCoefficient(j)
-        prod /= aj
-    return prod
 
 
 @dataclass
@@ -275,7 +266,6 @@ def compute_qn_direct(spec: ProblemSpec, n: int, tol: float = 1e-10) -> float:
     """
     fa = compile_expr(spec.a)
     fb = compile_expr(spec.b)
-    inner_tol = tol / 10.0
     if spec.direction is Direction.DELAYED:
         target = n - spec.k
         prod = 1.0
@@ -286,11 +276,7 @@ def compute_qn_direct(spec: ProblemSpec, n: int, tol: float = 1e-10) -> float:
         prod = 1.0
         for j in range(n + 1, n + spec.k + 1):
             prod *= spec.impulse.factor(j)
-
-    def integrand(s: float) -> float:
-        return _safe_exp(exponent(fa, s, target, inner_tol)) * fb(s)
-
-    return prod * integrate(integrand, n, n + 1, tol).value
+    return prod * weighted_integral(fa, fb, n, n + 1, target, tol)
 
 
 # Near-zero Q values fall back to an absolute floor: a pure relative test is

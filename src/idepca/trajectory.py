@@ -3,7 +3,7 @@
 On each unit interval [n, n+1) the solution is
 
     z(t) = E(t) * ( z_n + z_dev * G(t) ),
-    E(t) = exp( I(n, t) ),   G(t) = int_n^t exp( -I(n, s) ) b(s) ds,
+    E(t) = exp( I(n, t) ),   G(t) = int_n^t exp( I(s, n) ) b(s) ds,
 
 where z_dev is the solution value at the deviated node n -+ k and I is the
 running integral of the coefficient a.  This is the interval solution
@@ -18,13 +18,13 @@ relates the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .diffeq import DiscreteSolution, TooShort, Verdict, default_window
 from .exprlang import compile_expr, _safe_exp
 from .quad import integrate
-from .reduction import Direction, DiscreteSystem, ProblemSpec
+from .reduction import Direction, DiscreteSystem, ProblemSpec, weighted_integral
 
 __all__ = [
     "NodeRecord",
@@ -49,9 +49,6 @@ class Trajectory:
     samples: List[Tuple[float, float]]       # strictly increasing in t
     nodes: List[NodeRecord]
     interval_start: int
-    intervals: List[List[float]] = field(default_factory=list)
-    # intervals[i] holds the interval's sample values plus its left end limit,
-    # so window checks can include the limit without re-deriving it
 
     @property
     def k(self) -> int:
@@ -65,7 +62,6 @@ def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,
         raise ValueError("samples_per_interval must be >= 1")
     fa = compile_expr(spec.a)
     fb = compile_expr(spec.b)
-    inner_tol = tol / 10.0
 
     if spec.direction is Direction.DELAYED:
         first = ds.n0
@@ -81,38 +77,30 @@ def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,
 
     samples: List[Tuple[float, float]] = []
     nodes: List[NodeRecord] = []
-    intervals: List[List[float]] = []
     m = samples_per_interval
     for n in range(first, last + 1):
         z_n = sol.value(n)
         z_dev = sol.value(dev_of(n))
-        interval_values: List[float] = []
         expo = 0.0   # I(n, t_i), accumulated
         g = 0.0      # G(t_i), accumulated
         t_prev = float(n)
         for i in range(m + 1):
             t = n + i / m if i < m else float(n + 1)
             if i > 0:
-                expo += integrate(fa, t_prev, t, inner_tol).value
-                g += integrate(
-                    lambda s: _safe_exp(-integrate(fa, n, s, inner_tol).value) * fb(s),
-                    t_prev, t, tol,
-                ).value
+                expo += integrate(fa, t_prev, t, tol / 10.0).value
+                g += weighted_integral(fa, fb, t_prev, t, n, tol)
             t_prev = t
             z = _safe_exp(expo) * (z_n + z_dev * g)
             if i < m:
                 samples.append((t, z))
-                interval_values.append(z)
             else:
                 z_left = z
-        interval_values.append(z_left)
-        intervals.append(interval_values)
         try:
             z_right = sol.value(n + 1)
         except IndexError:
             z_right = math.nan
         nodes.append(NodeRecord(n + 1, z_left, z_right, spec.impulse.factor(n + 1)))
-    return Trajectory(spec, samples, nodes, first, intervals)
+    return Trajectory(spec, samples, nodes, first)
 
 
 def max_node_discontinuity(traj: Trajectory) -> float:
@@ -142,7 +130,10 @@ def continuous_oscillation_check(traj: Trajectory, tail_fraction: float = 0.5,
     """
     if window_intervals is None:
         window_intervals = default_window(traj.k)
-    blocks = traj.intervals
+    # one block per interval: its samples plus the left limit at its end node
+    per = len(traj.samples) // max(1, len(traj.nodes))
+    blocks = [[z for _, z in traj.samples[i * per:(i + 1) * per]] + [rec.z_left]
+              for i, rec in enumerate(traj.nodes)]
     m = len(blocks)
     tail_len = max(1, int(round(m * tail_fraction)))
     if tail_len < 2 * window_intervals:

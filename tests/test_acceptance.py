@@ -4,6 +4,7 @@ measured quantity and its tolerance; run with -s to see all of them.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import subprocess
@@ -67,11 +68,7 @@ def read_rows(path):
 
 
 def with_horizon(spec, horizon):
-    return ProblemSpec(
-        a=spec.a, b=spec.b, direction=spec.direction, k=spec.k,
-        impulse=spec.impulse, initial_window=spec.initial_window,
-        horizon=horizon, n0=spec.n0, t_start=spec.t_start,
-    )
+    return dataclasses.replace(spec, horizon=horizon)
 
 
 def test_01_first_example_coefficient_table(tmp_path):

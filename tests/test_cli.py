@@ -220,6 +220,41 @@ class TestSchemaErrors:
     def test_bad_tail_flag(self):
         assert run_cli("analyze", EXAMPLE1, "--tail", 1.5).returncode == 2
 
+    def test_infinite_tol_flag(self):
+        # an infinite tolerance would make the dual-route audit unfailable
+        assert run_cli("coeffs", EXAMPLE1, "--tol", "inf").returncode == 2
+
+    def test_nan_tol_flag(self):
+        assert run_cli("coeffs", EXAMPLE1, "--tol", "nan").returncode == 2
+
+    def test_infinite_tol_in_file(self, tmp_path):
+        path = write_problem(tmp_path, {**BASE_DOC, "tol": math.inf})
+        assert "Infinity" in path.read_text()
+        res = run_cli("coeffs", path)
+        assert res.returncode == 2
+        assert "finite" in res.stderr
+
+    @pytest.mark.parametrize("entry", [math.nan, 10 ** 400], ids=["nan", "huge_int"])
+    def test_nonfinite_window_entry(self, tmp_path, entry):
+        # JSON NaN, and an integer too large for a float
+        path = write_problem(tmp_path, {**BASE_DOC,
+                                        "initial_window": [1, entry, 1, 1]})
+        res = run_cli("analyze", path)
+        assert res.returncode == 2
+        assert "finite" in res.stderr
+
+    @pytest.mark.parametrize("command,samples", [
+        ("simulate", 0),
+        ("check", 0),
+        ("check", -4),
+    ])
+    def test_nonpositive_samples_flag(self, tmp_path, command, samples):
+        res = run_cli(command, EXAMPLE1, "--samples", samples,
+                      "--out", tmp_path / "run")
+        assert res.returncode == 2
+        assert "samples" in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestNumericErrors:
     def test_singular_coefficient_exit_code(self, tmp_path):

@@ -9,14 +9,13 @@ from idepca.exprlang import (
     Unary,
     Variable,
     compile_expr,
-    evaluate,
     parse,
     to_source,
 )
 
 
 def ev(source, x, var="t"):
-    return evaluate(parse(source, var), x)
+    return compile_expr(parse(source, var))(x)
 
 
 class TestParsing:
@@ -26,7 +25,7 @@ class TestParsing:
     def test_variable(self):
         node = parse("t", "t")
         assert node == Variable("t")
-        assert evaluate(node, 2.5) == 2.5
+        assert compile_expr(node)(2.5) == 2.5
 
     def test_function_call(self):
         assert ev("exp(-t)", 0.0) == 1.0
@@ -43,7 +42,7 @@ class TestParsing:
         assert parse(" 1 + 2 * t ", "t") == parse("1+2*t", "t")
 
     def test_variable_name_per_context(self):
-        assert evaluate(parse("n^2", "n"), 3.0) == 9.0
+        assert ev("n^2", 3.0, var="n") == 9.0
         with pytest.raises(ParseError):
             parse("n^2", "t")
 
@@ -128,8 +127,8 @@ class TestEvaluation:
 
     def test_determinism(self):
         node = parse("sin(t) + exp(t/7) - t^3", "t")
-        a = evaluate(node, 1.234567)
-        b = evaluate(node, 1.234567)
+        a = compile_expr(node)(1.234567)
+        b = compile_expr(node)(1.234567)
         assert a == b
 
 
@@ -150,8 +149,9 @@ def test_round_trip(source):
 def test_compile_matches_evaluate():
     node = parse("exp(-t/3) * (1 + t^2) - ln(t + 2)", "t")
     fn = compile_expr(node)
+    by_hand = lambda x: math.exp(-x / 3.0) * (1.0 + x ** 2) - math.log(x + 2.0)
     for x in (-1.5, -0.25, 0.0, 0.5, 1.0, 7.75):
-        assert fn(x) == evaluate(node, x)
+        assert fn(x) == by_hand(x)
 
 
 def test_compile_cache_returns_same_closure():

@@ -11,11 +11,11 @@ from idepca.reduction import (
     ZeroCoefficient,
     ZeroImpulseFactor,
     build_discrete_system,
-    compute_alpha,
     compute_an,
     compute_bn,
     compute_qn,
     compute_qn_direct,
+    weighted_integral,
 )
 
 E = math.e
@@ -28,8 +28,7 @@ def make_spec(a="-1", b="-1/3", direction=Direction.DELAYED, k=3, factor=0.5,
     impulse = ImpulseSpec.none() if factor is None else ImpulseSpec.constant(factor)
     return ProblemSpec(
         a=parse(a, "t"), b=parse(b, "t"), direction=direction, k=k,
-        impulse=impulse, initial_window=tuple(window), horizon=horizon,
-        n0=n0, t_start=float(n0),
+        impulse=impulse, initial_window=tuple(window), horizon=horizon, n0=n0,
     )
 
 
@@ -127,22 +126,42 @@ class TestCoefficients:
 
 class TestAlpha:
     def test_unit_sequence(self):
-        assert compute_alpha([1.0] * 5, 0, 3) == 1.0
+        # a = 0 without impulses gives a_n = 1
+        ds = build_discrete_system(make_spec(a="0", factor=None, horizon=5), 1e-10)
+        assert ds.alpha(3) == 1.0
 
     def test_constant_two(self):
-        assert compute_alpha([2.0] * 5, 0, 3) == pytest.approx(0.125)
+        ds = build_discrete_system(make_spec(a="0", factor=2.0, horizon=5), 1e-10)
+        assert ds.alpha(3) == pytest.approx(0.125)
 
     def test_start_value_is_one(self):
-        assert compute_alpha([3.0, 4.0], 7, 7) == 1.0
+        ds = build_discrete_system(make_spec(a="1/t", n0=7, horizon=12), 1e-10)
+        assert ds.alpha(7) == 1.0
 
     def test_zero_entry_rejected(self):
+        # exp(-800) underflows, so a_0 is exactly 0
         with pytest.raises(ZeroCoefficient) as exc:
-            compute_alpha([1.0, 0.0, 1.0], 0, 3)
-        assert exc.value.index == 1
+            build_discrete_system(make_spec(a="-800", horizon=5), 1e-10)
+        assert exc.value.index == 0
 
     def test_out_of_range(self):
+        ds = build_discrete_system(make_spec(horizon=5), 1e-10)
         with pytest.raises(IndexOutOfRange):
-            compute_alpha([1.0], 0, 5)
+            ds.alpha(7)
+
+
+class TestWeightedIntegral:
+    # constant a and b: int_lo^hi exp(alpha (T - s)) beta ds
+    #                   = beta (exp(alpha (T - lo)) - exp(alpha (T - hi))) / alpha
+    # targets at or left of lo take the reversed orientation that trajectory
+    # reconstruction uses (target n on [t_prev, t] inside [n, n+1])
+    @pytest.mark.parametrize("target", [5.0, 3.0, 2.0, 0.5])
+    def test_constant_closed_form(self, target):
+        alpha, beta, lo, hi = 0.7, -0.4, 2.0, 3.0
+        expected = beta * (math.exp(alpha * (target - lo))
+                           - math.exp(alpha * (target - hi))) / alpha
+        value = weighted_integral(lambda s: alpha, lambda s: beta, lo, hi, target, 1e-10)
+        assert value == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
 class TestBuildDelayed:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from idepca.diffeq import Verdict, solve
+from idepca.diffeq import TooShort, Verdict, solve
 from idepca.exprlang import parse
 from idepca.reduction import (
     Direction,
@@ -11,6 +11,8 @@ from idepca.reduction import (
     build_discrete_system,
 )
 from idepca.trajectory import (
+    NodeRecord,
+    Trajectory,
     continuous_oscillation_check,
     max_node_discontinuity,
     reconstruct,
@@ -26,7 +28,7 @@ def make_pipeline(a="-1", b="-1/3", direction=Direction.DELAYED, k=3,
     impulse = ImpulseSpec.none() if factor is None else ImpulseSpec.constant(factor)
     spec = ProblemSpec(a=parse(a, "t"), b=parse(b, "t"), direction=direction,
                        k=k, impulse=impulse, initial_window=tuple(window),
-                       horizon=horizon, n0=n0, t_start=float(n0))
+                       horizon=horizon, n0=n0)
     ds = build_discrete_system(spec, TOL)
     sol = solve(ds, spec.initial_window)
     traj = reconstruct(spec, ds, sol, samples, TOL)
@@ -49,8 +51,13 @@ class TestReconstruction:
         assert all(u < v for u, v in zip(times, times[1:]))
 
     def test_interval_blocks_include_left_limit(self):
-        _, _, _, traj = make_pipeline(samples=4)
-        assert all(len(block) == 5 for block in traj.intervals)
+        # every sample is positive and every left limit negative, so only
+        # the left limits can put a sign change in each block
+        spec, _, _, _ = make_pipeline(k=1, window=(1.0, 1.0), samples=4)
+        samples = [(n + i / 4, 1.0) for n in range(16) for i in range(4)]
+        nodes = [NodeRecord(n + 1, -1.0, 1.0, 0.5) for n in range(16)]
+        traj = Trajectory(spec, samples, nodes, 0)
+        assert continuous_oscillation_check(traj).verdict is Verdict.OSCILLATORY
 
     def test_jump_factor_relates_node_values(self):
         _, _, _, traj = make_pipeline()
@@ -107,6 +114,11 @@ class TestContinuousCheck:
                                       window=(-1.0, -1.0), horizon=20)
         res = continuous_oscillation_check(traj)
         assert res.verdict is Verdict.EVENTUALLY_NEGATIVE
+
+    def test_empty_trajectory_too_short(self):
+        spec, _, _, _ = make_pipeline()
+        with pytest.raises(TooShort):
+            continuous_oscillation_check(Trajectory(spec, [], [], 0))
 
     def test_discrete_oscillatory_transfers(self):
         from idepca.diffeq import discrete_oscillation_check

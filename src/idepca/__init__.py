@@ -8,7 +8,7 @@ coefficients, and cross-check against direct simulation of both the
 discrete skeleton and the reconstructed continuous trajectory.
 """
 
-from .exprlang import Expr, ParseError, compile_expr, parse, to_source
+from .exprlang import Expr, ParseError, compile_expr, parse
 from .quad import NoConvergence, QuadResult, SingularIntegrand, integrate
 from .reduction import (
     DiagnosticMismatch,

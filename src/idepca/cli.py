@@ -256,11 +256,10 @@ def _verdict_dict(v) -> dict:
     return doc
 
 
-def cmd_simulate(pf: ProblemFile, out: Optional[str], samples: int) -> int:
+def cmd_simulate(pf: ProblemFile, prefix: str, samples: int) -> int:
     ds = build_discrete_system(pf.spec, pf.tol)
     sol = diffeq.solve(ds, pf.spec.initial_window)
     traj = trajectory.reconstruct(pf.spec, ds, sol, samples, pf.tol)
-    prefix = out if out else "trajectory"
 
     with open(f"{prefix}.trajectory.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -306,19 +305,11 @@ def _check_instance(pf: ProblemFile, samples: int):
     yield ("alpha_telescoping", worst <= 1e-12, f"max deviation {worst:.3e}")
 
     sol = diffeq.solve(ds, spec.initial_window)
-    k = spec.k
-    if spec.direction is Direction.DELAYED:
-        recursion_range = range(ds.n0, min(ds.horizon, sol.n_hi))
-        dev = lambda n: n - k
-    else:
-        # the sweep enforces the relation from n0+1 on (n0 for k = 1)
-        start = ds.n0 if k == 1 else ds.n0 + 1
-        recursion_range = range(start, min(ds.horizon - k + 1, sol.n_hi - k + 1))
-        dev = lambda n: n + k
+    recursion_range = sol.relation_indices()
     worst = 0.0
     for n in recursion_range:
         lhs = sol.value(n + 1)
-        rhs = ds.a(n) * sol.value(n) + ds.b(n) * sol.value(dev(n))
+        rhs = ds.a(n) * sol.value(n) + ds.b(n) * sol.value(ds.dev(n))
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     yield ("recursion_residual", worst <= 1e-9, f"max relative residual {worst:.3e}")
 
@@ -327,8 +318,8 @@ def _check_instance(pf: ProblemFile, samples: int):
     tail_scale = max(abs(v) for v in y) if y else 1.0
     worst = 0.0
     for n in recursion_range:
-        if n in ds.q_indices() and dev(n) - ds.n0 < len(y):
-            worst = max(worst, abs((y_of(n + 1) - y_of(n)) - ds.q(n) * y_of(dev(n))))
+        if n in ds.q_indices() and ds.dev(n) - ds.n0 < len(y):
+            worst = max(worst, abs((y_of(n + 1) - y_of(n)) - ds.q(n) * y_of(ds.dev(n))))
     ok = worst <= 1e-8 * max(1e-300, tail_scale)
     yield ("reduced_form_residual", ok, f"max residual {worst:.3e} vs scale {tail_scale:.3e}")
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
+from .diffeq import tail_start
 from .reduction import Direction, DiscreteSystem
 
 __all__ = [
@@ -98,8 +99,7 @@ def tail_stats(seq: Sequence[float], kind: TailKind, tail_fraction: float = 0.5,
     m = len(seq)
     if m < 8:
         raise TooShortTail(f"need at least 8 points, got {m}")
-    tail_len = max(1, int(round(m * tail_fraction)))
-    i0 = m - tail_len
+    i0 = tail_start(m, tail_fraction)
     statistic = _extremum(seq[i0:], kind)
 
     est_half = _extremum(seq[m - max(1, m // 2):], kind)
@@ -134,14 +134,13 @@ class CriterionReport:
     threshold: float
     statistic: TailStats
     margin: float  # sign-oriented: positive means the criterion fires
-    preconditions_ok: bool
     violations: List[Tuple[int, str]]
     verdict: CriterionVerdict
     note: Optional[str] = None
 
 
 def _preconditions(ds: DiscreteSystem, index_range: range,
-                   b_sign: str) -> Tuple[bool, List[Tuple[int, str]]]:
+                   b_sign: str) -> List[Tuple[int, str]]:
     """Check a_n > 0 and the required sign of b_n over index_range."""
     violations: List[Tuple[int, str]] = []
     for n in index_range:
@@ -152,21 +151,21 @@ def _preconditions(ds: DiscreteSystem, index_range: range,
             violations.append((n, "b_n >= 0"))
         elif b_sign == "positive" and not bn > 0.0:
             violations.append((n, "b_n <= 0"))
-    return not violations, violations
+    return violations
 
 
 def _report(criterion_id: str, threshold: float, stats: TailStats, margin: float,
             ds: DiscreteSystem, b_sign: str, fire_on_boundary: bool = False,
             note: Optional[str] = None) -> CriterionReport:
-    ok, violations = _preconditions(ds, range(stats.window[0], stats.window[1] + 1), b_sign)
-    if not ok:
+    violations = _preconditions(ds, range(stats.window[0], stats.window[1] + 1), b_sign)
+    if violations:
         verdict = CriterionVerdict.PRECONDITION_VIOLATED
     else:
         fires = margin > 0.0 or (fire_on_boundary and margin == 0.0)
         fires = fires and stats.convergence_flag
         verdict = CriterionVerdict.FIRES if fires else CriterionVerdict.DOES_NOT_FIRE
-    return CriterionReport(criterion_id, threshold, stats, margin, ok, violations,
-                           verdict, note)
+    return CriterionReport(criterion_id, threshold, stats, margin, violations, verdict,
+                           note)
 
 
 def _require(ds: DiscreteSystem, direction: Direction, min_advance: int = 0):

@@ -38,6 +38,8 @@ __all__ = [
     "discrete_oscillation_check",
     "default_window",
     "sign_change",
+    "tail_start",
+    "block_verdict",
 ]
 
 
@@ -85,6 +87,16 @@ class DiscreteSolution:
         if not 0 <= i < len(self.values):
             raise IndexError(f"solution not defined at index {n}")
         return self.values[i]
+
+    def relation_indices(self) -> range:
+        """The n at which z_{n+1} = a_n z_n + b_n z_{dev(n)} holds.
+
+        For advanced k >= 2 the rearranged sweep enforces the relation only
+        from n0+1 on: the initial window is free on the first interval.
+        """
+        if self.direction is Direction.DELAYED:
+            return range(self.n_lo + self.k, self.n_hi)
+        return range(self.n_lo + (self.k > 1), self.n_hi - self.k + 1)
 
 
 def solve_delayed(ds: DiscreteSystem, init: Sequence[float]) -> DiscreteSolution:
@@ -160,6 +172,31 @@ def sign_change(u: float, v: float) -> bool:
     return u == 0.0 or v == 0.0 or (u > 0.0) != (v > 0.0)
 
 
+def tail_start(m: int, fraction: float) -> int:
+    """First position of the trailing fraction of m points (at least one)."""
+    return m - max(1, int(round(m * fraction)))
+
+
+def block_verdict(blocks: Sequence[Sequence[float]], start: int, window: int) -> Verdict:
+    """Sign verdict on blocks[start:].
+
+    Eventually positive/negative when every value there has one strict sign;
+    Oscillatory when every complete run of window blocks from start holds a
+    value <= 0 and a value >= 0; Inconclusive otherwise.
+    """
+    tail = [v for block in blocks[start:] for v in block]
+    if all(v > 0.0 for v in tail):
+        return Verdict.EVENTUALLY_POSITIVE
+    if all(v < 0.0 for v in tail):
+        return Verdict.EVENTUALLY_NEGATIVE
+    while start + window <= len(blocks):
+        vals = [v for block in blocks[start:start + window] for v in block]
+        if not (min(vals) <= 0.0 <= max(vals)):
+            return Verdict.INCONCLUSIVE
+        start += window
+    return Verdict.OSCILLATORY
+
+
 def default_window(k: int) -> int:
     # scales with the deviation: a sign change is demanded in every block
     # of 2(k+1) consecutive indices of the examined tail
@@ -185,30 +222,16 @@ def discrete_oscillation_check(sol: DiscreteSolution, tail_fraction: float = 0.5
         window = default_window(sol.k)
     vals = sol.values
     m = len(vals)
-    tail_len = max(1, int(round(m * tail_fraction)))
-    if tail_len < 2 * window:
+    i0 = tail_start(m, tail_fraction)
+    if m - i0 < 2 * window:
         raise TooShort(
-            f"tail has {tail_len} points; need at least {2 * window}"
+            f"tail has {m - i0} points; need at least {2 * window}"
         )
-    i0 = m - tail_len
-    changes = [i for i in range(m - 1) if sign_change(vals[i], vals[i + 1])]
+    # pair i holds positions i and i+1; for finite values it holds both
+    # signs exactly when sign_change is true
+    pairs = list(zip(vals, vals[1:]))
+    changes = [i for i, (u, v) in enumerate(pairs) if sign_change(u, v)]
     last_change = sol.n_lo + changes[-1] if changes else None
     tail_window = (sol.n_lo + i0, sol.n_lo + m - 1)
-
-    tail_changes = [i for i in changes if i >= i0]
-    if not tail_changes:
-        verdict = (Verdict.EVENTUALLY_POSITIVE if vals[i0] > 0.0
-                   else Verdict.EVENTUALLY_NEGATIVE)
-        return OscillationVerdictDiscrete(verdict, last_change, tail_window)
-
-    # pair index i refers to the change between positions i and i+1
-    block_start = i0
-    oscillatory = True
-    while block_start + window <= m - 1:
-        if not any(block_start <= i < block_start + window for i in tail_changes):
-            oscillatory = False
-            break
-        block_start += window
-    if oscillatory:
-        return OscillationVerdictDiscrete(Verdict.OSCILLATORY, last_change, tail_window)
-    return OscillationVerdictDiscrete(Verdict.INCONCLUSIVE, last_change, tail_window)
+    return OscillationVerdictDiscrete(block_verdict(pairs, i0, window), last_change,
+                                      tail_window)

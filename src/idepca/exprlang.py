@@ -11,7 +11,8 @@ live in data files.  Grammar (whitespace insignificant):
 "^" is right associative and binds tighter than unary minus, so "-t^2"
 parses as -(t^2) and "2^3^2" as 2^(3^2).  Recognized functions:
 exp, ln, sin, cos, sqrt, abs.  A single variable name is declared per
-expression; any other identifier is rejected at parse time.
+expression; any other identifier, and a number literal that overflows a
+float, is rejected at parse time.
 
 Evaluation never raises on domain errors: division by zero, ln of a
 nonpositive number, sqrt of a negative number and overflow all produce a
@@ -34,7 +35,6 @@ __all__ = [
     "ParseError",
     "parse",
     "compile_expr",
-    "to_source",
 ]
 
 
@@ -64,8 +64,6 @@ class Binary:
 Expr = Union[Constant, Variable, Unary, Binary]
 
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt", "abs")
-
-_BINOP_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
 
 
 class ParseError(Exception):
@@ -142,8 +140,11 @@ class _Parser:
             return node
         m = _NUMBER.match(self.src, self.pos)
         if m:
+            value = float(m.group())
+            if not math.isfinite(value):
+                raise ParseError(self.pos, f"number '{m.group()}' is not finite")
             self.pos = m.end()
-            return Constant(float(m.group()))
+            return Constant(value)
         m = _IDENT.match(self.src, self.pos)
         if m:
             name = m.group()
@@ -273,18 +274,3 @@ def _compile(e: Expr) -> Callable[[float], float]:
         return lambda x: _safe_pow(l(x), r(x))
     raise TypeError(f"not an expression node: {e!r}")
 
-
-def to_source(e: Expr) -> str:
-    """Pretty-print fully parenthesized; re-parsing yields an identical AST."""
-    if isinstance(e, Constant):
-        return repr(e.value)
-    if isinstance(e, Variable):
-        return e.name
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            return f"(-{to_source(e.child)})"
-        return f"{e.op}({to_source(e.child)})"
-    if isinstance(e, Binary):
-        sym = _BINOP_SYMBOL[e.op]
-        return f"({to_source(e.left)} {sym} {to_source(e.right)})"
-    raise TypeError(f"not an expression node: {e!r}")

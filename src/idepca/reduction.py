@@ -239,6 +239,10 @@ class DiscreteSystem:
     def q_indices(self) -> range:
         return range(self.q_start, self.q_start + len(self.q_seq))
 
+    def dev(self, n: int) -> int:
+        """The deviated node n - k (delayed) or n + k (advanced)."""
+        return n - self.k if self.direction is Direction.DELAYED else n + self.k
+
     def _at(self, n: int, size: int, what: str) -> int:
         i = n - self.n0
         if not 0 <= i < size:
@@ -248,13 +252,14 @@ class DiscreteSystem:
 
 def compute_qn(ds: DiscreteSystem, n: int) -> float:
     """Q_n from the alpha-ratio definition; signed (Q*_n is just -Q_n)."""
-    if ds.direction is Direction.DELAYED:
-        other = n - ds.k
-        if other < ds.n0:
-            raise IndexOutOfRange(n, f"Q_n needs alpha_{other} before the start index")
-    else:
-        other = n + ds.k
-    return ds.alpha(n + 1) * ds.b(n) / ds.alpha(other)
+    dev = ds.dev(n)
+    alpha_dev = ds.alpha(dev)
+    if alpha_dev == 0.0:
+        raise CoefficientError(n, f"alpha_{dev} underflowed to 0")
+    q = ds.alpha(n + 1) * ds.b(n) / alpha_dev
+    if not math.isfinite(q):
+        raise CoefficientError(n, f"Q_n = alpha_{n + 1} b_n / alpha_{dev} is {q!r}")
+    return q
 
 
 def compute_qn_direct(spec: ProblemSpec, n: int, tol: float = 1e-10) -> float:
@@ -289,6 +294,8 @@ _Q_AUDIT_ABS = 1e-12
 
 def _q_routes_agree(q_ratio: float, q_direct: float, tol: float,
                     amplification: float) -> bool:
+    if not (math.isfinite(q_ratio) and math.isfinite(q_direct)):
+        return False
     diff = abs(q_ratio - q_direct)
     scale = max(abs(q_ratio), abs(q_direct))
     floor = max(_Q_AUDIT_ABS, 10.0 * tol * max(1.0, amplification))
@@ -314,17 +321,15 @@ def build_discrete_system(spec: ProblemSpec, tol: float = 1e-10) -> DiscreteSyst
     ds = DiscreteSystem(
         n0=n0, direction=spec.direction, k=k,
         a_seq=a_seq, b_seq=b_seq, alpha_seq=alpha_seq,
-        q_seq=[], q_start=n0 + k if spec.direction is Direction.DELAYED else n0,
+        q_seq=[], q_start=n0,
     )
-    if spec.direction is Direction.DELAYED:
-        q_range = range(n0 + k, horizon)
-    else:
-        q_range = range(n0, horizon - k + 1)
+    # Q_n exists where alpha exists at the deviated node
+    q_range = [n for n in range(n0, horizon) if n0 <= ds.dev(n) <= horizon]
+    ds.q_start = q_range[0]
     for n in q_range:
         q_ratio = compute_qn(ds, n)
         q_direct = compute_qn_direct(spec, n, tol)
-        other = n - k if spec.direction is Direction.DELAYED else n + k
-        amp = abs(ds.alpha(n + 1) / ds.alpha(other))
+        amp = abs(ds.alpha(n + 1) / ds.alpha(ds.dev(n)))
         if not _q_routes_agree(q_ratio, q_direct, tol, amp):
             raise DiagnosticMismatch(n, q_ratio, q_direct)
         ds.q_seq.append(q_ratio)

@@ -21,10 +21,11 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .diffeq import DiscreteSolution, TooShort, Verdict, default_window
+from .diffeq import (DiscreteSolution, TooShort, Verdict, block_verdict, default_window,
+                     tail_start)
 from .exprlang import compile_expr, _safe_exp
 from .quad import integrate
-from .reduction import Direction, DiscreteSystem, ProblemSpec, weighted_integral
+from .reduction import DiscreteSystem, ProblemSpec, weighted_integral
 
 __all__ = [
     "NodeRecord",
@@ -45,14 +46,10 @@ class NodeRecord:
 
 @dataclass
 class Trajectory:
-    spec: ProblemSpec
+    k: int
     samples: List[Tuple[float, float]]       # strictly increasing in t
     nodes: List[NodeRecord]
     interval_start: int
-
-    @property
-    def k(self) -> int:
-        return self.spec.k
 
 
 def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,
@@ -62,25 +59,13 @@ def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,
         raise ValueError("samples_per_interval must be >= 1")
     fa = compile_expr(spec.a)
     fb = compile_expr(spec.b)
-
-    if spec.direction is Direction.DELAYED:
-        first = ds.n0
-        last = min(ds.horizon - 1, sol.n_hi - 1)
-        dev_of = lambda n: n - spec.k
-    else:
-        # for k >= 2 the initial window is free on the first interval (the
-        # rearranged sweep only enforces the recursion from n0+1 on), so no
-        # consistent reconstruction exists there
-        first = ds.n0 if spec.k == 1 else ds.n0 + 1
-        last = min(ds.horizon - 1, sol.n_hi - spec.k)
-        dev_of = lambda n: n + spec.k
-
+    intervals = sol.relation_indices()
     samples: List[Tuple[float, float]] = []
     nodes: List[NodeRecord] = []
     m = samples_per_interval
-    for n in range(first, last + 1):
+    for n in intervals:
         z_n = sol.value(n)
-        z_dev = sol.value(dev_of(n))
+        z_dev = sol.value(ds.dev(n))
         expo = 0.0   # I(n, t_i), accumulated
         g = 0.0      # G(t_i), accumulated
         t_prev = float(n)
@@ -95,12 +80,8 @@ def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,
                 samples.append((t, z))
             else:
                 z_left = z
-        try:
-            z_right = sol.value(n + 1)
-        except IndexError:
-            z_right = math.nan
-        nodes.append(NodeRecord(n + 1, z_left, z_right, spec.impulse.factor(n + 1)))
-    return Trajectory(spec, samples, nodes, first)
+        nodes.append(NodeRecord(n + 1, z_left, sol.value(n + 1), spec.impulse.factor(n + 1)))
+    return Trajectory(spec.k, samples, nodes, intervals.start)
 
 
 def max_node_discontinuity(traj: Trajectory) -> float:
@@ -135,24 +116,11 @@ def continuous_oscillation_check(traj: Trajectory, tail_fraction: float = 0.5,
     blocks = [[z for _, z in traj.samples[i * per:(i + 1) * per]] + [rec.z_left]
               for i, rec in enumerate(traj.nodes)]
     m = len(blocks)
-    tail_len = max(1, int(round(m * tail_fraction)))
-    if tail_len < 2 * window_intervals:
+    i0 = tail_start(m, tail_fraction)
+    if m - i0 < 2 * window_intervals:
         raise TooShort(
-            f"trajectory tail spans {tail_len} intervals; need {2 * window_intervals}"
+            f"trajectory tail spans {m - i0} intervals; need {2 * window_intervals}"
         )
-    i0 = m - tail_len
-    tail_vals = [v for block in blocks[i0:] for v in block]
     tail_window = (traj.interval_start + i0, traj.interval_start + m - 1)
-
-    if all(v > 0.0 for v in tail_vals):
-        return OscillationVerdictContinuous(Verdict.EVENTUALLY_POSITIVE, tail_window)
-    if all(v < 0.0 for v in tail_vals):
-        return OscillationVerdictContinuous(Verdict.EVENTUALLY_NEGATIVE, tail_window)
-
-    start = i0
-    while start + window_intervals <= m:
-        vals = [v for block in blocks[start:start + window_intervals] for v in block]
-        if not (min(vals) <= 0.0 <= max(vals)):
-            return OscillationVerdictContinuous(Verdict.INCONCLUSIVE, tail_window)
-        start += window_intervals
-    return OscillationVerdictContinuous(Verdict.OSCILLATORY, tail_window)
+    return OscillationVerdictContinuous(block_verdict(blocks, i0, window_intervals),
+                                        tail_window)

@@ -194,6 +194,11 @@ class TestSchemaErrors:
         assert res.returncode == 2
         assert "parse error" in res.stderr
 
+    def test_overflowing_literal(self, tmp_path):
+        res = run_cli("coeffs", write_problem(tmp_path, {**BASE_DOC, "a": "1e999"}))
+        assert res.returncode == 2
+        assert "not finite" in res.stderr
+
     def test_zero_jump_factor_in_table(self, tmp_path):
         path = write_problem(
             tmp_path, {**BASE_DOC, "impulse": {"table": [0.5, 0.0, 0.5]}})
@@ -263,3 +268,29 @@ class TestNumericErrors:
         res = run_cli("coeffs", path)
         assert res.returncode == 3
         assert "numeric failure" in res.stderr
+
+    # With a = 0 the jump factor alone sets a_n = r, so alpha_n = r^-n.
+    @pytest.mark.parametrize("command", ["coeffs", "analyze", "check"])
+    @pytest.mark.parametrize("direction,k", [("delayed", 1), ("advanced", 2)])
+    def test_alpha_underflow(self, tmp_path, direction, k, command):
+        # r = 1e30 underflows alpha to 0 from n = 11 on
+        doc = {**BASE_DOC, "a": "0", "direction": direction, "k": k,
+               "impulse": {"factor": 1e30}, "initial_window": [1] * (k + 1),
+               "horizon": 14}
+        out = tmp_path / "out"
+        res = run_cli(command, write_problem(tmp_path, doc), "--out", out)
+        assert res.returncode == 3
+        assert "numeric failure" in res.stderr and "alpha_11" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["coeffs", "analyze"])
+    def test_alpha_overflow(self, tmp_path, command):
+        # r = 1e-30 overflows alpha_11, which made Q_10 infinite
+        doc = {**BASE_DOC, "a": "0", "k": 1, "impulse": {"factor": 1e-30},
+               "initial_window": [1, 1], "horizon": 11}
+        out = tmp_path / "out"
+        res = run_cli(command, write_problem(tmp_path, doc), "--out", out)
+        assert res.returncode == 3
+        assert "at index 10" in res.stderr
+        assert not out.exists()

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -234,3 +235,103 @@ class TestOscillationCheck:
         assert sol.n_hi == 2
         with pytest.raises(IndexError):
             sol.value(3)
+
+
+class TestRelationIndices:
+    # The expected ranges are the formulas the trajectory reconstruction and
+    # the check command each used before relation_indices owned the rule.
+    @staticmethod
+    def reconstruct_range(ds, sol):
+        if ds.direction is Direction.DELAYED:
+            first = ds.n0
+            last = min(ds.horizon - 1, sol.n_hi - 1)
+        else:
+            first = ds.n0 if ds.k == 1 else ds.n0 + 1
+            last = min(ds.horizon - 1, sol.n_hi - ds.k)
+        return range(first, last + 1)
+
+    @staticmethod
+    def check_range(ds, sol):
+        k = ds.k
+        if ds.direction is Direction.DELAYED:
+            return range(ds.n0, min(ds.horizon, sol.n_hi))
+        start = ds.n0 if k == 1 else ds.n0 + 1
+        return range(start, min(ds.horizon - k + 1, sol.n_hi - k + 1))
+
+    @pytest.mark.parametrize("a,b,k,direction,n0,window,expected", [
+        (0.5, -0.3, 2, Direction.DELAYED, 0, [1.0, -1.0, 2.0], range(0, 10)),
+        (1.1, 0.2, 1, Direction.ADVANCED, 0, [1.0, 5.0], range(0, 10)),
+        (1.1, 0.5, 3, Direction.ADVANCED, 2, [1.0, 2.0, -1.0, 3.0], range(3, 10)),
+        # z_3 = 2e200 and z_4 overflows, so the sweep stops at n_hi = 3
+        (1.0, 1e-200, 2, Direction.ADVANCED, 0, [1.0, 2.0, 4.0], range(1, 2)),
+        (1e200, 0.0, 1, Direction.DELAYED, 0, [1.0, 1.0], range(0, 1)),
+    ], ids=["delayed", "advanced_k1", "advanced_k3_n0", "advanced_truncated",
+            "delayed_truncated"])
+    def test_matches_previous_formulas(self, a, b, k, direction, n0, window, expected):
+        ds = fabricate([a] * 10, [b] * 10, k=k, direction=direction, n0=n0)
+        sol = solve(ds, window)
+        assert sol.relation_indices() == expected
+        assert sol.relation_indices() == self.reconstruct_range(ds, sol)
+        assert sol.relation_indices() == self.check_range(ds, sol)
+
+
+def _pair_loop_check(values, k, tail_fraction):
+    """The pair-change verdict loop that block_verdict replaced, kept as the
+    reference: (verdict, last change position, tail positions) or None when
+    the tail is too short."""
+    window = default_window(k)
+    m = len(values)
+    tail_len = max(1, int(round(m * tail_fraction)))
+    if tail_len < 2 * window:
+        return None
+    i0 = m - tail_len
+    changes = [i for i in range(m - 1) if sign_change(values[i], values[i + 1])]
+    last = changes[-1] if changes else None
+    tail_changes = [i for i in changes if i >= i0]
+    if not tail_changes:
+        verdict = (Verdict.EVENTUALLY_POSITIVE if values[i0] > 0.0
+                   else Verdict.EVENTUALLY_NEGATIVE)
+        return verdict, last, (i0, m - 1)
+    block_start = i0
+    while block_start + window <= m - 1:
+        if not any(block_start <= i < block_start + window for i in tail_changes):
+            return Verdict.INCONCLUSIVE, last, (i0, m - 1)
+        block_start += window
+    return Verdict.OSCILLATORY, last, (i0, m - 1)
+
+
+def _signed_runs(rng, length, k):
+    """Runs of one sign, short or long, with scattered exact zeros."""
+    zero_share = rng.choice((0.0, 0.05, 0.2))
+    values = []
+    while len(values) < length:
+        sign = rng.choice((-1.0, 1.0))
+        run = rng.choice((rng.randint(1, 3), rng.randint(1, 2 * (k + 1) + 2),
+                          rng.randint(1, length)))
+        for _ in range(run):
+            zero = rng.random() < zero_share
+            values.append(0.0 if zero else sign * rng.uniform(1e-3, 1e3))
+    return values[:length]
+
+
+def test_block_verdict_matches_pair_loop():
+    rng = random.Random(20251018)
+    seen = set()
+    for _ in range(400):
+        k = rng.randint(1, 5)
+        fraction = rng.choice((0.5, 0.75, 1.0))
+        values = _signed_runs(rng, rng.randint(8, 80), k)
+        n_lo = rng.randint(-5, 5)
+        sol = DiscreteSolution(n_lo, values, Direction.DELAYED, k)
+        expected = _pair_loop_check(values, k, fraction)
+        if expected is None:
+            with pytest.raises(TooShort):
+                discrete_oscillation_check(sol, fraction)
+            continue
+        verdict, last, (lo, hi) = expected
+        res = discrete_oscillation_check(sol, fraction)
+        assert res.verdict is verdict, values
+        assert res.last_sign_change == (None if last is None else n_lo + last)
+        assert res.tail_window == (n_lo + lo, n_lo + hi)
+        seen.add(verdict)
+    assert seen == set(Verdict)

@@ -10,7 +10,6 @@ from idepca.exprlang import (
     Variable,
     compile_expr,
     parse,
-    to_source,
 )
 
 
@@ -37,6 +36,12 @@ class TestParsing:
         assert ev("1.5e2", 0.0) == 150.0
         assert ev(".5", 0.0) == 0.5
         assert ev("2.", 0.0) == 2.0
+
+    def test_overflowing_literal_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse("2 * 1e999", "t")
+        assert exc.value.position == 4
+        assert parse("1e308", "t") == Constant(1e308)
 
     def test_whitespace_insignificant(self):
         assert parse(" 1 + 2 * t ", "t") == parse("1+2*t", "t")
@@ -132,18 +137,20 @@ class TestEvaluation:
         assert a == b
 
 
-@pytest.mark.parametrize("source", [
-    "-1/3",
-    "exp(-t)",
-    "1/t + t^2 - 3*t",
-    "2^3^2",
-    "-t^2",
-    "sqrt(abs(sin(t)))",
-    "(1 + t) * (1 - t)",
+@pytest.mark.parametrize("source,parenthesized", [
+    pytest.param(source, parenthesized, id=source) for source, parenthesized in [
+        ("-1/3", "(-1)/3"),
+        ("exp(-t)", "exp((-(t)))"),
+        ("1/t + t^2 - 3*t", "((1/t) + (t^2)) - (3*t)"),
+        ("2^3^2", "2^(3^2)"),
+        ("-t^2", "-(t^2)"),
+        ("sqrt(abs(sin(t)))", "sqrt((abs((sin((t))))))"),
+        ("(1 + t) * (1 - t)", "((1 + t)) * ((1 - t))"),
+    ]
 ])
-def test_round_trip(source):
-    node = parse(source, "t")
-    assert parse(to_source(node), "t") == node
+def test_round_trip(source, parenthesized):
+    # each source parses to the same AST as its fully parenthesized spelling
+    assert parse(source, "t") == parse(parenthesized, "t")
 
 
 def test_compile_matches_evaluate():

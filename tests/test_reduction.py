@@ -10,6 +10,7 @@ from idepca.reduction import (
     ProblemSpec,
     ZeroCoefficient,
     ZeroImpulseFactor,
+    _q_routes_agree,
     build_discrete_system,
     compute_an,
     compute_bn,
@@ -226,6 +227,12 @@ class TestBuildAdvanced:
         ds = build_discrete_system(spec, 1e-10)
         assert ds.q_indices() == range(1, 26)
 
+    def test_deviated_node(self):
+        spec = make_spec(a="1/t", b="1/t", direction=Direction.ADVANCED, k=5,
+                         window=(1.0,) * 6, n0=1, horizon=30)
+        assert build_discrete_system(spec, 1e-10).dev(7) == 12
+        assert build_discrete_system(make_spec(horizon=12), 1e-10).dev(7) == 4
+
 
 class TestDualRoutes:
     @pytest.mark.parametrize("direction,k", [
@@ -240,6 +247,13 @@ class TestDualRoutes:
             ratio = compute_qn(ds, n)
             direct = compute_qn_direct(spec, n, 1e-10)
             assert ratio == pytest.approx(direct, rel=1e-8, abs=1e-12)
+
+    @pytest.mark.parametrize("ratio,direct", [
+        (math.inf, math.inf), (-math.inf, -1.0), (1.0, math.nan),
+    ])
+    def test_nonfinite_route_never_agrees(self, ratio, direct):
+        # inf <= 1e-8 * inf would otherwise pass the relative test
+        assert not _q_routes_agree(ratio, direct, 1e-10, 1.0)
 
 
 class TestAccessors:

@@ -56,7 +56,7 @@ class TestReconstruction:
         spec, _, _, _ = make_pipeline(k=1, window=(1.0, 1.0), samples=4)
         samples = [(n + i / 4, 1.0) for n in range(16) for i in range(4)]
         nodes = [NodeRecord(n + 1, -1.0, 1.0, 0.5) for n in range(16)]
-        traj = Trajectory(spec, samples, nodes, 0)
+        traj = Trajectory(spec.k, samples, nodes, 0)
         assert continuous_oscillation_check(traj).verdict is Verdict.OSCILLATORY
 
     def test_jump_factor_relates_node_values(self):
@@ -118,7 +118,7 @@ class TestContinuousCheck:
     def test_empty_trajectory_too_short(self):
         spec, _, _, _ = make_pipeline()
         with pytest.raises(TooShort):
-            continuous_oscillation_check(Trajectory(spec, [], [], 0))
+            continuous_oscillation_check(Trajectory(spec.k, [], [], 0))
 
     def test_discrete_oscillatory_transfers(self):
         from idepca.diffeq import discrete_oscillation_check

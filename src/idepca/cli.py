@@ -17,21 +17,19 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from . import criteria as crit
 from . import diffeq, trajectory
 from .exprlang import Expr, ParseError, parse
-from .quad import NoConvergence, SingularIntegrand
+from .quad import NumericFailure
 from .reduction import (
-    CoefficientError,
     DiagnosticMismatch,
     Direction,
     ImpulseSpec,
     ProblemSpec,
-    ZeroCoefficient,
     ZeroImpulseFactor,
     build_discrete_system,
 )
@@ -42,18 +40,6 @@ EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_SCHEMA = 2
 EXIT_NUMERIC = 3
-
-_NUMERIC_ERRORS = (
-    SingularIntegrand,
-    NoConvergence,
-    CoefficientError,
-    DiagnosticMismatch,
-    ZeroCoefficient,
-    diffeq.AdvanceDivisionByZero,
-    diffeq.DegenerateAdvance,
-    diffeq.TooShort,
-    crit.TooShortTail,
-)
 
 
 class SchemaError(Exception):
@@ -173,7 +159,8 @@ def validate_problem(doc: dict) -> ProblemFile:
     return ProblemFile(spec, tol, tail_fraction)
 
 
-def load_problem(path) -> ProblemFile:
+def load_problem(path, overrides: Optional[dict] = None) -> ProblemFile:
+    """Read and validate a problem file; overrides replace its keys first."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -182,6 +169,8 @@ def load_problem(path) -> ProblemFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
+    if overrides and isinstance(doc, dict):
+        doc = {**doc, **overrides}
     return validate_problem(doc)
 
 
@@ -260,6 +249,9 @@ def cmd_simulate(pf: ProblemFile, prefix: str, samples: int) -> int:
     ds = build_discrete_system(pf.spec, pf.tol)
     sol = diffeq.continue_window(ds, pf.spec.initial_window)
     traj = trajectory.reconstruct(pf.spec, ds, sol, samples, pf.tol)
+    # both verdicts can fail (TooShort), so they come before any file is opened
+    discrete = diffeq.discrete_oscillation_check(sol, pf.tail_fraction)
+    continuous = trajectory.continuous_oscillation_check(traj, pf.tail_fraction)
 
     with open(f"{prefix}.trajectory.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -272,9 +264,6 @@ def cmd_simulate(pf: ProblemFile, prefix: str, samples: int) -> int:
         for rec in traj.nodes:
             writer.writerow([rec.n, _fmt(rec.z_left), _fmt(rec.z_right),
                              _fmt(rec.jump_factor)])
-
-    discrete = diffeq.discrete_oscillation_check(sol, pf.tail_fraction)
-    continuous = trajectory.continuous_oscillation_check(traj, pf.tail_fraction)
     doc = {
         "discrete": _verdict_dict(discrete),
         "continuous": _verdict_dict(continuous),
@@ -379,21 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    flags = {"tol": args.tol, "tail_fraction": args.tail, "horizon": args.horizon}
     try:
-        pf = load_problem(args.problem)
-        if args.tol is not None:
-            if _require_number("tol", args.tol) <= 0:
-                raise SchemaError("tol must be positive")
-            pf = replace(pf, tol=args.tol)
-        if args.tail is not None:
-            if not 0.0 < args.tail <= 1.0:
-                raise SchemaError("tail fraction must lie in (0, 1]")
-            pf = replace(pf, tail_fraction=args.tail)
-        if args.horizon is not None:
-            try:
-                pf = replace(pf, spec=replace(pf.spec, horizon=args.horizon))
-            except ValueError as exc:
-                raise SchemaError(str(exc)) from exc
+        pf = load_problem(args.problem, {k: v for k, v in flags.items() if v is not None})
         if args.samples < 1:
             raise SchemaError("samples must be a positive integer")
 
@@ -405,10 +382,10 @@ def main(argv=None) -> int:
             out = args.out or Path(args.problem).stem
             return cmd_simulate(pf, out, args.samples)
         return cmd_check(pf, args.samples)
-    except (SchemaError, ZeroImpulseFactor) as exc:
+    except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except _NUMERIC_ERRORS as exc:
+    except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

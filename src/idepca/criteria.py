@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
-from .diffeq import tail_start
+from .diffeq import TooShort, tail_start
 from .reduction import Direction, DiscreteSystem
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "CriterionReport",
     "WrongDirection",
     "AdvanceTooSmall",
-    "TooShortTail",
     "tail_stats",
     "delayed_liminf_threshold",
     "delayed_sum_threshold",
@@ -70,10 +69,6 @@ class AdvanceTooSmall(Exception):
     """Advanced criteria require an advance of at least 2."""
 
 
-class TooShortTail(Exception):
-    """Sequence too short for tail estimation."""
-
-
 _CONVERGENCE_RTOL = 1e-3
 
 
@@ -98,7 +93,7 @@ def tail_stats(seq: Sequence[float], kind: TailKind, tail_fraction: float = 0.5,
     """
     m = len(seq)
     if m < 8:
-        raise TooShortTail(f"need at least 8 points, got {m}")
+        raise TooShort(f"need at least 8 points, got {m}")
     i0 = tail_start(m, tail_fraction)
     statistic = _extremum(seq[i0:], kind)
 
@@ -192,7 +187,7 @@ def ladas_philos_sficas(ds: DiscreteSystem, tail_fraction: float = 0.5) -> Crite
     k = ds.k
     qstar = [-q for q in ds.q_seq]
     if len(qstar) < k + 1:
-        raise TooShortTail("not enough Q values for the moving sum")
+        raise TooShort("not enough Q values for the moving sum")
     # sum over j in [n-k, n-1]; entry i of sums corresponds to n = q_start + k + i
     sums = [math.fsum(qstar[i:i + k]) for i in range(len(qstar) - k)]
     stats = tail_stats(sums, TailKind.LIMINF, tail_fraction, offset=ds.q_start + k)
@@ -212,7 +207,7 @@ def gyori_ladas(ds: DiscreteSystem, tail_fraction: float = 0.5
     l = ds.k
     q = ds.q_seq
     if len(q) < l + 1:
-        raise TooShortTail("not enough Q values for the advanced sums")
+        raise TooShort("not enough Q values for the advanced sums")
     sums_a = [math.fsum(q[i + 1:i + l]) for i in range(len(q) - l)]
     sums_b = [math.fsum(q[i:i + l]) for i in range(len(q) - l + 1)]
     stats_a = tail_stats(sums_a, TailKind.LIMINF, tail_fraction, offset=ds.q_start)

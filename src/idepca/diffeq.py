@@ -36,15 +36,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
+from .quad import NumericFailure
 from .reduction import Direction, DiscreteSystem
 
 __all__ = [
     "Verdict",
     "DiscreteSolution",
     "OscillationVerdictDiscrete",
-    "AdvanceDivisionByZero",
-    "DegenerateAdvance",
-    "SweepBreakdown",
     "TooShort",
     "solve_delayed",
     "solve_advanced",
@@ -67,31 +65,7 @@ class Verdict(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-class AdvanceDivisionByZero(Exception):
-    """b_n = 0 where the rearranged advanced recursion must divide by it."""
-
-    def __init__(self, n: int):
-        self.index = n
-        super().__init__(f"b_{n} = 0: advanced recursion cannot be rearranged")
-
-
-class DegenerateAdvance(Exception):
-    """k = 1 with b_n = 1: the advance step is degenerate."""
-
-    def __init__(self, n: int):
-        self.index = n
-        super().__init__(f"b_{n} = 1 with k = 1: degenerate advance")
-
-
-class SweepBreakdown(Exception):
-    """The backward sweep cannot give the solution through z_{n0} = init[0]."""
-
-    def __init__(self, n: int, reason: str):
-        self.index = n
-        super().__init__(f"backward sweep fails at n = {n}: {reason}")
-
-
-class TooShort(Exception):
+class TooShort(NumericFailure):
     """Not enough points for the requested tail analysis."""
 
 
@@ -163,7 +137,7 @@ def solve_advanced(ds: DiscreteSystem, init: Sequence[float]) -> DiscreteSolutio
         for n in range(ds.n0, ds.horizon):
             b = ds.b(n)
             if b == 1.0:
-                raise DegenerateAdvance(n)
+                raise NumericFailure(f"b_{n} = 1 with k = 1: degenerate advance", n)
             z = ds.a(n) * values[n - n_lo] / (1.0 - b)
             if not math.isfinite(z):
                 truncated = n + 1
@@ -174,7 +148,8 @@ def solve_advanced(ds: DiscreteSystem, init: Sequence[float]) -> DiscreteSolutio
         for n in range(ds.n0 + 1, ds.horizon - k + 1):
             b = ds.b(n)
             if b == 0.0:
-                raise AdvanceDivisionByZero(n)
+                raise NumericFailure(
+                    f"b_{n} = 0: advanced recursion cannot be rearranged", n)
             z = (values[n + 1 - n_lo] - ds.a(n) * values[n - n_lo]) / b
             if not math.isfinite(z):
                 truncated = n + k
@@ -207,10 +182,11 @@ def backward_sweep(ds: DiscreteSystem, z0: float) -> DiscreteSolution:
         i = n - n_lo
         a = ds.a(n)
         if a == 0.0:
-            raise SweepBreakdown(n, f"a_{n} = 0 leaves z_{n} undetermined")
+            raise NumericFailure(
+                f"backward sweep fails at n = {n}: a_{n} = 0 leaves z_{n} undetermined", n)
         z = (w[i + 1] - ds.b(n) * w[i + k]) / a
         if not math.isfinite(z):
-            raise SweepBreakdown(n, f"z_{n} is not finite")
+            raise NumericFailure(f"backward sweep fails at n = {n}: z_{n} is not finite", n)
         w[i] = z
         exps[i] = shift
         e = math.frexp(max(abs(v) for v in w[i:i + k]))[1]
@@ -220,7 +196,8 @@ def backward_sweep(ds: DiscreteSystem, z0: float) -> DiscreteSolution:
                 exps[j] = shift + e
             shift += e
     if w[0] == 0.0:
-        raise SweepBreakdown(n_lo, f"z_{n_lo} = 0, so no multiple passes through {z0!r}")
+        raise NumericFailure(f"backward sweep fails at n = {n_lo}: z_{n_lo} = 0, so no "
+                             f"multiple passes through {z0!r}", n_lo)
     m0, e0 = math.frexp(w[0])
     mz, ez = math.frexp(float(z0))
     values: List[float] = []

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 __all__ = [
     "QuadResult",
+    "NumericFailure",
     "SingularIntegrand",
-    "NoConvergence",
     "integrate",
     "MAX_DEPTH",
 ]
@@ -32,16 +32,20 @@ class QuadResult:
     evaluations: int
 
 
-class SingularIntegrand(Exception):
+class NumericFailure(Exception):
+    """Any stage's numeric failure (CLI exit 3); index names n where one applies."""
+
+    def __init__(self, message: str, index: Optional[int] = None):
+        self.index = index
+        super().__init__(message)
+
+
+class SingularIntegrand(NumericFailure):
     """A non-finite integrand sample; carries the offending abscissa."""
 
     def __init__(self, abscissa: float):
         self.abscissa = abscissa
         super().__init__(f"non-finite integrand sample at {abscissa!r}")
-
-
-class NoConvergence(Exception):
-    """Recursive bisection exceeded MAX_DEPTH levels."""
 
 
 def integrate(f: Callable[[float], float], lo: float, hi: float,
@@ -84,7 +88,7 @@ def _panel(sample, a, fa, b, fb):
 
 def _adapt(sample, a, fa, m, fm, b, fb, whole, tol, depth):
     if depth > MAX_DEPTH:
-        raise NoConvergence(f"no convergence on [{a}, {b}] after depth {depth}")
+        raise NumericFailure(f"no convergence on [{a}, {b}] after depth {depth}")
     lm, flm, left = _panel(sample, a, fa, m, fm)
     rm, frm, right = _panel(sample, m, fm, b, fb)
     delta = left + right - whole

@@ -28,7 +28,7 @@ from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .exprlang import Expr, compile_expr, _safe_exp
-from .quad import integrate
+from .quad import NumericFailure, integrate
 
 __all__ = [
     "Direction",
@@ -36,8 +36,6 @@ __all__ = [
     "ProblemSpec",
     "DiscreteSystem",
     "ZeroImpulseFactor",
-    "ZeroCoefficient",
-    "CoefficientError",
     "DiagnosticMismatch",
     "IndexOutOfRange",
     "compute_an",
@@ -63,31 +61,14 @@ class ZeroImpulseFactor(Exception):
         super().__init__(f"jump factor at node {n} is {value!r}; must be finite and nonzero")
 
 
-class ZeroCoefficient(Exception):
-    """a_n = 0 makes the cumulative weight alpha undefined past n."""
-
-    def __init__(self, n: int):
-        self.index = n
-        super().__init__(f"a_{n} = 0; alpha is undefined past index {n}")
-
-
-class CoefficientError(Exception):
-    """Numeric failure while computing a coefficient; carries the index."""
-
-    def __init__(self, n: int, message: str):
-        self.index = n
-        super().__init__(f"at index {n}: {message}")
-
-
-class DiagnosticMismatch(Exception):
+class DiagnosticMismatch(NumericFailure):
     """The alpha-ratio and direct-quadrature routes for Q_n disagree."""
 
     def __init__(self, n: int, ratio_value: float, direct_value: float):
-        self.index = n
         self.ratio_value = ratio_value
         self.direct_value = direct_value
         super().__init__(
-            f"Q_{n} mismatch: alpha-ratio {ratio_value!r} vs direct {direct_value!r}"
+            f"Q_{n} mismatch: alpha-ratio {ratio_value!r} vs direct {direct_value!r}", n
         )
 
 
@@ -174,7 +155,7 @@ def compute_an(spec: ProblemSpec, n: int, tol: float = 1e-10) -> float:
     expo = integrate(compile_expr(spec.a), n, n + 1, tol).value
     value = r * _safe_exp(expo)
     if not math.isfinite(value):
-        raise CoefficientError(n, f"a_n overflowed (exponent {expo!r})")
+        raise NumericFailure(f"at index {n}: a_n overflowed (exponent {expo!r})", n)
     return value
 
 
@@ -200,7 +181,7 @@ def compute_bn(spec: ProblemSpec, n: int, tol: float = 1e-10) -> float:
     fb = compile_expr(spec.b)
     value = r * weighted_integral(fa, fb, n, n + 1, n + 1, tol)
     if not math.isfinite(value):
-        raise CoefficientError(n, "b_n overflowed")
+        raise NumericFailure(f"at index {n}: b_n overflowed", n)
     return value
 
 
@@ -255,10 +236,11 @@ def compute_qn(ds: DiscreteSystem, n: int) -> float:
     dev = ds.dev(n)
     alpha_dev = ds.alpha(dev)
     if alpha_dev == 0.0:
-        raise CoefficientError(n, f"alpha_{dev} underflowed to 0")
+        raise NumericFailure(f"at index {n}: alpha_{dev} underflowed to 0", n)
     q = ds.alpha(n + 1) * ds.b(n) / alpha_dev
     if not math.isfinite(q):
-        raise CoefficientError(n, f"Q_n = alpha_{n + 1} b_n / alpha_{dev} is {q!r}")
+        raise NumericFailure(f"at index {n}: Q_n = alpha_{n + 1} b_n / alpha_{dev} is {q!r}",
+                             n)
     return q
 
 
@@ -315,7 +297,7 @@ def build_discrete_system(spec: ProblemSpec, tol: float = 1e-10) -> DiscreteSyst
     for j in range(n0, horizon):
         aj = a_seq[j - n0]
         if aj == 0.0:
-            raise ZeroCoefficient(j)
+            raise NumericFailure(f"a_{j} = 0; alpha is undefined past index {j}", j)
         alpha_seq.append(alpha_seq[-1] / aj)
 
     ds = DiscreteSystem(

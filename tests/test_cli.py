@@ -44,6 +44,14 @@ BASE_DOC = {
     "tol": 1e-10,
 }
 
+# exp(-800) underflows, so a_0 = 0
+ZERO_A_DOC = {**BASE_DOC, "a": "-800"}
+ADVANCED_ZERO_B_DOC = {**BASE_DOC, "direction": "advanced", "k": 2, "b": "0",
+                       "initial_window": [1, 1, 1]}
+# a_n = b_n = 1 exactly: z_{n+1} = a_n z_n + b_n z_{n+1} cannot be solved for z_{n+1}
+DEGENERATE_K1_DOC = {**BASE_DOC, "direction": "advanced", "k": 1, "a": "0", "b": "1",
+                     "impulse": "none", "initial_window": [1, 1]}
+
 
 class TestCoeffs:
     def test_example1_closed_forms(self, tmp_path):
@@ -150,6 +158,13 @@ class TestSimulate:
             z_left, z_right = float(row[1]), float(row[2])
             assert abs(z_left - z_right) <= 1e-8 * max(1.0, abs(z_left))
 
+    def test_writes_nothing_on_numeric_failure(self, tmp_path):
+        # the tail is too short for the oscillation verdicts
+        res = run_cli("simulate", EXAMPLE1, "--horizon", 8, "--out", tmp_path / "s")
+        assert res.returncode == 3
+        assert res.stderr == "numeric failure: tail has 6 points; need at least 16\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCheck:
     def test_example1_all_pass(self):
@@ -220,17 +235,23 @@ class TestSchemaErrors:
         assert run_cli("coeffs", path).returncode == 2
 
     def test_bad_tol_flag(self):
-        assert run_cli("coeffs", EXAMPLE1, "--tol", 0).returncode == 2
+        res = run_cli("coeffs", EXAMPLE1, "--tol", 0)
+        assert res.returncode == 2
+        assert "tol" in res.stderr
 
     def test_bad_tail_flag(self):
-        assert run_cli("analyze", EXAMPLE1, "--tail", 1.5).returncode == 2
+        res = run_cli("analyze", EXAMPLE1, "--tail", 1.5)
+        assert res.returncode == 2
+        assert "tail_fraction" in res.stderr
 
     def test_infinite_tol_flag(self):
         # an infinite tolerance would make the dual-route audit unfailable
         assert run_cli("coeffs", EXAMPLE1, "--tol", "inf").returncode == 2
 
     def test_nan_tol_flag(self):
-        assert run_cli("coeffs", EXAMPLE1, "--tol", "nan").returncode == 2
+        res = run_cli("coeffs", EXAMPLE1, "--tol", "nan")
+        assert res.returncode == 2
+        assert "tol" in res.stderr
 
     def test_infinite_tol_in_file(self, tmp_path):
         path = write_problem(tmp_path, {**BASE_DOC, "tol": math.inf})
@@ -261,7 +282,62 @@ class TestSchemaErrors:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestFlagOverrides:
+    """--tol, --tail and --horizon are validated like the keys they replace."""
+
+    @pytest.mark.parametrize("key,bad,flags", [
+        ("tol", 0, ["--tol", 1e-9]),
+        ("tail_fraction", 0, ["--tail", 0.5]),
+        ("horizon", 3, ["--horizon", 20]),
+    ], ids=["tol", "tail_fraction", "horizon"])
+    def test_flag_replaces_faulty_key(self, tmp_path, key, bad, flags):
+        path = write_problem(tmp_path, {**BASE_DOC, key: bad})
+        assert run_cli("analyze", path).returncode == 2
+        assert run_cli("analyze", path, *flags).returncode == 0
+
+    def test_jump_scan_covers_shorter_horizon(self, tmp_path):
+        # node 50 lies past the horizon that runs
+        doc = {**BASE_DOC, "impulse": {"formula": "1/(n-50)"}, "horizon": 60}
+        out = tmp_path / "coeffs.csv"
+        res = run_cli("coeffs", write_problem(tmp_path, doc), "--horizon", 30,
+                      "--out", out)
+        assert res.returncode == 0, res.stderr
+        assert len(read_csv(out)) == 31  # header + rows 0..29
+
+    def test_jump_scan_covers_longer_horizon(self, tmp_path):
+        doc = {**BASE_DOC, "impulse": {"formula": "1/(n-70)"}, "horizon": 60}
+        out = tmp_path / "coeffs.csv"
+        res = run_cli("coeffs", write_problem(tmp_path, doc), "--horizon", 80,
+                      "--out", out)
+        assert res.returncode == 2
+        assert "node 70" in res.stderr
+        assert not out.exists()
+
+
 class TestNumericErrors:
+    @pytest.mark.parametrize("command,doc,flags,message", [
+        *[pytest.param(command, ZERO_A_DOC, [], "a_0 = 0; alpha is undefined past index 0",
+                       id=f"zero_a-{command}")
+          for command in ("coeffs", "analyze", "simulate", "check")],
+        *[pytest.param(command, ADVANCED_ZERO_B_DOC, [],
+                       "b_1 = 0: advanced recursion cannot be rearranged",
+                       id=f"advanced_zero_b-{command}")
+          for command in ("simulate", "check")],
+        *[pytest.param(command, DEGENERATE_K1_DOC, [],
+                       "b_0 = 1 with k = 1: degenerate advance",
+                       id=f"degenerate_k1-{command}")
+          for command in ("simulate", "check")],
+        pytest.param("analyze", None, ["--horizon", 8], "need at least 8 points, got 5",
+                     id="short_q_tail-analyze"),
+    ])
+    def test_each_cause(self, tmp_path, command, doc, flags, message):
+        problem = EXAMPLE1 if doc is None else write_problem(tmp_path, doc)
+        res = run_cli(command, problem, *flags, "--out", tmp_path / "run")
+        assert res.returncode == 3
+        assert res.stderr == f"numeric failure: {message}\n"
+        assert "Traceback" not in res.stderr
+        assert list(tmp_path.glob("run*")) == []
+
     def test_singular_coefficient_exit_code(self, tmp_path):
         # 1/t is singular at the left endpoint of the first interval
         path = write_problem(tmp_path, {**BASE_DOC, "a": "1/t"})

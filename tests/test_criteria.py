@@ -8,7 +8,6 @@ from idepca.criteria import (
     NONOSCILLATION_IDS,
     OSCILLATION_IDS,
     TailKind,
-    TooShortTail,
     WrongDirection,
     advanced_pointwise_threshold,
     advanced_sum_threshold,
@@ -24,6 +23,7 @@ from idepca.criteria import (
     synthesize_verdict,
     tail_stats,
 )
+from idepca.diffeq import TooShort
 from idepca.reduction import Direction, DiscreteSystem
 
 
@@ -80,7 +80,7 @@ class TestTailStats:
         assert stats.window == (10, 14)
 
     def test_too_short(self):
-        with pytest.raises(TooShortTail):
+        with pytest.raises(TooShort, match=r"^need at least 8 points, got 7$"):
             tail_stats([1.0] * 7, TailKind.LIMINF)
 
     def test_trending_sequence_fails_convergence(self):
@@ -144,7 +144,7 @@ class TestLadasPhilosSficas:
 
     def test_too_few_points(self):
         ds = system_with_q([-0.1] * 3, k=3)
-        with pytest.raises(TooShortTail):
+        with pytest.raises(TooShort, match=r"^not enough Q values for the moving sum$"):
             ladas_philos_sficas(ds)
 
 

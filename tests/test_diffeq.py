@@ -5,9 +5,6 @@ import sys
 import pytest
 
 from idepca.diffeq import (
-    AdvanceDivisionByZero,
-    DegenerateAdvance,
-    SweepBreakdown,
     TooShort,
     Verdict,
     continue_window,
@@ -20,6 +17,7 @@ from idepca.diffeq import (
     solve_advanced,
     solve_delayed,
 )
+from idepca.quad import NumericFailure
 from idepca.reduction import Direction, DiscreteSystem
 
 E = math.e
@@ -130,14 +128,17 @@ class TestSolveAdvanced:
     def test_division_by_zero(self):
         ds = fabricate([1.0] * 6, [1.0, 0.0, 1.0, 1.0, 1.0, 1.0],
                        k=2, direction=Direction.ADVANCED)
-        with pytest.raises(AdvanceDivisionByZero) as exc:
+        with pytest.raises(NumericFailure,
+                           match=r"^b_1 = 0: advanced recursion cannot be rearranged$") as exc:
             solve_advanced(ds, [1.0, 1.0, 1.0])
         assert exc.value.index == 1
 
     def test_degenerate_advance_k1(self):
         ds = fabricate([1.0] * 6, [1.0] * 6, k=1, direction=Direction.ADVANCED)
-        with pytest.raises(DegenerateAdvance):
+        with pytest.raises(NumericFailure,
+                           match=r"^b_0 = 1 with k = 1: degenerate advance$") as exc:
             solve_advanced(ds, [1.0, 1.0])
+        assert exc.value.index == 0
 
     def test_dispatch(self):
         ds = fabricate([1.0] * 6, [0.5] * 6, k=1, direction=Direction.ADVANCED)
@@ -195,14 +196,16 @@ class TestSolveAdvanced:
         # b_3 = 1 with k = 1 forces z_3 = (1 - b_3) z_4 / a_3 = 0
         ds = fabricate([1.0] * 6, [1.0] + [0.5] * 5, k=1,
                        direction=Direction.ADVANCED, n0=3)
-        with pytest.raises(SweepBreakdown) as exc:
+        with pytest.raises(NumericFailure,
+                           match=r"^backward sweep fails at n = 3: z_3 = 0") as exc:
             solve(ds, [1.0, 1.0])
         assert exc.value.index == 3
 
     def test_zero_a_is_named(self):
         ds = fabricate([1.0, 1.0, 0.0, 1.0, 1.0, 1.0], [0.5] * 6, k=2,
                        direction=Direction.ADVANCED)
-        with pytest.raises(SweepBreakdown) as exc:
+        with pytest.raises(NumericFailure, match=r"^backward sweep fails at n = 2: "
+                                                 r"a_2 = 0 leaves z_2 undetermined$") as exc:
             solve(ds, [1.0, 1.0, 1.0])
         assert exc.value.index == 2
 

@@ -3,12 +3,12 @@ import math
 import pytest
 
 from idepca.exprlang import parse
+from idepca.quad import NumericFailure
 from idepca.reduction import (
     Direction,
     ImpulseSpec,
     IndexOutOfRange,
     ProblemSpec,
-    ZeroCoefficient,
     ZeroImpulseFactor,
     _q_routes_agree,
     build_discrete_system,
@@ -141,7 +141,8 @@ class TestAlpha:
 
     def test_zero_entry_rejected(self):
         # exp(-800) underflows, so a_0 is exactly 0
-        with pytest.raises(ZeroCoefficient) as exc:
+        with pytest.raises(NumericFailure,
+                           match=r"^a_0 = 0; alpha is undefined past index 0$") as exc:
             build_discrete_system(make_spec(a="-800", horizon=5), 1e-10)
         assert exc.value.index == 0
 

@@ -333,13 +333,12 @@ def _check_instance(pf: ProblemFile, samples: int):
 
 
 def cmd_check(pf: ProblemFile, samples: int) -> int:
-    failed = False
-    for name, ok, detail in _check_instance(pf, samples):
-        status = "PASS" if ok else "FAIL"
-        print(f"{status} {name}: {detail}")
-        if not ok:
-            failed = True
-    return EXIT_INVARIANT if failed else EXIT_OK
+    # every invariant runs before the first line is printed, so a numeric
+    # failure (exit 3) leaves stdout empty rather than a partial report
+    results = list(_check_instance(pf, samples))
+    for name, ok, detail in results:
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_INVARIANT
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,12 +11,15 @@ live in data files.  Grammar (whitespace insignificant):
 "^" is right associative and binds tighter than unary minus, so "-t^2"
 parses as -(t^2) and "2^3^2" as 2^(3^2).  Recognized functions:
 exp, ln, sin, cos, sqrt, abs.  A single variable name is declared per
-expression; any other identifier, and a number literal that overflows a
-float, is rejected at parse time.
+expression; any other identifier, a number literal that overflows a
+float, and an expression nested more than MAX_NESTING operators deep are
+rejected at parse time.
 
 Evaluation never raises on domain errors: division by zero, ln of a
 nonpositive number, sqrt of a negative number and overflow all produce a
-non-finite float that the caller is expected to detect.
+non-finite float that the caller is expected to detect.  compile_expr turns
+an AST into one generated Python function of straight-line code, one
+assignment per operator node, in the tree's own evaluation order.
 """
 
 from __future__ import annotations
@@ -42,6 +45,15 @@ __all__ = [
 class Constant:
     value: float
 
+    def __eq__(self, other):
+        # signed zeros differ (x/0.0 and x/-0.0 are infinities of opposite
+        # sign), so the compile cache must not take one for the other
+        return (isinstance(other, Constant) and self.value == other.value
+                and math.copysign(1.0, self.value) == math.copysign(1.0, other.value))
+
+    def __hash__(self):
+        return hash(self.value)
+
 
 @dataclass(frozen=True)
 class Variable:
@@ -65,6 +77,11 @@ Expr = Union[Constant, Variable, Unary, Binary]
 
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt", "abs")
 
+# Deepest operator nesting parse accepts.  Dataclass hashing and equality
+# recurse through the tree at two to three interpreter frames per level, so
+# this stays well inside Python's default recursion limit of 1000.
+MAX_NESTING = 300
+
 
 class ParseError(Exception):
     """Raised on malformed input; position is a zero-based character offset."""
@@ -79,101 +96,111 @@ _NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
-class _Parser:
-    def __init__(self, src: str, variable_name: str):
-        self.src = src
-        self.var = variable_name
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        if self.pos >= len(self.src):
-            return ""
-        return self.src[self.pos]
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            ch = self.peek()
-            if ch == "+" or ch == "-":
-                self.pos += 1
-                rhs = self.term()
-                node = Binary("add" if ch == "+" else "sub", node, rhs)
-            else:
-                return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while True:
-            ch = self.peek()
-            if ch == "*" or ch == "/":
-                self.pos += 1
-                rhs = self.factor()
-                node = Binary("mul" if ch == "*" else "div", node, rhs)
-            else:
-                return node
-
-    def factor(self) -> Expr:
-        if self.peek() == "-":
-            self.pos += 1
-            return Unary("neg", self.factor())
-        node = self.primary()
-        if self.peek() == "^":
-            self.pos += 1
-            return Binary("pow", node, self.factor())
-        return node
-
-    def primary(self) -> Expr:
-        ch = self.peek()
-        if ch == "":
-            raise ParseError(len(self.src), "unexpected end of input")
-        if ch == "(":
-            self.pos += 1
-            node = self.expr()
-            if self.peek() != ")":
-                raise ParseError(self.pos, "expected ')'")
-            self.pos += 1
-            return node
-        m = _NUMBER.match(self.src, self.pos)
-        if m:
-            value = float(m.group())
-            if not math.isfinite(value):
-                raise ParseError(self.pos, f"number '{m.group()}' is not finite")
-            self.pos = m.end()
-            return Constant(value)
-        m = _IDENT.match(self.src, self.pos)
-        if m:
-            name = m.group()
-            start = self.pos
-            self.pos = m.end()
-            if name in FUNCTIONS:
-                if self.peek() != "(":
-                    raise ParseError(self.pos, f"expected '(' after '{name}'")
-                self.pos += 1
-                arg = self.expr()
-                if self.peek() != ")":
-                    raise ParseError(self.pos, "expected ')'")
-                self.pos += 1
-                return Unary(name, arg)
-            if name == self.var:
-                return Variable(name)
-            raise ParseError(start, f"unknown identifier '{name}'")
-        raise ParseError(self.pos, f"unexpected character '{ch}'")
+# Operators by binding power.  Unary minus binds below "^" and above "*" and
+# "/"; "^" is the only right-associative operator.
+_BINARY_OPS = {"+": ("add", 1), "-": ("sub", 1), "*": ("mul", 2), "/": ("div", 2),
+               "^": ("pow", 4)}
+_NEG_POWER = 3
+_GROUP = 0   # an open "(" or function call: no operator reduces past it
 
 
 def parse(source: str, variable_name: str) -> Expr:
-    """Parse *source* into an AST over the single variable *variable_name*."""
-    p = _Parser(source, variable_name)
-    if p.peek() == "":
-        raise ParseError(len(source), "empty input")
-    node = p.expr()
-    if p.peek() != "":
-        raise ParseError(p.pos, "trailing garbage")
-    return node
+    """Parse *source* into an AST over the single variable *variable_name*.
+
+    An operator-precedence parser over explicit stacks, so parentheses and
+    long chains cost no interpreter frames.  A syntax error is reported at
+    the first offending character, scanning left to right; a tree nested
+    too deeply, at the operator that crosses MAX_NESTING.
+    """
+    n = len(source)
+    operands: list = []   # (node, operator depth)
+    pending: list = []    # (op, binding power, offset); op None for "("
+    open_groups = 0
+
+    def skip_ws(i: int) -> int:
+        while i < n and source[i].isspace():
+            i += 1
+        return i
+
+    def reduce() -> None:
+        op, _, offset = pending.pop()
+        right, depth = operands.pop()
+        if op in FUNCTIONS or op == "neg":
+            node = Unary(op, right)
+        else:
+            left, left_depth = operands.pop()
+            node = Binary(op, left, right)
+            depth = max(depth, left_depth)
+        if depth >= MAX_NESTING:
+            raise ParseError(offset, f"expression nested deeper than {MAX_NESTING} levels")
+        operands.append((node, depth + 1))
+
+    pos = skip_ws(0)
+    if pos == n:
+        raise ParseError(n, "empty input")
+    expect_operand = True
+    while True:
+        pos = skip_ws(pos)
+        ch = source[pos] if pos < n else ""
+        if expect_operand:
+            if ch == "-":
+                pending.append(("neg", _NEG_POWER, pos))
+                pos += 1
+            elif ch == "(":
+                pending.append((None, _GROUP, pos))
+                open_groups += 1
+                pos += 1
+            elif ch == "":
+                raise ParseError(n, "unexpected end of input")
+            elif m := _NUMBER.match(source, pos):
+                value = float(m.group())
+                if not math.isfinite(value):
+                    raise ParseError(pos, f"number '{m.group()}' is not finite")
+                operands.append((Constant(value), 0))
+                pos = m.end()
+                expect_operand = False
+            elif m := _IDENT.match(source, pos):
+                name = m.group()
+                if name in FUNCTIONS:
+                    pos = skip_ws(m.end())
+                    if pos == n or source[pos] != "(":
+                        raise ParseError(pos, f"expected '(' after '{name}'")
+                    pending.append((name, _GROUP, m.start()))
+                    open_groups += 1
+                    pos += 1
+                elif name == variable_name:
+                    operands.append((Variable(name), 0))
+                    pos = m.end()
+                    expect_operand = False
+                else:
+                    raise ParseError(pos, f"unknown identifier '{name}'")
+            else:
+                raise ParseError(pos, f"unexpected character '{ch}'")
+        elif ch in _BINARY_OPS:
+            op, power = _BINARY_OPS[ch]
+            while pending and (pending[-1][1] > power
+                               or (pending[-1][1] == power and op != "pow")):
+                reduce()
+            pending.append((op, power, pos))
+            pos += 1
+            expect_operand = True
+        elif open_groups and ch == ")":
+            while pending[-1][1] != _GROUP:
+                reduce()
+            if pending[-1][0] is None:
+                pending.pop()
+            else:
+                reduce()
+            open_groups -= 1
+            pos += 1
+        elif open_groups:
+            raise ParseError(pos, "expected ')'")
+        elif ch:
+            raise ParseError(pos, "trailing garbage")
+        else:
+            while pending:
+                reduce()
+            return operands[0][0]
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -223,21 +250,38 @@ def _safe_trig(fn, x: float) -> float:
     return math.nan
 
 
-_UNARY_FN: dict = {
-    "neg": lambda v: -v,
-    "exp": _safe_exp,
-    "ln": _safe_ln,
-    "sin": lambda v: _safe_trig(math.sin, v),
-    "cos": lambda v: _safe_trig(math.cos, v),
-    "sqrt": _safe_sqrt,
-    "abs": abs,
+# Code templates per operator; every operand is a bound name, never a literal,
+# so nothing is folded or reassociated and no problem-file text reaches the
+# generated source.
+_UNARY_CODE = {
+    "neg": "-{}",
+    "exp": "_safe_exp({})",
+    "ln": "_safe_ln({})",
+    "sin": "_safe_trig(_sin, {})",
+    "cos": "_safe_trig(_cos, {})",
+    "sqrt": "_safe_sqrt({})",
+    "abs": "abs({})",
+}
+_BINARY_CODE = {
+    "add": "{} + {}",
+    "sub": "{} - {}",
+    "mul": "{} * {}",
+    "div": "_safe_div({}, {})",
+    "pow": "_safe_pow({}, {})",
+}
+_HELPERS = {
+    "float": float, "abs": abs, "_sin": math.sin, "_cos": math.cos,
+    "_safe_div": _safe_div, "_safe_pow": _safe_pow, "_safe_exp": _safe_exp,
+    "_safe_ln": _safe_ln, "_safe_sqrt": _safe_sqrt, "_safe_trig": _safe_trig,
 }
 
 
 def compile_expr(e: Expr) -> Callable[[float], float]:
-    """Build a closure evaluating *e* at x; non-finite results propagate.
+    """Build a function evaluating *e* at x; non-finite results propagate.
 
-    Compiled closures are cached per AST (ASTs are immutable and hashable).
+    The argument is converted once with float(x), so integer abscissae
+    evaluate in floating point.  Compiled functions are cached per AST
+    (ASTs are immutable and hashable).
     """
     cached = _COMPILED.get(e)
     if cached is not None:
@@ -251,26 +295,44 @@ _COMPILED: dict = {}
 
 
 def _compile(e: Expr) -> Callable[[float], float]:
-    if isinstance(e, Constant):
-        c = e.value
-        return lambda x: c
-    if isinstance(e, Variable):
-        return float
-    if isinstance(e, Unary):
-        child = _compile(e.child)
-        fn = _UNARY_FN[e.op]
-        return lambda x: fn(child(x))
-    if isinstance(e, Binary):
-        l = _compile(e.left)
-        r = _compile(e.right)
-        if e.op == "add":
-            return lambda x: l(x) + r(x)
-        if e.op == "sub":
-            return lambda x: l(x) - r(x)
-        if e.op == "mul":
-            return lambda x: l(x) * r(x)
-        if e.op == "div":
-            return lambda x: _safe_div(l(x), r(x))
-        return lambda x: _safe_pow(l(x), r(x))
-    raise TypeError(f"not an expression node: {e!r}")
-
+    """Generate straight-line code for *e* by an iterative post-order walk."""
+    constants = {}
+    body = []
+    values = []                  # names holding the operands computed so far
+    uses_x = False
+    stack = [(e, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if isinstance(node, Constant):
+            name = f"c{len(constants)}"
+            constants[name] = node.value
+        elif isinstance(node, Variable):
+            uses_x = True
+            name = "x"
+        elif not isinstance(node, (Unary, Binary)):
+            raise TypeError(f"not an expression node: {node!r}")
+        elif not children_done:
+            stack.append((node, True))
+            stack.extend([(node.right, False), (node.left, False)]
+                         if isinstance(node, Binary) else [(node.child, False)])
+            continue
+        else:
+            if isinstance(node, Unary):
+                code = _UNARY_CODE[node.op].format(values.pop())
+            else:
+                right = values.pop()
+                left = values.pop()
+                divisor = node.right
+                # a nonzero constant divisor cannot divide by zero: no guard needed
+                if node.op == "div" and isinstance(divisor, Constant) and divisor.value != 0:
+                    code = f"{left} / {right}"
+                else:
+                    code = _BINARY_CODE[node.op].format(left, right)
+            name = f"v{len(body)}"
+            body.append(f"    {name} = {code}")
+        values.append(name)
+    lines = ["def _expr(x):", *(["    x = float(x)"] if uses_x else []), *body,
+             f"    return {values.pop()}"]
+    namespace = {**_HELPERS, **constants}
+    exec(compile("\n".join(lines), "<idepca expression>", "exec"), namespace)
+    return namespace["_expr"]

@@ -6,13 +6,19 @@ estimates agree to within 15x the local tolerance; the Richardson-corrected
 fine estimate is returned.  Reversed bounds flip the sign of the result
 without re-integration.  Non-finite integrand samples abort immediately:
 singularities are the caller's problem, and this is where they surface.
+
+Samples are taken in a fixed order: both ends, the midpoint, then at each
+panel its left and right quarter points, left subtree first.  Every panel
+the recursion visits costs two samples, so ``QuadResult.evaluations`` is
+3 + 2 * (number of panels visited), or 1 for an empty interval (one
+sample, checked for finiteness, at lo).  It equals the number of calls the
+integrand received.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from math import isfinite
+from typing import Callable, NamedTuple, Optional
 
 __all__ = [
     "QuadResult",
@@ -25,8 +31,7 @@ __all__ = [
 MAX_DEPTH = 60
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     value: float
     error_estimate: float  # absolute
     evaluations: int
@@ -51,22 +56,14 @@ class SingularIntegrand(NumericFailure):
 def integrate(f: Callable[[float], float], lo: float, hi: float,
               tol: float = 1e-10) -> QuadResult:
     """Integrate f over [lo, hi]; lo > hi yields the sign-flipped value."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not (isfinite(lo) and isfinite(hi)):
         raise ValueError("integration bounds must be finite")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    count = [0]
-
-    def sample(x: float) -> float:
-        count[0] += 1
-        y = f(x)
-        if not math.isfinite(y):
-            raise SingularIntegrand(x)
-        return y
-
     if lo == hi:
-        sample(lo)
-        return QuadResult(0.0, 0.0, count[0])
+        if not isfinite(f(lo)):
+            raise SingularIntegrand(lo)
+        return QuadResult(0.0, 0.0, 1)
 
     sign = 1.0
     a, b = lo, hi
@@ -74,28 +71,39 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
         a, b = b, a
         sign = -1.0
 
-    fa, fb = sample(a), sample(b)
-    m, fm, whole = _panel(sample, a, fa, b, fb)
-    value, err = _adapt(sample, a, fa, m, fm, b, fb, whole, tol, 0)
-    return QuadResult(sign * value, err, count[0])
-
-
-def _panel(sample, a, fa, b, fb):
+    fa = f(a)
+    if not isfinite(fa):
+        raise SingularIntegrand(a)
+    fb = f(b)
+    if not isfinite(fb):
+        raise SingularIntegrand(b)
     m = 0.5 * (a + b)
-    fm = sample(m)
-    return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    fm = f(m)
+    if not isfinite(fm):
+        raise SingularIntegrand(m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    value, err, panels = _adapt(f, a, fa, m, fm, b, fb, whole, tol, 0)
+    return QuadResult(sign * value, err, 3 + 2 * panels)
 
 
-def _adapt(sample, a, fa, m, fm, b, fb, whole, tol, depth):
+def _adapt(f, a, fa, m, fm, b, fb, whole, tol, depth):
+    """(value, error, panels visited) of the panel [a, b] with midpoint m."""
     if depth > MAX_DEPTH:
         raise NumericFailure(f"no convergence on [{a}, {b}] after depth {depth}")
-    lm, flm, left = _panel(sample, a, fa, m, fm)
-    rm, frm, right = _panel(sample, m, fm, b, fb)
+    lm = 0.5 * (a + m)
+    flm = f(lm)
+    if not isfinite(flm):
+        raise SingularIntegrand(lm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    rm = 0.5 * (m + b)
+    frm = f(rm)
+    if not isfinite(frm):
+        raise SingularIntegrand(rm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     delta = left + right - whole
     if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0, abs(delta) / 15.0
+        return left + right + delta / 15.0, abs(delta) / 15.0, 1
     half = 0.5 * tol
-    lv, le = _adapt(sample, a, fa, lm, flm, m, fm, left, half, depth + 1)
-    rv, re_ = _adapt(sample, m, fm, rm, frm, b, fb, right, half, depth + 1)
-    return lv + rv, le + re_
-
+    lv, le, ln = _adapt(f, a, fa, lm, flm, m, fm, left, half, depth + 1)
+    rv, re_, rn = _adapt(f, m, fm, rm, frm, b, fb, right, half, depth + 1)
+    return lv + rv, le + re_, ln + rn + 1

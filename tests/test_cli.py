@@ -370,3 +370,63 @@ class TestNumericErrors:
         assert res.returncode == 3
         assert "at index 10" in res.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [
+        pytest.param(ZERO_A_DOC, id="zero_a"),
+        pytest.param(ADVANCED_ZERO_B_DOC, id="advanced_zero_b"),
+        pytest.param(DEGENERATE_K1_DOC, id="degenerate_k1"),
+    ])
+    def test_check_prints_nothing_on_numeric_failure(self, tmp_path, doc):
+        # advanced_zero_b fails after two invariants have passed; the report
+        # is printed only once every invariant has run
+        res = run_cli("check", write_problem(tmp_path, doc))
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert res.stderr.startswith("numeric failure: ")
+
+    def test_check_failure_report_is_whole(self, tmp_path):
+        # a loose tolerance fails node consistency (exit 1); every line is
+        # still printed, in order, after the failing one
+        doc = {**BASE_DOC, "a": "-1/t", "n0": 1, "horizon": 60, "tol": 1e-4}
+        res = run_cli("check", write_problem(tmp_path, doc), "--samples", 4)
+        assert res.returncode == 1
+        lines = [line.split(":")[0] for line in res.stdout.splitlines()]
+        assert lines == [
+            "PASS dual_route_q_audit", "PASS alpha_telescoping", "PASS recursion_residual",
+            "PASS reduced_form_residual", "FAIL node_consistency",
+            "PASS discrete_to_continuous_transfer",
+        ]
+
+
+class TestDeepExpressions:
+    """Expressions nested past the parser's limit exit 2 and name their key."""
+
+    SUM300 = "+".join(["0"] * 299) + "-1"
+
+    @pytest.mark.parametrize("key,source,shallow", [
+        pytest.param("a", SUM300, "-1", id="sum300"),
+        pytest.param("a", "-" * 300 + "1", "1", id="neg300"),
+    ])
+    def test_at_the_limit_matches_shallow_form(self, tmp_path, key, source, shallow):
+        # the deep spelling evaluates to the same floats at every sample, so
+        # the coefficient table is byte-identical to the shallow one
+        deep_out, shallow_out = tmp_path / "deep.csv", tmp_path / "shallow.csv"
+        deep = run_cli("coeffs", write_problem(tmp_path, {**BASE_DOC, key: source}, "deep.json"),
+                       "--out", deep_out)
+        flat = run_cli("coeffs", write_problem(tmp_path, {**BASE_DOC, key: shallow}, "flat.json"),
+                       "--out", shallow_out)
+        assert deep.returncode == 0 and flat.returncode == 0, deep.stderr
+        assert deep_out.read_bytes() == shallow_out.read_bytes()
+
+    @pytest.mark.parametrize("key,source,offset", [
+        pytest.param("a", "+".join(["0"] * 599) + "-1", 601, id="sum600"),
+        pytest.param("b", "-" * 1200 + "1", 899, id="neg1200"),
+    ])
+    def test_past_the_limit_exits_2(self, tmp_path, key, source, offset):
+        out = tmp_path / "coeffs.csv"
+        res = run_cli("coeffs", write_problem(tmp_path, {**BASE_DOC, key: source}),
+                      "--out", out)
+        assert res.returncode == 2
+        assert res.stderr == (f"error: key '{key}': parse error at offset {offset}: "
+                              "expression nested deeper than 300 levels\n")
+        assert not out.exists()

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from idepca import exprlang
 from idepca.exprlang import (
     Binary,
     Constant,
@@ -172,3 +173,130 @@ def test_ast_nodes_are_immutable():
     node = Binary("add", Constant(1.0), Unary("neg", Variable("t")))
     with pytest.raises(AttributeError):
         node.op = "mul"
+
+
+# -- compiled code against a tree-walking reference --------------------------
+
+def reference(node, x):
+    """Evaluate *node* by walking the tree: the semantics compile_expr must keep."""
+    if isinstance(node, Constant):
+        return node.value
+    if isinstance(node, Variable):
+        return float(x)
+    if isinstance(node, Unary):
+        v = reference(node.child, x)
+        return {
+            "neg": lambda: -v,
+            "exp": lambda: exprlang._safe_exp(v),
+            "ln": lambda: exprlang._safe_ln(v),
+            "sin": lambda: exprlang._safe_trig(math.sin, v),
+            "cos": lambda: exprlang._safe_trig(math.cos, v),
+            "sqrt": lambda: exprlang._safe_sqrt(v),
+            "abs": lambda: abs(v),
+        }[node.op]()
+    left = reference(node.left, x)
+    right = reference(node.right, x)
+    return {
+        "add": lambda: left + right,
+        "sub": lambda: left - right,
+        "mul": lambda: left * right,
+        "div": lambda: exprlang._safe_div(left, right),
+        "pow": lambda: exprlang._safe_pow(left, right),
+    }[node.op]()
+
+
+def same_float(a, b):
+    """Bitwise agreement up to NaN payload: NaN matches NaN, and -0.0 is not 0.0."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+REFERENCE_SOURCES = [
+    "t", "-t", "t + 1", "t - t", "t * t * t * t * t * t", "1/t", "t/3", "t/0",
+    "0/t", "t/t", "t/(0 - 0)", "-t/7", "2/-t", "t^2", "t^0.5", "t^-1", "(-t)^(1/3)",
+    "0^(-t)", "2^t", "exp(t)", "exp(-t)", "ln(t)", "ln(-t)", "sqrt(t)", "sqrt(-t)",
+    "sin(t)", "cos(t)", "sin(1/t)", "cos(t^3)", "abs(t)", "abs(-t) - t",
+    "exp(-t/3) * (1 + t^2) - ln(t + 2)", "1e308 * t * 10", "t - 1e308 - 1e308",
+    "-(-(-t))", "(t + 1)*(t - 1)/(t*t - 1)", "sqrt(abs(sin(t)))^t",
+]
+REFERENCE_POINTS = [0.0, -0.0, -2.5, -1.0, 0.5, 3.0, 1e-320, 1e154, 1e308, -1e308,
+                    math.inf, -math.inf, math.nan, 0, 500, -7, 2 ** 60 + 1]
+
+
+@pytest.mark.parametrize("source", REFERENCE_SOURCES)
+def test_compiled_matches_tree_walk(source):
+    node = parse(source, "t")
+    fn = compile_expr(node)
+    for x in REFERENCE_POINTS:
+        got, want = fn(x), reference(node, x)
+        assert same_float(got, want), (source, x, got, want)
+
+
+@pytest.mark.parametrize("divisor", [3.0, -0.5, 0.0, -0.0, math.inf, math.nan, 1e-320])
+def test_constant_divisor_matches_tree_walk(divisor):
+    # the only place compiled code divides without the guard is a nonzero
+    # constant divisor; zero, signed zero and non-finite divisors included
+    node = Binary("div", Variable("t"), Constant(divisor))
+    fn = compile_expr(node)
+    for x in REFERENCE_POINTS:
+        assert same_float(fn(x), reference(node, x)), (divisor, x)
+
+
+def test_integer_argument_converted_once():
+    # t^6 at 500 is exact in integers but rounds in floats; the compiled
+    # function computes in floats, like the variable node always did
+    fn = compile_expr(parse("t*t*t*t*t*t", "t"))
+    assert fn(500) == 500.0 ** 6 and fn(500) == float(500) * 500.0 * 500.0 * 500.0 * 500.0 * 500.0
+    assert isinstance(fn(500), float)
+    assert fn(2 ** 60 + 1) == float(2 ** 60) ** 6
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 1e308])
+def test_nonfinite_constant_compiles(value):
+    fn = compile_expr(Binary("mul", Constant(value), Variable("t")))
+    assert same_float(fn(2.0), value * 2.0)
+    assert compile_expr(Constant(value))(0.0) is value
+
+
+def test_constant_expression_ignores_argument():
+    assert compile_expr(Constant(math.inf))("not a number") == math.inf
+
+
+# -- nesting depth ------------------------------------------------------------
+
+def deep_sum(terms):
+    return "+".join(["0"] * (terms - 1)) + "-1"
+
+
+@pytest.mark.parametrize("source,value", [
+    pytest.param(deep_sum(300), -1.0, id="sum300"),
+    pytest.param("-" * 300 + "1", 1.0, id="neg300"),
+    pytest.param("-" * 299 + "t", -2.0, id="neg299"),
+])
+def test_deep_expression_at_the_limit(source, value):
+    node = parse(source, "t")
+    assert compile_expr(node)(2.0) == value
+    assert hash(node) == hash(parse(source, "t")) and node == parse(source, "t")
+
+
+@pytest.mark.parametrize("source,position", [
+    pytest.param(deep_sum(600), 601, id="sum600"),
+    pytest.param("-" * 1200 + "1", 899, id="neg1200"),
+    pytest.param("-" * 301 + "1", 0, id="neg301"),
+    pytest.param("exp(" * 301 + "t" + ")" * 301, 0, id="exp301"),
+])
+def test_deep_expression_rejected(source, position):
+    with pytest.raises(ParseError) as exc:
+        parse(source, "t")
+    assert exc.value.position == position
+    assert exc.value.message == f"expression nested deeper than {exprlang.MAX_NESTING} levels"
+
+
+def test_parentheses_cost_no_depth():
+    assert parse("(" * 5000 + "t" + ")" * 5000, "t") == Variable("t")
+    with pytest.raises(ParseError) as exc:
+        parse("(" * 5000 + "t", "t")
+    assert exc.value.message == "expected ')'"

@@ -1,9 +1,9 @@
 """Byte-exact outputs of the CLI on the shipped problems.
 
 The expected files under tests/golden/ pin the exact bytes of ``coeffs`` and
-``analyze``, of ``simulate``'s node table and verdicts, and of the stdout of
-``check --samples 4`` on both shipped problems.  A change that alters any
-digit of these outputs must regenerate them on purpose:
+``analyze``, of ``simulate``'s trajectory, node table and verdicts, and of
+the stdout of ``check --samples 4`` on both shipped problems.  A change
+that alters any digit of these outputs must regenerate them on purpose:
 
     PYTHONPATH=<src directory of the commit to pin> python3 tests/test_golden.py
 
@@ -27,7 +27,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 EXAMPLES = ("example1", "example2")
 REPORTS = (("coeffs", "csv"), ("analyze", "json"))
-SIMULATE_PARTS = ("nodes.csv", "verdicts.json")
+SIMULATE_PARTS = ("trajectory.csv", "nodes.csv", "verdicts.json")
 
 
 def _problem(example):

@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -163,11 +163,11 @@ def load_problem(path, overrides: Optional[dict] = None) -> ProblemFile:
     """Read and validate a problem file; overrides replace its keys first."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read problem file: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
     if overrides and isinstance(doc, dict):
         doc = {**doc, **overrides}
@@ -178,26 +178,45 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _open_out(path: Optional[str]):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+def _csv(header: list, rows):
+    def write(stream):
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return write
+
+
+def _json(doc: dict):
+    return lambda stream: stream.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write_files(files: dict) -> None:
+    """Call each path's writer on the opened file, or on stdout for "-".  On
+    an OSError the files already opened are removed, so a failed command
+    leaves no partial result."""
+    written = []
+    try:
+        for path, write in files.items():
+            if path == "-":
+                write(sys.stdout)
+                continue
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                written.append(path)
+                write(fh)
+    except OSError as exc:
+        for done in written:
+            Path(done).unlink(missing_ok=True)
+        raise SchemaError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # -- subcommands --------------------------------------------------------------
 
 def cmd_coeffs(pf: ProblemFile, out: Optional[str]) -> int:
     ds = build_discrete_system(pf.spec, pf.tol)
-    stream, close = _open_out(out)
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["n", "a_n", "b_n", "alpha_n", "q_n"])
-        for n in range(ds.n0, ds.horizon):
-            q = _fmt(ds.q(n)) if n in ds.q_indices() else ""
-            writer.writerow([n, _fmt(ds.a(n)), _fmt(ds.b(n)), _fmt(ds.alpha(n)), q])
-    finally:
-        if close:
-            stream.close()
+    rows = ([n, _fmt(ds.a(n)), _fmt(ds.b(n)), _fmt(ds.alpha(n)),
+             _fmt(ds.q(n)) if n in ds.q_indices() else ""]
+            for n in range(ds.n0, ds.horizon))
+    _write_files({out or "-": _csv(["n", "a_n", "b_n", "alpha_n", "q_n"], rows)})
     return EXIT_OK
 
 
@@ -228,50 +247,34 @@ def cmd_analyze(pf: ProblemFile, out: Optional[str]) -> int:
         "criteria": [_stats_dict(r) for r in reports],
         "overall_verdict": crit.synthesize_verdict(reports),
     }
-    stream, close = _open_out(out)
-    try:
-        json.dump(doc, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-    finally:
-        if close:
-            stream.close()
+    _write_files({out or "-": _json(doc)})
     return EXIT_OK
 
 
-def _verdict_dict(v) -> dict:
-    doc = {"verdict": v.verdict.value, "tail_window": list(v.tail_window)}
-    if hasattr(v, "last_sign_change"):
-        doc["last_sign_change"] = v.last_sign_change
-    return doc
+def _verdict_dict(v: diffeq.OscillationVerdict) -> dict:
+    return {**asdict(v), "verdict": v.verdict.value}
 
 
 def cmd_simulate(pf: ProblemFile, prefix: str, samples: int) -> int:
     ds = build_discrete_system(pf.spec, pf.tol)
     sol = diffeq.continue_window(ds, pf.spec.initial_window)
     traj = trajectory.reconstruct(pf.spec, ds, sol, samples, pf.tol)
-    # both verdicts can fail (TooShort), so they come before any file is opened
     discrete = diffeq.discrete_oscillation_check(sol, pf.tail_fraction)
-    continuous = trajectory.continuous_oscillation_check(traj, pf.tail_fraction)
-
-    with open(f"{prefix}.trajectory.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "z"])
-        for t, z in traj.samples:
-            writer.writerow([_fmt(t), _fmt(z)])
-    with open(f"{prefix}.nodes.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "z_left", "z_right", "jump_factor"])
-        for rec in traj.nodes:
-            writer.writerow([rec.n, _fmt(rec.z_left), _fmt(rec.z_right),
-                             _fmt(rec.jump_factor)])
+    continuous = trajectory.continuous_oscillation_check(traj, discrete.tail_window[0])
     doc = {
         "discrete": _verdict_dict(discrete),
         "continuous": _verdict_dict(continuous),
         "solution_truncated_at": sol.truncated_at,
     }
-    with open(f"{prefix}.verdicts.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_files({
+        f"{prefix}.trajectory.csv": _csv(
+            ["t", "z"], ([_fmt(t), _fmt(z)] for t, z in traj.samples)),
+        f"{prefix}.nodes.csv": _csv(
+            ["n", "z_left", "z_right", "jump_factor"],
+            ([rec.n, _fmt(rec.z_left), _fmt(rec.z_right), _fmt(rec.jump_factor)]
+             for rec in traj.nodes)),
+        f"{prefix}.verdicts.json": _json(doc),
+    })
     return EXIT_OK
 
 
@@ -325,7 +328,7 @@ def _check_instance(pf: ProblemFile, samples: int):
         yield ("continuity_without_impulses", gap <= 1e-8, f"max node gap {gap:.3e}")
 
     discrete = diffeq.discrete_oscillation_check(sol, pf.tail_fraction)
-    continuous = trajectory.continuous_oscillation_check(traj, pf.tail_fraction)
+    continuous = trajectory.continuous_oscillation_check(traj, discrete.tail_window[0])
     if discrete.verdict is diffeq.Verdict.OSCILLATORY:
         ok = continuous.verdict is diffeq.Verdict.OSCILLATORY
         yield ("discrete_to_continuous_transfer", ok,

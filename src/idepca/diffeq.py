@@ -22,10 +22,13 @@ always already known), and for k = 1 the relation collapses to
 z_{n+1} = a_n z_n / (1 - b_n), so only the window's first entry
 participates.
 
-The empirical oscillation check approximates "sign changes beyond every
-index" at desk scale: every fixed-length block of the examined tail must
-contain an index with z_n * z_{n+1} <= 0.  A zero counts as a sign change,
-with no epsilon band.
+The empirical oscillation checks approximate "sign changes beyond every
+index" at desk scale by one sign rule on blocks of values, the pair
+(z_n, z_{n+1}) or the interval [n, n+1].  A block is positive when all its
+values are > 0, negative when all are < 0, and mixed otherwise, so a zero
+counts as a sign change.  The tail is EventuallyPositive/Negative when all
+its blocks have that sign, Oscillatory when its longest run of consecutive
+same-signed blocks is shorter than the window, and Inconclusive otherwise.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 from typing import List, Optional, Sequence, Tuple
 
 from .quad import NumericFailure
@@ -42,7 +46,7 @@ from .reduction import Direction, DiscreteSystem
 __all__ = [
     "Verdict",
     "DiscreteSolution",
-    "OscillationVerdictDiscrete",
+    "OscillationVerdict",
     "TooShort",
     "solve_delayed",
     "solve_advanced",
@@ -249,47 +253,51 @@ def tail_start(m: int, fraction: float) -> int:
     return m - max(1, int(round(m * fraction)))
 
 
-def block_verdict(blocks: Sequence[Sequence[float]], start: int, window: int) -> Verdict:
-    """Sign verdict on blocks[start:].
+@dataclass
+class OscillationVerdict:
+    verdict: Verdict
+    tail_window: Tuple[int, int]        # first and last block index examined
+    longest_run_start: Optional[int]    # None when no tail block has one sign
+    longest_run_length: int
+    last_sign_change: Optional[int]     # last mixed block, tail or not
 
-    Eventually positive/negative when every value there has one strict sign;
-    Oscillatory when every complete run of window blocks from start holds a
-    value <= 0 and a value >= 0; Inconclusive otherwise.
-    """
-    tail = [v for block in blocks[start:] for v in block]
-    if all(v > 0.0 for v in tail):
-        return Verdict.EVENTUALLY_POSITIVE
-    if all(v < 0.0 for v in tail):
-        return Verdict.EVENTUALLY_NEGATIVE
-    while start + window <= len(blocks):
-        vals = [v for block in blocks[start:start + window] for v in block]
-        if not (min(vals) <= 0.0 <= max(vals)):
-            return Verdict.INCONCLUSIVE
-        start += window
-    return Verdict.OSCILLATORY
+
+def block_verdict(blocks: Sequence[Sequence[float]], offset: int, start: int,
+                  window: int) -> OscillationVerdict:
+    """The sign rule on the tail blocks[start:], where blocks[i] is block
+    offset + i; the earliest of the longest one-signed runs is reported."""
+    # 1 for a positive block, -1 for a negative one, 0 for a mixed one
+    signs = [1 if all(v > 0.0 for v in block) else -1 if all(v < 0.0 for v in block)
+             else 0 for block in blocks]
+    mixed = [i for i, sign in enumerate(signs) if sign == 0]
+    run_start, run_length, i = None, 0, start
+    for sign, group in groupby(signs[start:]):
+        length = len(list(group))
+        if sign and length > run_length:
+            run_start, run_length = offset + i, length
+        i += length
+    if run_length == len(blocks) - start:
+        verdict = (Verdict.EVENTUALLY_POSITIVE if signs[start] > 0
+                   else Verdict.EVENTUALLY_NEGATIVE)
+    elif run_length < window:
+        verdict = Verdict.OSCILLATORY
+    else:
+        verdict = Verdict.INCONCLUSIVE
+    return OscillationVerdict(verdict, (offset + start, offset + len(blocks) - 1),
+                              run_start, run_length,
+                              offset + mixed[-1] if mixed else None)
 
 
 def default_window(k: int) -> int:
-    # scales with the deviation: a sign change is demanded in every block
-    # of 2(k+1) consecutive indices of the examined tail
+    # scales with the deviation: no 2(k+1) consecutive blocks of the
+    # examined tail may share one sign
     return 2 * (k + 1)
 
 
-@dataclass
-class OscillationVerdictDiscrete:
-    verdict: Verdict
-    last_sign_change: Optional[int]
-    tail_window: Tuple[int, int]
-
-
 def discrete_oscillation_check(sol: DiscreteSolution, tail_fraction: float = 0.5,
-                               window: Optional[int] = None) -> OscillationVerdictDiscrete:
-    """Empirical verdict from the examined tail of the solution.
-
-    Oscillatory requires a sign change inside every complete length-window
-    block of the tail; EventuallyPositive/Negative require a strictly
-    constant sign across the whole tail.
-    """
+                               window: Optional[int] = None) -> OscillationVerdict:
+    """The sign rule on the pairs (z_n, z_{n+1}) from the first of the
+    trailing tail_fraction of the solution's points."""
     if window is None:
         window = default_window(sol.k)
     vals = sol.values
@@ -299,11 +307,4 @@ def discrete_oscillation_check(sol: DiscreteSolution, tail_fraction: float = 0.5
         raise TooShort(
             f"tail has {m - i0} points; need at least {2 * window}"
         )
-    # pair i holds positions i and i+1; for finite values it holds both
-    # signs exactly when sign_change is true
-    pairs = list(zip(vals, vals[1:]))
-    changes = [i for i, (u, v) in enumerate(pairs) if sign_change(u, v)]
-    last_change = sol.n_lo + changes[-1] if changes else None
-    tail_window = (sol.n_lo + i0, sol.n_lo + m - 1)
-    return OscillationVerdictDiscrete(block_verdict(pairs, i0, window), last_change,
-                                      tail_window)
+    return block_verdict(list(zip(vals, vals[1:])), sol.n_lo, i0, window)

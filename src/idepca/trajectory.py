@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .diffeq import (DiscreteSolution, TooShort, Verdict, block_verdict, default_window,
-                     tail_start)
+from .diffeq import (DiscreteSolution, OscillationVerdict, TooShort, block_verdict,
+                     default_window)
 from .exprlang import compile_expr, _safe_exp
 from .quad import integrate
 from .reduction import DiscreteSystem, ProblemSpec, weighted_integral
@@ -95,32 +95,23 @@ def max_node_discontinuity(traj: Trajectory) -> float:
     return worst
 
 
-@dataclass
-class OscillationVerdictContinuous:
-    verdict: Verdict
-    tail_window: Tuple[int, int]  # interval index range examined
+def continuous_oscillation_check(traj: Trajectory, first: int,
+                                 window: Optional[int] = None) -> OscillationVerdict:
+    """The sign rule on the intervals [n, n+1] from index first on.
 
-
-def continuous_oscillation_check(traj: Trajectory, tail_fraction: float = 0.5,
-                                 window_intervals: Optional[int] = None
-                                 ) -> OscillationVerdictContinuous:
-    """Blockwise check on the sampled trajectory, left limits included.
-
-    Oscillatory when every complete block of window_intervals intervals in
-    the tail contains both a sample <= 0 and a sample >= 0.
+    An interval's block is its samples plus the left limit at n+1.  first
+    is the tail's first index as the discrete check computes it, its
+    tail_window[0], so both verdicts judge one tail.
     """
-    if window_intervals is None:
-        window_intervals = default_window(traj.k)
-    # one block per interval: its samples plus the left limit at its end node
+    if window is None:
+        window = default_window(traj.k)
     per = len(traj.samples) // max(1, len(traj.nodes))
     blocks = [[z for _, z in traj.samples[i * per:(i + 1) * per]] + [rec.z_left]
               for i, rec in enumerate(traj.nodes)]
     m = len(blocks)
-    i0 = tail_start(m, tail_fraction)
-    if m - i0 < 2 * window_intervals:
+    i0 = max(0, first - traj.interval_start)
+    if m - i0 < 2 * window:
         raise TooShort(
-            f"trajectory tail spans {m - i0} intervals; need {2 * window_intervals}"
+            f"trajectory tail spans {m - i0} intervals; need {2 * window}"
         )
-    tail_window = (traj.interval_start + i0, traj.interval_start + m - 1)
-    return OscillationVerdictContinuous(block_verdict(blocks, i0, window_intervals),
-                                        tail_window)
+    return block_verdict(blocks, traj.interval_start, i0, window)

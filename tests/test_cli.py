@@ -52,6 +52,45 @@ ADVANCED_ZERO_B_DOC = {**BASE_DOC, "direction": "advanced", "k": 2, "b": "0",
 DEGENERATE_K1_DOC = {**BASE_DOC, "direction": "advanced", "k": 1, "a": "0", "b": "1",
                      "impulse": "none", "initial_window": [1, 1]}
 
+# Battery instances (seeds 3 and 4 of the benchmark's battery draw) whose
+# discrete verdict the tiled sign test called Oscillatory while the
+# continuous one, tiled from another index, said Inconclusive.
+TILE_EDGE_DOCS = {
+    "seed3-004": {
+        "a": "-0.69443884597322514*exp(0.1670637698380939*(t/61)/2)/5",
+        "b": "-1.5836967613155539*exp(0.62204474839940582*(t/61)/2)/5",
+        "direction": "delayed", "k": 5, "impulse": {"factor": 1.3577078335383077},
+        "initial_window": [1.4880720345194067, 0.7670849061381627, 0.6244348366816385,
+                           0.9820014227475411, 1.1387584432200044, 0.983508736554668],
+        "n0": 0, "horizon": 61, "tol": 1e-10, "tail_fraction": 0.5,
+    },
+    "seed3-040": {
+        "a": "-1.7975720457578568*exp(-0.56039593761137718*(t/61)/2)/5",
+        "b": "(-1.6886547357261716 + 0.15552011188567061*(t/61)"
+             " + 1.7192902964245316*(t/61)^2)/5",
+        "direction": "delayed", "k": 4, "impulse": {"factor": 0.8154556589171863},
+        "initial_window": [1.3705107595309864, 1.1946597150967815, 0.6343566706814971,
+                           1.3582912149957838, 1.1011259241055478],
+        "n0": 0, "horizon": 61, "tol": 1e-10, "tail_fraction": 0.5,
+    },
+    "seed3-071": {
+        "a": "(-0.46565159105006959 + 1.7515655134607573*(t/61)"
+             " + 0.41469964614402155*(t/61)^2)/5",
+        "b": "-1.9703014213052938*exp(-0.5164237619370553*(t/61)/2)/5",
+        "direction": "delayed", "k": 1, "impulse": {"factor": 0.49938627492536874},
+        "initial_window": [0.9783866423811549, 0.5642923739133144],
+        "n0": 0, "horizon": 61, "tol": 1e-10, "tail_fraction": 0.5,
+    },
+    "seed4-042": {
+        "a": "-0.073418344219278175*exp(1.8949929081028145*(t/61)/2)/5",
+        "b": "-1.2755939413591708*exp(0.46027723673129861*(t/61)/2)/5",
+        "direction": "delayed", "k": 5, "impulse": {"factor": 1.300161449850877},
+        "initial_window": [1.099221274402596, 1.2246438761129024, 0.5228727115899661,
+                           0.936957308883631, 1.3003142370677956, 0.6382484929385872],
+        "n0": 0, "horizon": 61, "tol": 1e-10, "tail_fraction": 0.5,
+    },
+}
+
 
 class TestCoeffs:
     def test_example1_closed_forms(self, tmp_path):
@@ -181,6 +220,12 @@ class TestCheck:
         assert res.returncode == 0
         assert all(l.startswith("PASS") for l in res.stdout.splitlines() if l)
 
+    @pytest.mark.parametrize("name", sorted(TILE_EDGE_DOCS))
+    def test_one_tail_for_both_verdicts(self, tmp_path, name):
+        res = run_cli("check", write_problem(tmp_path, TILE_EDGE_DOCS[name]))
+        assert res.returncode == 0, res.stdout
+        assert "FAIL" not in res.stdout
+
 
 class TestSchemaErrors:
     def test_unknown_key(self, tmp_path):
@@ -234,6 +279,20 @@ class TestSchemaErrors:
         path.write_text("{not json")
         assert run_cli("coeffs", path).returncode == 2
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe{}")
+        res = run_cli("coeffs", path)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: cannot read problem file: ")
+
+    def test_json_nested_too_deep(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 1000 + "]" * 1000)
+        res = run_cli("coeffs", path)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: invalid JSON: ")
+
     def test_bad_tol_flag(self):
         res = run_cli("coeffs", EXAMPLE1, "--tol", 0)
         assert res.returncode == 2
@@ -280,6 +339,25 @@ class TestSchemaErrors:
         assert res.returncode == 2
         assert "samples" in res.stderr
         assert list(tmp_path.iterdir()) == []
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["coeffs", "analyze", "simulate"])
+    def test_missing_directory(self, tmp_path, command):
+        out = tmp_path / "no" / "such" / "run"
+        res = run_cli(command, EXAMPLE1, "--samples", 4, "--out", out)
+        assert res.returncode == 2
+        assert res.stderr.startswith(f"error: cannot write {out}")
+        assert "Traceback" not in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_simulate_leaves_no_partial_result(self, tmp_path):
+        # the node table cannot be written after the trajectory was
+        (tmp_path / "run.nodes.csv").mkdir()
+        res = run_cli("simulate", EXAMPLE1, "--samples", 4, "--out", tmp_path / "run")
+        assert res.returncode == 2
+        assert res.stderr.startswith(f"error: cannot write {tmp_path / 'run.nodes.csv'}")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.nodes.csv"]
 
 
 class TestFlagOverrides:

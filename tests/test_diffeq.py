@@ -283,6 +283,17 @@ class TestOscillationCheck:
         # the reported index is the left element of the last changing pair
         assert res.last_sign_change == 2
 
+    def test_run_across_tile_edge_inconclusive(self):
+        # pairs 22..25 are positive, a run of window = 4 pairs that a tiling
+        # of the tail from 20 into 20..23, 24..27, ... would split in two
+        values = [(-1.0) ** n for n in range(40)]
+        values[22:27] = [1.0] * 5
+        res = discrete_oscillation_check(self.make_sol(values))
+        assert res.tail_window == (20, 38)
+        assert res.verdict is Verdict.INCONCLUSIVE
+        assert (res.longest_run_start, res.longest_run_length) == (22, 4)
+        assert res.last_sign_change == 38
+
     def test_sparse_changes_inconclusive(self):
         # one isolated sign change in the tail, far from block-per-window
         values = [1.0] * 40
@@ -353,28 +364,38 @@ class TestRelationIndices:
 
 
 def _pair_loop_check(values, k, tail_fraction):
-    """The pair-change verdict loop that block_verdict replaced, kept as the
-    reference: (verdict, last change position, tail positions) or None when
-    the tail is too short."""
+    """Brute-force reference for the sign rule on pairs: every window
+    position in the tail is tried.  Returns (verdict, last change position,
+    tail pair positions, longest one-signed run as (start, length)) or None
+    when the tail is too short."""
     window = default_window(k)
     m = len(values)
     tail_len = max(1, int(round(m * tail_fraction)))
     if tail_len < 2 * window:
         return None
     i0 = m - tail_len
+
+    def one_signed(lo, length):   # pairs lo .. lo+length-1
+        vals = values[lo:lo + length + 1]
+        return all(v > 0.0 for v in vals) or all(v < 0.0 for v in vals)
+
     changes = [i for i in range(m - 1) if sign_change(values[i], values[i + 1])]
     last = changes[-1] if changes else None
-    tail_changes = [i for i in changes if i >= i0]
-    if not tail_changes:
+    run = (None, 0)
+    for lo in range(i0, m - 1):
+        length = 0
+        while lo + length < m - 1 and one_signed(lo, length + 1):
+            length += 1
+        if length > run[1]:
+            run = (lo, length)
+    if one_signed(i0, m - 1 - i0):
         verdict = (Verdict.EVENTUALLY_POSITIVE if values[i0] > 0.0
                    else Verdict.EVENTUALLY_NEGATIVE)
-        return verdict, last, (i0, m - 1)
-    block_start = i0
-    while block_start + window <= m - 1:
-        if not any(block_start <= i < block_start + window for i in tail_changes):
-            return Verdict.INCONCLUSIVE, last, (i0, m - 1)
-        block_start += window
-    return Verdict.OSCILLATORY, last, (i0, m - 1)
+    elif any(one_signed(lo, window) for lo in range(i0, m - window)):
+        verdict = Verdict.INCONCLUSIVE
+    else:
+        verdict = Verdict.OSCILLATORY
+    return verdict, last, (i0, m - 2), run
 
 
 def _signed_runs(rng, length, k):
@@ -405,10 +426,12 @@ def test_block_verdict_matches_pair_loop():
             with pytest.raises(TooShort):
                 discrete_oscillation_check(sol, fraction)
             continue
-        verdict, last, (lo, hi) = expected
+        verdict, last, (lo, hi), (run_start, run_length) = expected
         res = discrete_oscillation_check(sol, fraction)
         assert res.verdict is verdict, values
         assert res.last_sign_change == (None if last is None else n_lo + last)
         assert res.tail_window == (n_lo + lo, n_lo + hi)
+        assert res.longest_run_start == (None if run_start is None else n_lo + run_start)
+        assert res.longest_run_length == run_length
         seen.add(verdict)
     assert seen == set(Verdict)

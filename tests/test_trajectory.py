@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from idepca.diffeq import TooShort, Verdict, continue_window, solve
+from idepca.diffeq import (TooShort, Verdict, continue_window, discrete_oscillation_check,
+                           solve)
 from idepca.exprlang import parse
 from idepca.reduction import (
     Direction,
@@ -35,6 +36,11 @@ def make_pipeline(a="-1", b="-1/3", direction=Direction.DELAYED, k=3,
     return spec, ds, sol, traj
 
 
+def continuous_verdict(sol, traj):
+    """The continuous verdict on the tail the discrete check picks, as the CLI runs it."""
+    return continuous_oscillation_check(traj, discrete_oscillation_check(sol).tail_window[0])
+
+
 class TestReconstruction:
     def test_pure_ode_matches_exponential(self):
         # b = 0 and no impulses leave the plain ODE x' = x, so z(t) = e^t
@@ -57,7 +63,7 @@ class TestReconstruction:
         samples = [(n + i / 4, 1.0) for n in range(16) for i in range(4)]
         nodes = [NodeRecord(n + 1, -1.0, 1.0, 0.5) for n in range(16)]
         traj = Trajectory(spec.k, samples, nodes, 0)
-        assert continuous_oscillation_check(traj).verdict is Verdict.OSCILLATORY
+        assert continuous_oscillation_check(traj, 8).verdict is Verdict.OSCILLATORY
 
     def test_jump_factor_relates_node_values(self):
         _, _, _, traj = make_pipeline()
@@ -113,27 +119,40 @@ class TestContinuousCheck:
         # alternation; the reconstructed trajectory must oscillate too
         _, _, sol, traj = make_pipeline(a="0", b="-3", k=1, factor=None,
                                         window=(1.0, 1.0), horizon=30)
-        assert continuous_oscillation_check(traj).verdict is Verdict.OSCILLATORY
+        assert continuous_verdict(sol, traj).verdict is Verdict.OSCILLATORY
 
     def test_growing_exponential_positive(self):
-        _, _, _, traj = make_pipeline(a="1", b="0", k=1, factor=None,
-                                      window=(1.0, 1.0), horizon=20)
-        res = continuous_oscillation_check(traj)
+        _, _, sol, traj = make_pipeline(a="1", b="0", k=1, factor=None,
+                                        window=(1.0, 1.0), horizon=20)
+        res = continuous_verdict(sol, traj)
         assert res.verdict is Verdict.EVENTUALLY_POSITIVE
 
     def test_negative_solution(self):
-        _, _, _, traj = make_pipeline(a="1", b="0", k=1, factor=None,
-                                      window=(-1.0, -1.0), horizon=20)
-        res = continuous_oscillation_check(traj)
+        _, _, sol, traj = make_pipeline(a="1", b="0", k=1, factor=None,
+                                        window=(-1.0, -1.0), horizon=20)
+        res = continuous_verdict(sol, traj)
         assert res.verdict is Verdict.EVENTUALLY_NEGATIVE
+
+    def test_run_across_tile_edge_inconclusive(self):
+        # intervals 22..25 are positive and every other interval ends in a
+        # negative left limit: a run of window = 4 intervals that a tiling
+        # of the tail from 20 into 20..23, 24..27, ... would split in two
+        spec, _, _, _ = make_pipeline(k=1, window=(1.0, 1.0), samples=4)
+        samples = [(n + i / 4, 1.0) for n in range(40) for i in range(4)]
+        nodes = [NodeRecord(n + 1, 1.0 if 22 <= n <= 25 else -1.0, 1.0, 0.5)
+                 for n in range(40)]
+        res = continuous_oscillation_check(Trajectory(spec.k, samples, nodes, 0), 20)
+        assert res.tail_window == (20, 39)
+        assert res.verdict is Verdict.INCONCLUSIVE
+        assert (res.longest_run_start, res.longest_run_length) == (22, 4)
+        assert res.last_sign_change == 39
 
     def test_empty_trajectory_too_short(self):
         spec, _, _, _ = make_pipeline()
         with pytest.raises(TooShort):
-            continuous_oscillation_check(Trajectory(spec.k, [], [], 0))
+            continuous_oscillation_check(Trajectory(spec.k, [], [], 0), 0)
 
     def test_discrete_oscillatory_transfers(self):
-        from idepca.diffeq import discrete_oscillation_check
         _, _, sol, traj = make_pipeline(horizon=40)
         assert discrete_oscillation_check(sol).verdict is Verdict.OSCILLATORY
-        assert continuous_oscillation_check(traj).verdict is Verdict.OSCILLATORY
+        assert continuous_verdict(sol, traj).verdict is Verdict.OSCILLATORY

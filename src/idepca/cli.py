@@ -221,19 +221,9 @@ def cmd_coeffs(pf: ProblemFile, out: Optional[str]) -> int:
 
 
 def _stats_dict(r: crit.CriterionReport) -> dict:
-    doc = {
-        "criterion_id": r.criterion_id,
-        "threshold": r.threshold,
-        "statistic": r.statistic.statistic,
-        "kind": r.statistic.kind.value,
-        "window": list(r.statistic.window),
-        "margin": r.margin,
-        "convergence_flag": r.statistic.convergence_flag,
-        "precondition_violations": [[n, reason] for n, reason in r.violations],
-        "verdict": r.verdict.value,
-    }
-    if r.note:
-        doc["note"] = r.note
+    doc = {**asdict(r), "kind": r.kind.value, "verdict": r.verdict.value}
+    if r.note is None:
+        del doc["note"]
     return doc
 
 

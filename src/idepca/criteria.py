@@ -1,13 +1,12 @@
 """Oscillation and nonoscillation criteria for the reduced difference form.
 
-Each criterion compares a tail statistic of the reduced-form coefficients
-Q_n (or their positive counterparts Q*_n = -Q_n) against a threshold that
-depends only on the deviation k (delayed) or l (advanced):
-
-    delayed liminf:    k^k / (k+1)^(k+1)
-    delayed moving sum: (k/(k+1))^(k+1)
-    advanced sums:     ((l-1)/l)^l  and  1
-    advanced pointwise: (l-1)^(l-1) / l^l
+``CRITERIA`` holds one row per published hypothesis: its direction, its
+family (oscillation or nonoscillation), the statistic (a tail liminf or
+limsup of Q_n, of Q*_n = -Q_n, or of short moving sums of them), the
+threshold as a function of the deviation k (delayed) or l (advanced), the
+side of the threshold that fires and the sign that b_n must keep.  One
+evaluator turns a row into a ``CriterionReport``; ``evaluate_all`` runs the
+rows of the system's direction.
 
 liminf/limsup are estimated at desk scale as extrema over a trailing index
 window, with a two-window convergence diagnostic; a criterion only Fires
@@ -20,9 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .diffeq import TooShort, tail_start
+from .quad import NumericFailure
 from .reduction import Direction, DiscreteSystem
 
 __all__ = [
@@ -30,19 +30,13 @@ __all__ = [
     "TailStats",
     "CriterionVerdict",
     "CriterionReport",
-    "WrongDirection",
-    "AdvanceTooSmall",
+    "Criterion",
+    "CRITERIA",
     "tail_stats",
     "delayed_liminf_threshold",
     "delayed_sum_threshold",
     "advanced_sum_threshold",
     "advanced_pointwise_threshold",
-    "erbe_zhang",
-    "ladas_philos_sficas",
-    "gyori_ladas",
-    "ocalan_akin",
-    "gyori_ladas_nonosc",
-    "ocalan_akin_nonosc",
     "evaluate_all",
     "synthesize_verdict",
     "OSCILLATION_IDS",
@@ -59,14 +53,6 @@ class CriterionVerdict(Enum):
     FIRES = "Fires"
     DOES_NOT_FIRE = "DoesNotFire"
     PRECONDITION_VIOLATED = "PreconditionViolated"
-
-
-class WrongDirection(Exception):
-    pass
-
-
-class AdvanceTooSmall(Exception):
-    """Advanced criteria require an advance of at least 2."""
 
 
 _CONVERGENCE_RTOL = 1e-3
@@ -125,97 +111,42 @@ def advanced_pointwise_threshold(l: int) -> float:
 
 @dataclass
 class CriterionReport:
+    """One criterion's evaluation; its fields are the keys of its analyze entry."""
+
     criterion_id: str
     threshold: float
-    statistic: TailStats
+    statistic: float
+    kind: TailKind
+    window: Tuple[int, int]
     margin: float  # sign-oriented: positive means the criterion fires
-    violations: List[Tuple[int, str]]
+    convergence_flag: bool
+    precondition_violations: List[Tuple[int, str]]
     verdict: CriterionVerdict
     note: Optional[str] = None
 
 
-def _preconditions(ds: DiscreteSystem, index_range: range,
-                   b_sign: str) -> List[Tuple[int, str]]:
-    """Check a_n > 0 and the required sign of b_n over index_range."""
-    violations: List[Tuple[int, str]] = []
-    for n in index_range:
-        if not ds.a(n) > 0.0:
-            violations.append((n, "a_n <= 0"))
-        bn = ds.b(n)
-        if b_sign == "negative" and not bn < 0.0:
-            violations.append((n, "b_n >= 0"))
-        elif b_sign == "positive" and not bn > 0.0:
-            violations.append((n, "b_n <= 0"))
-    return violations
+@dataclass(frozen=True)
+class Criterion:
+    """One published hypothesis on the reduced coefficients, as a table row.
 
-
-def _report(criterion_id: str, threshold: float, stats: TailStats, margin: float,
-            ds: DiscreteSystem, b_sign: str, fire_on_boundary: bool = False,
-            note: Optional[str] = None) -> CriterionReport:
-    violations = _preconditions(ds, range(stats.window[0], stats.window[1] + 1), b_sign)
-    if violations:
-        verdict = CriterionVerdict.PRECONDITION_VIOLATED
-    else:
-        fires = margin > 0.0 or (fire_on_boundary and margin == 0.0)
-        fires = fires and stats.convergence_flag
-        verdict = CriterionVerdict.FIRES if fires else CriterionVerdict.DOES_NOT_FIRE
-    return CriterionReport(criterion_id, threshold, stats, margin, violations, verdict,
-                           note)
-
-
-def _require(ds: DiscreteSystem, direction: Direction, min_advance: int = 0):
-    if ds.direction is not direction:
-        raise WrongDirection(
-            f"criterion applies to {direction.value} systems, got {ds.direction.value}"
-        )
-    if direction is Direction.ADVANCED and ds.k < min_advance:
-        raise AdvanceTooSmall(f"advance must be >= {min_advance}, got {ds.k}")
-
-
-def erbe_zhang(ds: DiscreteSystem, tail_fraction: float = 0.5) -> CriterionReport:
-    """Oscillation (delayed): liminf Q*_n above k^k/(k+1)^(k+1)."""
-    _require(ds, Direction.DELAYED)
-    qstar = [-q for q in ds.q_seq]
-    stats = tail_stats(qstar, TailKind.LIMINF, tail_fraction, offset=ds.q_start)
-    thr = delayed_liminf_threshold(ds.k)
-    return _report("ErbeZhang", thr, stats, stats.statistic - thr, ds, "negative")
-
-
-def ladas_philos_sficas(ds: DiscreteSystem, tail_fraction: float = 0.5) -> CriterionReport:
-    """Oscillation (delayed): liminf of the k-term moving sum of Q*."""
-    _require(ds, Direction.DELAYED)
-    k = ds.k
-    qstar = [-q for q in ds.q_seq]
-    if len(qstar) < k + 1:
-        raise TooShort("not enough Q values for the moving sum")
-    # sum over j in [n-k, n-1]; entry i of sums corresponds to n = q_start + k + i
-    sums = [math.fsum(qstar[i:i + k]) for i in range(len(qstar) - k)]
-    stats = tail_stats(sums, TailKind.LIMINF, tail_fraction, offset=ds.q_start + k)
-    thr = delayed_sum_threshold(k)
-    return _report("LadasPhilosSficas", thr, stats, stats.statistic - thr, ds, "negative")
-
-
-def gyori_ladas(ds: DiscreteSystem, tail_fraction: float = 0.5
-                ) -> Tuple[CriterionReport, CriterionReport]:
-    """Oscillation (advanced): two sub-criteria on short sums of Q_n.
-
-    A: liminf of the (l-1)-term sum starting at n+1 vs ((l-1)/l)^l.
-    B: limsup of the l-term sum starting at n vs 1.
-    The pair fires if either sub-report fires.
+    The statistic is taken over sign * Q_n (sign -1 gives Q*_n = -Q_n).
+    Pointwise rows (sums None) use those values as they are.  For the others
+    sums(k) gives (first, lo, width, stop): entry i, for i in
+    range(len(Q) - stop), is the fsum of values[i + lo : i + lo + width] and
+    belongs to index q_start + first + i.
     """
-    _require(ds, Direction.ADVANCED, min_advance=2)
-    l = ds.k
-    q = ds.q_seq
-    if len(q) < l + 1:
-        raise TooShort("not enough Q values for the advanced sums")
-    sums_a = [math.fsum(q[i + 1:i + l]) for i in range(len(q) - l)]
-    sums_b = [math.fsum(q[i:i + l]) for i in range(len(q) - l + 1)]
-    stats_a = tail_stats(sums_a, TailKind.LIMINF, tail_fraction, offset=ds.q_start)
-    stats_b = tail_stats(sums_b, TailKind.LIMSUP, tail_fraction, offset=ds.q_start)
-    thr_a = advanced_sum_threshold(l)
-    rep_a = _report("GyoriLadasA", thr_a, stats_a, stats_a.statistic - thr_a, ds, "positive")
-    rep_b = _report("GyoriLadasB", 1.0, stats_b, stats_b.statistic - 1.0, ds, "positive")
-    return rep_a, rep_b
+
+    criterion_id: str
+    direction: Direction
+    oscillation: bool  # family: True proves oscillation, False nonoscillation
+    sign: int
+    sums: Optional[Callable[[int], Tuple[int, int, int, int]]]
+    kind: TailKind
+    threshold: Callable[[int], float]
+    above: bool  # fires when the statistic is above the threshold, else below
+    b_sign: int  # required sign of b_n over the examined tail
+    boundary_fires: bool = False  # a non-strict bound: margin 0 fires too
+    note: Optional[str] = None
 
 
 _OCALAN_NOTE = (
@@ -224,58 +155,92 @@ _OCALAN_NOTE = (
     "negative by definition"
 )
 
+_D, _A = Direction.DELAYED, Direction.ADVANCED
+_INF, _SUP = TailKind.LIMINF, TailKind.LIMSUP
 
-def ocalan_akin(ds: DiscreteSystem, tail_fraction: float = 0.5) -> CriterionReport:
-    """Oscillation (advanced, b_n < 0): limsup Q_n below -(l-1)^(l-1)/l^l."""
-    _require(ds, Direction.ADVANCED, min_advance=2)
-    l = ds.k
-    stats = tail_stats(ds.q_seq, TailKind.LIMSUP, tail_fraction, offset=ds.q_start)
-    thr = -advanced_pointwise_threshold(l)
-    return _report("OcalanAkin", thr, stats, thr - stats.statistic, ds, "negative",
-                   note=_OCALAN_NOTE)
-
-
-def gyori_ladas_nonosc(ds: DiscreteSystem, tail_fraction: float = 0.5) -> CriterionReport:
-    """Nonoscillation (delayed): Q*_n <= k^k/(k+1)^(k+1) pointwise over the tail.
-
-    Pointwise, not liminf: the hypothesis bounds every coefficient, so the
-    statistic is the tail maximum of Q* and the boundary case fires.
-    """
-    _require(ds, Direction.DELAYED)
-    qstar = [-q for q in ds.q_seq]
-    stats = tail_stats(qstar, TailKind.LIMSUP, tail_fraction, offset=ds.q_start)
-    thr = delayed_liminf_threshold(ds.k)
-    return _report("GyoriLadasNonOsc", thr, stats, thr - stats.statistic, ds,
-                   "negative", fire_on_boundary=True)
-
-
-def ocalan_akin_nonosc(ds: DiscreteSystem, tail_fraction: float = 0.5) -> CriterionReport:
-    """Nonoscillation (advanced, b_n > 0): liminf Q_n above -(l-1)^(l-1)/l^l."""
-    _require(ds, Direction.ADVANCED, min_advance=2)
-    l = ds.k
-    stats = tail_stats(ds.q_seq, TailKind.LIMINF, tail_fraction, offset=ds.q_start)
-    thr = -advanced_pointwise_threshold(l)
-    return _report("OcalanAkinNonOsc", thr, stats, stats.statistic - thr, ds, "positive")
-
-
-OSCILLATION_IDS = frozenset(
-    {"ErbeZhang", "LadasPhilosSficas", "GyoriLadasA", "GyoriLadasB", "OcalanAkin"}
+# Columns: id, direction, oscillation family, sign of Q, sums, tail kind,
+# threshold(k), fires above the threshold, required sign of b_n.  Within a
+# direction the reports come in row order.
+CRITERIA: Tuple[Criterion, ...] = (
+    Criterion("ErbeZhang", _D, True, -1, None, _INF,
+              delayed_liminf_threshold, True, -1),
+    Criterion("LadasPhilosSficas", _D, True, -1, lambda k: (k, 0, k, k), _INF,
+              delayed_sum_threshold, True, -1),
+    Criterion("GyoriLadasNonOsc", _D, False, -1, None, _SUP,
+              delayed_liminf_threshold, False, -1, boundary_fires=True),
+    Criterion("GyoriLadasA", _A, True, 1, lambda l: (0, 1, l - 1, l), _INF,
+              advanced_sum_threshold, True, 1),
+    Criterion("GyoriLadasB", _A, True, 1, lambda l: (0, 0, l, l - 1), _SUP,
+              lambda l: 1.0, True, 1),
+    Criterion("OcalanAkin", _A, True, 1, None, _SUP,
+              lambda l: -advanced_pointwise_threshold(l), False, -1, note=_OCALAN_NOTE),
+    Criterion("OcalanAkinNonOsc", _A, False, 1, None, _INF,
+              lambda l: -advanced_pointwise_threshold(l), True, 1),
 )
-NONOSCILLATION_IDS = frozenset({"GyoriLadasNonOsc", "OcalanAkinNonOsc"})
+
+OSCILLATION_IDS = frozenset(c.criterion_id for c in CRITERIA if c.oscillation)
+NONOSCILLATION_IDS = frozenset(c.criterion_id for c in CRITERIA if not c.oscillation)
+
+
+def _preconditions(ds: DiscreteSystem, index_range: range,
+                   b_sign: int) -> List[Tuple[int, str]]:
+    """Check a_n > 0 and the required sign of b_n over index_range."""
+    violations: List[Tuple[int, str]] = []
+    for n in index_range:
+        if not ds.a(n) > 0.0:
+            violations.append((n, "a_n <= 0"))
+        if not b_sign * ds.b(n) > 0.0:
+            violations.append((n, "b_n >= 0" if b_sign < 0 else "b_n <= 0"))
+    return violations
+
+
+def _moving_sums(values: Sequence[float], start: int, lo: int, width: int,
+                 count: int) -> List[float]:
+    """Entry i: fsum of values[i + lo : i + lo + width]; values[0] is Q_start."""
+    sums = []
+    for i in range(lo, lo + count):
+        try:
+            sums.append(math.fsum(values[i:i + width]))
+        except OverflowError:
+            n = start + i
+            raise NumericFailure(
+                f"at index {n}: the sum of {width} Q values from Q_{n} overflows", n
+            ) from None
+    return sums
+
+
+def _evaluate(row: Criterion, ds: DiscreteSystem, tail_fraction: float) -> CriterionReport:
+    k = ds.k
+    values = [row.sign * q for q in ds.q_seq]
+    first = 0
+    if row.sums is not None:
+        first, lo, width, stop = row.sums(k)
+        if len(values) - stop < 1:
+            what = "moving sum" if row.direction is _D else "advanced sums"
+            raise TooShort(f"not enough Q values for the {what}")
+        values = _moving_sums(values, ds.q_start, lo, width, len(values) - stop)
+    stats = tail_stats(values, row.kind, tail_fraction, offset=ds.q_start + first)
+    threshold = row.threshold(k)
+    margin = stats.statistic - threshold if row.above else threshold - stats.statistic
+    violations = _preconditions(ds, range(stats.window[0], stats.window[1] + 1), row.b_sign)
+    if violations:
+        verdict = CriterionVerdict.PRECONDITION_VIOLATED
+    else:
+        fires = margin > 0.0 or (row.boundary_fires and margin == 0.0)
+        fires = fires and stats.convergence_flag
+        verdict = CriterionVerdict.FIRES if fires else CriterionVerdict.DOES_NOT_FIRE
+    return CriterionReport(row.criterion_id, threshold, stats.statistic, stats.kind,
+                           stats.window, margin, stats.convergence_flag, violations,
+                           verdict, row.note)
 
 
 def evaluate_all(ds: DiscreteSystem, tail_fraction: float = 0.5) -> List[CriterionReport]:
-    """All criteria applicable to the system's direction (and advance size)."""
-    reports: List[CriterionReport] = []
-    if ds.direction is Direction.DELAYED:
-        reports.append(erbe_zhang(ds, tail_fraction))
-        reports.append(ladas_philos_sficas(ds, tail_fraction))
-        reports.append(gyori_ladas_nonosc(ds, tail_fraction))
-    elif ds.k >= 2:
-        reports.extend(gyori_ladas(ds, tail_fraction))
-        reports.append(ocalan_akin(ds, tail_fraction))
-        reports.append(ocalan_akin_nonosc(ds, tail_fraction))
-    return reports
+    """The reports of the system's direction, in row order; the advanced
+    criteria need an advance of at least 2."""
+    if ds.direction is Direction.ADVANCED and ds.k < 2:
+        return []
+    return [_evaluate(row, ds, tail_fraction) for row in CRITERIA
+            if row.direction is ds.direction]
 
 
 def synthesize_verdict(reports: Sequence[CriterionReport]) -> str:

@@ -449,6 +449,20 @@ class TestNumericErrors:
         assert "at index 10" in res.stderr
         assert not out.exists()
 
+    # every Q_n is about 2.5e307, finite, but a sum of 8 of them is not
+    @pytest.mark.parametrize("sign,direction,index", [
+        ("-", "delayed", 8),
+        ("", "advanced", 0),
+    ])
+    def test_criterion_sum_overflow(self, tmp_path, sign, direction, index):
+        doc = {"a": "0", "b": f"{sign}2.5e307", "direction": direction, "k": 8,
+               "impulse": "none", "initial_window": [1] * 9, "horizon": 60}
+        res = run_cli("analyze", write_problem(tmp_path, doc))
+        assert res.returncode == 3
+        assert res.stderr == (f"numeric failure: at index {index}: the sum of 8 Q "
+                              f"values from Q_{index} overflows\n")
+        assert res.stdout == ""
+
     @pytest.mark.parametrize("doc", [
         pytest.param(ZERO_A_DOC, id="zero_a"),
         pytest.param(ADVANCED_ZERO_B_DOC, id="advanced_zero_b"),

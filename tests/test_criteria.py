@@ -1,29 +1,24 @@
 import math
+from pathlib import Path
 
 import pytest
 
 from idepca.criteria import (
-    AdvanceTooSmall,
+    CRITERIA,
     CriterionVerdict,
     NONOSCILLATION_IDS,
     OSCILLATION_IDS,
     TailKind,
-    WrongDirection,
     advanced_pointwise_threshold,
     advanced_sum_threshold,
     delayed_liminf_threshold,
     delayed_sum_threshold,
-    erbe_zhang,
     evaluate_all,
-    gyori_ladas,
-    gyori_ladas_nonosc,
-    ladas_philos_sficas,
-    ocalan_akin,
-    ocalan_akin_nonosc,
     synthesize_verdict,
     tail_stats,
 )
 from idepca.diffeq import TooShort
+from idepca.quad import NumericFailure
 from idepca.reduction import Direction, DiscreteSystem
 
 
@@ -41,6 +36,9 @@ def system_with_q(q_values, k=3, direction=Direction.DELAYED, b_value=-0.3,
     )
 
 
+def report(ds, criterion_id):
+    """The named criterion's entry among everything evaluate_all reports."""
+    return next(r for r in evaluate_all(ds) if r.criterion_id == criterion_id)
 class TestThresholds:
     def test_delayed_liminf(self):
         assert delayed_liminf_threshold(3) == 27.0 / 256.0
@@ -100,31 +98,26 @@ class TestTailStats:
 class TestErbeZhang:
     def test_fires_above_threshold(self):
         ds = system_with_q([-0.2] * 30, k=3)
-        rep = erbe_zhang(ds)
+        rep = report(ds, "ErbeZhang")
         assert rep.verdict is CriterionVerdict.FIRES
         assert rep.threshold == 27.0 / 256.0
         assert rep.margin > 0.0
 
     def test_does_not_fire_below_threshold(self):
         ds = system_with_q([-0.05] * 30, k=3)
-        assert erbe_zhang(ds).verdict is CriterionVerdict.DOES_NOT_FIRE
+        assert report(ds, "ErbeZhang").verdict is CriterionVerdict.DOES_NOT_FIRE
 
     def test_precondition_violated_on_positive_b(self):
         ds = system_with_q([-0.2] * 30, k=3, b_value=0.3)
-        rep = erbe_zhang(ds)
+        rep = report(ds, "ErbeZhang")
         assert rep.verdict is CriterionVerdict.PRECONDITION_VIOLATED
-        assert rep.violations
-
-    def test_wrong_direction(self):
-        ds = system_with_q([0.2] * 30, k=3, direction=Direction.ADVANCED)
-        with pytest.raises(WrongDirection):
-            erbe_zhang(ds)
+        assert rep.precondition_violations
 
     def test_convergence_gate(self):
         # statistic above threshold but still trending: must not fire
         ds = system_with_q([-0.2 - 0.01 * n for n in range(30)], k=3)
-        rep = erbe_zhang(ds)
-        assert rep.statistic.statistic > rep.threshold
+        rep = report(ds, "ErbeZhang")
+        assert rep.statistic > rep.threshold
         assert rep.verdict is CriterionVerdict.DOES_NOT_FIRE
 
 
@@ -132,89 +125,96 @@ class TestLadasPhilosSficas:
     def test_constant_sum_fires(self):
         # k-term sum of a constant 0.11 is 0.33 > (3/4)^4
         ds = system_with_q([-0.11] * 30, k=3)
-        rep = ladas_philos_sficas(ds)
-        assert rep.statistic.statistic == pytest.approx(0.33)
+        rep = report(ds, "LadasPhilosSficas")
+        assert rep.statistic == pytest.approx(0.33)
         assert rep.verdict is CriterionVerdict.FIRES
 
     def test_constant_sum_does_not_fire(self):
         ds = system_with_q([-0.10] * 30, k=3)
-        rep = ladas_philos_sficas(ds)
-        assert rep.statistic.statistic == pytest.approx(0.30)
+        rep = report(ds, "LadasPhilosSficas")
+        assert rep.statistic == pytest.approx(0.30)
         assert rep.verdict is CriterionVerdict.DOES_NOT_FIRE
 
     def test_too_few_points(self):
-        ds = system_with_q([-0.1] * 3, k=3)
+        # 8 values pass ErbeZhang's tail but leave no 8-term moving sum
+        ds = system_with_q([-0.1] * 8, k=8)
         with pytest.raises(TooShort, match=r"^not enough Q values for the moving sum$"):
-            ladas_philos_sficas(ds)
+            evaluate_all(ds)
+
+    def test_sum_overflow_names_its_index(self):
+        # each Q*_n is finite, but two of them sum past the double range
+        ds = system_with_q([-1e308] * 30, k=2, b_value=-1e308)
+        with pytest.raises(NumericFailure, match=r"^at index 2: ") as info:
+            evaluate_all(ds)
+        assert info.value.index == 2
 
 
 class TestGyoriLadas:
     def test_sub_a_fires(self):
         ds = system_with_q([0.3] * 30, k=5, direction=Direction.ADVANCED,
                            b_value=0.3)
-        rep_a, rep_b = gyori_ladas(ds)
-        assert rep_a.statistic.statistic == pytest.approx(1.2)
+        rep_a, rep_b = report(ds, "GyoriLadasA"), report(ds, "GyoriLadasB")
+        assert rep_a.statistic == pytest.approx(1.2)
         assert rep_a.verdict is CriterionVerdict.FIRES
-        assert rep_b.statistic.statistic == pytest.approx(1.5)
+        assert rep_b.statistic == pytest.approx(1.5)
         assert rep_b.verdict is CriterionVerdict.FIRES
 
     def test_neither_fires(self):
         ds = system_with_q([0.05] * 30, k=5, direction=Direction.ADVANCED,
                            b_value=0.3)
-        rep_a, rep_b = gyori_ladas(ds)
-        assert rep_a.verdict is CriterionVerdict.DOES_NOT_FIRE
-        assert rep_b.verdict is CriterionVerdict.DOES_NOT_FIRE
+        assert report(ds, "GyoriLadasA").verdict is CriterionVerdict.DOES_NOT_FIRE
+        assert report(ds, "GyoriLadasB").verdict is CriterionVerdict.DOES_NOT_FIRE
 
-    def test_advance_too_small(self):
-        ds = system_with_q([0.3] * 30, k=1, direction=Direction.ADVANCED,
+    def test_too_few_points(self):
+        ds = system_with_q([0.3] * 5, k=5, direction=Direction.ADVANCED,
                            b_value=0.3)
-        with pytest.raises(AdvanceTooSmall):
-            gyori_ladas(ds)
+        with pytest.raises(TooShort, match=r"^not enough Q values for the advanced sums$"):
+            evaluate_all(ds)
 
 
 class TestOcalanAkin:
     def test_fires(self):
         ds = system_with_q([-0.1] * 30, k=5, direction=Direction.ADVANCED)
-        rep = ocalan_akin(ds)
+        rep = report(ds, "OcalanAkin")
         assert rep.threshold == pytest.approx(-256.0 / 3125.0)
         assert rep.verdict is CriterionVerdict.FIRES
         assert rep.note  # documents the signed-Q reading of the condition
 
     def test_does_not_fire(self):
         ds = system_with_q([-0.05] * 30, k=5, direction=Direction.ADVANCED)
-        assert ocalan_akin(ds).verdict is CriterionVerdict.DOES_NOT_FIRE
+        assert report(ds, "OcalanAkin").verdict is CriterionVerdict.DOES_NOT_FIRE
 
     def test_positive_b_violates_precondition(self):
         ds = system_with_q([-0.1] * 30, k=5, direction=Direction.ADVANCED,
                            b_value=0.3)
-        assert ocalan_akin(ds).verdict is CriterionVerdict.PRECONDITION_VIOLATED
+        assert report(ds, "OcalanAkin").verdict is CriterionVerdict.PRECONDITION_VIOLATED
 
 
 class TestNonOscillation:
     def test_gyori_ladas_nonosc_fires(self):
         ds = system_with_q([-0.10] * 30, k=3)
-        assert gyori_ladas_nonosc(ds).verdict is CriterionVerdict.FIRES
+        assert report(ds, "GyoriLadasNonOsc").verdict is CriterionVerdict.FIRES
 
     def test_gyori_ladas_nonosc_boundary_fires(self):
         # the hypothesis is a non-strict bound, so equality still fires
         ds = system_with_q([-0.25] * 30, k=1)
-        rep = gyori_ladas_nonosc(ds)
+        rep = report(ds, "GyoriLadasNonOsc")
         assert rep.margin == 0.0
         assert rep.verdict is CriterionVerdict.FIRES
 
     def test_gyori_ladas_nonosc_large_q_does_not_fire(self):
         ds = system_with_q([-92.0] * 30, k=3)
-        assert gyori_ladas_nonosc(ds).verdict is CriterionVerdict.DOES_NOT_FIRE
+        assert report(ds, "GyoriLadasNonOsc").verdict is CriterionVerdict.DOES_NOT_FIRE
 
     def test_ocalan_akin_nonosc_fires_on_positive_q(self):
         ds = system_with_q([0.01] * 30, k=5, direction=Direction.ADVANCED,
                            b_value=0.3)
-        assert ocalan_akin_nonosc(ds).verdict is CriterionVerdict.FIRES
+        assert report(ds, "OcalanAkinNonOsc").verdict is CriterionVerdict.FIRES
 
     def test_ocalan_akin_nonosc_zero_q_l2(self):
         ds = system_with_q([0.0] * 30, k=2, direction=Direction.ADVANCED,
                            b_value=0.3)
-        rep = ocalan_akin_nonosc(ds)
+        rep = report(ds, "OcalanAkinNonOsc")
         assert rep.margin == pytest.approx(0.25)
         # b > 0 makes the bound automatic; still only Fires via margin
         assert rep.verdict is CriterionVerdict.FIRES
@@ -222,7 +222,7 @@ class TestNonOscillation:
     def test_ocalan_akin_nonosc_does_not_fire(self):
         ds = system_with_q([-0.1] * 30, k=5, direction=Direction.ADVANCED,
                            b_value=0.3)
-        rep = ocalan_akin_nonosc(ds)
+        rep = report(ds, "OcalanAkinNonOsc")
         assert rep.verdict is not CriterionVerdict.FIRES
 
 
@@ -267,3 +267,22 @@ class TestSynthesis:
 
     def test_id_partition(self):
         assert not (OSCILLATION_IDS & NONOSCILLATION_IDS)
+        ids = [c.criterion_id for c in CRITERIA]
+        assert len(set(ids)) == len(ids) == 7
+        assert OSCILLATION_IDS | NONOSCILLATION_IDS == set(ids)
+
+
+class TestTable:
+    def test_readme_table_matches_rows(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in readme.read_text(encoding="utf-8").splitlines()
+                if line.startswith("| `")]
+        documented = [(cid.strip("`"), direction, family, side, b_sign)
+                      for cid, direction, family, _, _, side, b_sign in rows]
+        expected = [(c.criterion_id, c.direction.value,
+                     "oscillation" if c.oscillation else "nonoscillation",
+                     "above" if c.above else ("at or below" if c.boundary_fires else "below"),
+                     "< 0" if c.b_sign < 0 else "> 0")
+                    for c in CRITERIA]
+        assert documented == expected

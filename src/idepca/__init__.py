@@ -21,11 +21,10 @@ from .reduction import (
 from .diffeq import (
     DiscreteSolution,
     Verdict,
+    continue_window,
     discrete_oscillation_check,
     reduce_to_y,
     solve,
-    solve_advanced,
-    solve_delayed,
 )
 from .criteria import CriterionReport, evaluate_all, synthesize_verdict, tail_stats
 from .trajectory import Trajectory, continuous_oscillation_check, reconstruct

@@ -48,8 +48,6 @@ __all__ = [
     "DiscreteSolution",
     "OscillationVerdict",
     "TooShort",
-    "solve_delayed",
-    "solve_advanced",
     "backward_sweep",
     "continue_window",
     "solve",
@@ -105,37 +103,25 @@ class DiscreteSolution:
         return range(self.n_lo + free_window, self.n_hi - self.k + 1)
 
 
-def solve_delayed(ds: DiscreteSystem, init: Sequence[float]) -> DiscreteSolution:
-    """Forward recursion z_{n+1} = a_n z_n + b_n z_{n-k}.
-
-    init supplies z at indices n0-k .. n0.
-    """
+def continue_window(ds: DiscreteSystem, init: Sequence[float]) -> DiscreteSolution:
+    """The continuation of the initial window that simulate and check write
+    (see the module docstring); init supplies z at indices n0-k .. n0
+    (delayed) or n0 .. n0+k (advanced)."""
     k = ds.k
     if len(init) != k + 1:
         raise ValueError(f"initial window must have {k + 1} entries")
-    n_lo = ds.n0 - k
-    values = [float(v) for v in init]
     truncated = None
-    for n in range(ds.n0, ds.horizon):
-        z = ds.a(n) * values[n - n_lo] + ds.b(n) * values[n - k - n_lo]
-        if not math.isfinite(z):
-            truncated = n + 1
-            break
-        values.append(z)
-    return DiscreteSolution(n_lo, values, Direction.DELAYED, k, truncated)
-
-
-def solve_advanced(ds: DiscreteSystem, init: Sequence[float]) -> DiscreteSolution:
-    """Rearranged forward sweep for z_{n+1} = a_n z_n + b_n z_{n+k}.
-
-    init supplies z at indices n0 .. n0+k.  For k = 1 only init[0] is used;
-    the recursion determines all later values.
-    """
-    k = ds.k
-    if len(init) != k + 1:
-        raise ValueError(f"initial window must have {k + 1} entries")
+    if ds.direction is Direction.DELAYED:
+        n_lo = ds.n0 - k
+        values = [float(v) for v in init]
+        for n in range(ds.n0, ds.horizon):
+            z = ds.a(n) * values[n - n_lo] + ds.b(n) * values[n - k - n_lo]
+            if not math.isfinite(z):
+                truncated = n + 1
+                break
+            values.append(z)
+        return DiscreteSolution(n_lo, values, Direction.DELAYED, k, truncated)
     n_lo = ds.n0
-    truncated = None
     if k == 1:
         values = [float(init[0])]
         for n in range(ds.n0, ds.horizon):
@@ -220,18 +206,11 @@ def backward_sweep(ds: DiscreteSystem, z0: float) -> DiscreteSolution:
     return DiscreteSolution(n_lo, values, Direction.ADVANCED, k, truncated, swept=True)
 
 
-def continue_window(ds: DiscreteSystem, init: Sequence[float]) -> DiscreteSolution:
-    """The continuation of the initial window that simulate and check write."""
-    if ds.direction is Direction.DELAYED:
-        return solve_delayed(ds, init)
-    return solve_advanced(ds, init)
-
-
 def solve(ds: DiscreteSystem, init: Sequence[float]) -> DiscreteSolution:
     """The delayed window continuation, or the advanced solution through
     z_{n0} = init[0] given by the backward sweep."""
     if ds.direction is Direction.DELAYED:
-        return solve_delayed(ds, init)
+        return continue_window(ds, init)
     if len(init) != ds.k + 1:
         raise ValueError(f"initial window must have {ds.k + 1} entries")
     return backward_sweep(ds, init[0])
@@ -294,12 +273,11 @@ def default_window(k: int) -> int:
     return 2 * (k + 1)
 
 
-def discrete_oscillation_check(sol: DiscreteSolution, tail_fraction: float = 0.5,
-                               window: Optional[int] = None) -> OscillationVerdict:
+def discrete_oscillation_check(sol: DiscreteSolution,
+                               tail_fraction: float = 0.5) -> OscillationVerdict:
     """The sign rule on the pairs (z_n, z_{n+1}) from the first of the
     trailing tail_fraction of the solution's points."""
-    if window is None:
-        window = default_window(sol.k)
+    window = default_window(sol.k)
     vals = sol.values
     m = len(vals)
     i0 = tail_start(m, tail_fraction)

@@ -13,13 +13,15 @@ parses as -(t^2) and "2^3^2" as 2^(3^2).  Recognized functions:
 exp, ln, sin, cos, sqrt, abs.  A single variable name is declared per
 expression; any other identifier, a number literal that overflows a
 float, and an expression nested more than MAX_NESTING operators deep are
-rejected at parse time.
+rejected at parse time.  Number literals are unsigned, so "-0.0" parses as
+the negation of the constant 0.0 and the parser never makes a -0.0 constant.
 
 Evaluation never raises on domain errors: division by zero, ln of a
 nonpositive number, sqrt of a negative number and overflow all produce a
 non-finite float that the caller is expected to detect.  compile_expr turns
 an AST into one generated Python function of straight-line code, one
-assignment per operator node, in the tree's own evaluation order.
+assignment per operator node, in the tree's own evaluation order, anew on
+every call: a caller keeps the function, as ProblemSpec.fa and .fb do.
 """
 
 from __future__ import annotations
@@ -45,15 +47,6 @@ __all__ = [
 class Constant:
     value: float
 
-    def __eq__(self, other):
-        # signed zeros differ (x/0.0 and x/-0.0 are infinities of opposite
-        # sign), so the compile cache must not take one for the other
-        return (isinstance(other, Constant) and self.value == other.value
-                and math.copysign(1.0, self.value) == math.copysign(1.0, other.value))
-
-    def __hash__(self):
-        return hash(self.value)
-
 
 @dataclass(frozen=True)
 class Variable:
@@ -77,9 +70,10 @@ Expr = Union[Constant, Variable, Unary, Binary]
 
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt", "abs")
 
-# Deepest operator nesting parse accepts.  Dataclass hashing and equality
-# recurse through the tree at two to three interpreter frames per level, so
-# this stays well inside Python's default recursion limit of 1000.
+# Deepest operator nesting parse accepts.  It guards the recursive dataclass
+# ==, hash and repr of an AST, which tests and library callers use: they
+# take up to three interpreter frames per level, so a tree at the limit
+# stays inside Python's default recursion limit of 1000.
 MAX_NESTING = 300
 
 
@@ -280,22 +274,9 @@ def compile_expr(e: Expr) -> Callable[[float], float]:
     """Build a function evaluating *e* at x; non-finite results propagate.
 
     The argument is converted once with float(x), so integer abscissae
-    evaluate in floating point.  Compiled functions are cached per AST
-    (ASTs are immutable and hashable).
+    evaluate in floating point.  The straight-line code is generated by an
+    iterative post-order walk.
     """
-    cached = _COMPILED.get(e)
-    if cached is not None:
-        return cached
-    fn = _compile(e)
-    _COMPILED[e] = fn
-    return fn
-
-
-_COMPILED: dict = {}
-
-
-def _compile(e: Expr) -> Callable[[float], float]:
-    """Generate straight-line code for *e* by an iterative post-order walk."""
     constants = {}
     body = []
     values = []                  # names holding the operands computed so far

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -52,7 +53,7 @@ class Direction(Enum):
     ADVANCED = "advanced"
 
 
-class ZeroImpulseFactor(Exception):
+class ZeroImpulseFactor(ValueError):
     """A realized jump factor is zero (or not finite) at some node."""
 
     def __init__(self, n: int, value: float):
@@ -109,6 +110,11 @@ class ImpulseSpec:
     def table(cls, values: Sequence[float], default: float = 1.0) -> "ImpulseSpec":
         return cls(kind="table", values=tuple(values), default=default)
 
+    @cached_property
+    def fr(self) -> Callable[[float], float]:
+        """The compiled formula for r_n (kind "formula" only)."""
+        return compile_expr(self.expr)
+
     def factor(self, n: int) -> float:
         """The realized jump factor 1 + c_n; never zero."""
         if self.kind == "none":
@@ -116,7 +122,7 @@ class ImpulseSpec:
         elif self.kind == "factor":
             r = self.value
         elif self.kind == "formula":
-            r = compile_expr(self.expr)(float(n))
+            r = self.fr(float(n))
         elif self.kind == "table":
             r = self.values[n] if 0 <= n < len(self.values) else self.default
         else:
@@ -128,7 +134,12 @@ class ImpulseSpec:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One problem instance: coefficients, deviation, impulses, window."""
+    """One problem instance: coefficients, deviation, impulses, window.
+
+    Construction, dataclasses.replace included, raises ValueError on a bad
+    k, horizon or window, and ZeroImpulseFactor (a ValueError) on a jump
+    factor r_n on [n0, horizon] that is zero or not finite.
+    """
 
     a: Expr
     b: Expr
@@ -147,12 +158,24 @@ class ProblemSpec:
             raise ValueError("horizon must exceed n0 + k")
         if len(self.initial_window) != self.k + 1:
             raise ValueError(f"initial_window must have exactly {self.k + 1} entries")
+        for n in range(self.n0, self.horizon + 1):
+            self.impulse.factor(n)
+
+    @cached_property
+    def fa(self) -> Callable[[float], float]:
+        """The compiled coefficient a(t)."""
+        return compile_expr(self.a)
+
+    @cached_property
+    def fb(self) -> Callable[[float], float]:
+        """The compiled coefficient b(t)."""
+        return compile_expr(self.b)
 
 
 def compute_an(spec: ProblemSpec, n: int, tol: float = 1e-10) -> float:
     """a_n = r_{n+1} * exp(integral of a over [n, n+1])."""
     r = spec.impulse.factor(n + 1)
-    expo = integrate(compile_expr(spec.a), n, n + 1, tol).value
+    expo = integrate(spec.fa, n, n + 1, tol).value
     value = r * _safe_exp(expo)
     if not math.isfinite(value):
         raise NumericFailure(f"at index {n}: a_n overflowed (exponent {expo!r})", n)
@@ -177,9 +200,7 @@ def weighted_integral(fa: Callable[[float], float], fb: Callable[[float], float]
 def compute_bn(spec: ProblemSpec, n: int, tol: float = 1e-10) -> float:
     """b_n = r_{n+1} * int_n^{n+1} exp(I(s, n+1)) b(s) ds (nested quadrature)."""
     r = spec.impulse.factor(n + 1)
-    fa = compile_expr(spec.a)
-    fb = compile_expr(spec.b)
-    value = r * weighted_integral(fa, fb, n, n + 1, n + 1, tol)
+    value = r * weighted_integral(spec.fa, spec.fb, n, n + 1, n + 1, tol)
     if not math.isfinite(value):
         raise NumericFailure(f"at index {n}: b_n overflowed", n)
     return value
@@ -251,8 +272,6 @@ def compute_qn_direct(spec: ProblemSpec, n: int, tol: float = 1e-10) -> float:
     deviated node n -+ k directly and the jump factors enter as an explicit
     product over the nodes between n and the deviated node.
     """
-    fa = compile_expr(spec.a)
-    fb = compile_expr(spec.b)
     if spec.direction is Direction.DELAYED:
         target = n - spec.k
         prod = 1.0
@@ -263,7 +282,7 @@ def compute_qn_direct(spec: ProblemSpec, n: int, tol: float = 1e-10) -> float:
         prod = 1.0
         for j in range(n + 1, n + spec.k + 1):
             prod *= spec.impulse.factor(j)
-    return prod * weighted_integral(fa, fb, n, n + 1, target, tol)
+    return prod * weighted_integral(spec.fa, spec.fb, n, n + 1, target, tol)
 
 
 # Near-zero Q values fall back to an absolute floor: a pure relative test is

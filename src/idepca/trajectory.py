@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .diffeq import (DiscreteSolution, OscillationVerdict, TooShort, block_verdict,
                      default_window)
-from .exprlang import compile_expr, _safe_exp
+from .exprlang import _safe_exp
 from .quad import integrate
 from .reduction import DiscreteSystem, ProblemSpec, weighted_integral
 
@@ -57,8 +57,7 @@ def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,
     """Sample the continuous solution on every interval the skeleton covers."""
     if samples_per_interval < 1:
         raise ValueError("samples_per_interval must be >= 1")
-    fa = compile_expr(spec.a)
-    fb = compile_expr(spec.b)
+    fa, fb = spec.fa, spec.fb
     intervals = sol.relation_indices()
     samples: List[Tuple[float, float]] = []
     nodes: List[NodeRecord] = []
@@ -95,16 +94,14 @@ def max_node_discontinuity(traj: Trajectory) -> float:
     return worst
 
 
-def continuous_oscillation_check(traj: Trajectory, first: int,
-                                 window: Optional[int] = None) -> OscillationVerdict:
+def continuous_oscillation_check(traj: Trajectory, first: int) -> OscillationVerdict:
     """The sign rule on the intervals [n, n+1] from index first on.
 
     An interval's block is its samples plus the left limit at n+1.  first
     is the tail's first index as the discrete check computes it, its
     tail_window[0], so both verdicts judge one tail.
     """
-    if window is None:
-        window = default_window(traj.k)
+    window = default_window(traj.k)
     per = len(traj.samples) // max(1, len(traj.nodes))
     blocks = [[z for _, z in traj.samples[i * per:(i + 1) * per]] + [rec.z_left]
               for i, rec in enumerate(traj.nodes)]

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from idepca import cli, diffeq, reduction, trajectory
+from idepca.reduction import DiagnosticMismatch
+
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLE1 = REPO / "problems" / "example1.json"
 EXAMPLE2 = REPO / "problems" / "example2.json"
@@ -154,6 +157,20 @@ class TestAnalyze:
         assert run_cli("analyze", path, "--out", out).returncode == 0
         assert json.loads(out.read_text())["overall_verdict"] == "Inconclusive"
 
+    def test_negative_jump_factor_violates_a_n_positive(self, tmp_path):
+        # r = -0.5 makes every a_n = -1/(2e) negative
+        doc = {**json.loads(EXAMPLE1.read_text()), "impulse": {"factor": -0.5}}
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", write_problem(tmp_path, doc), "--out", out).returncode == 0
+        report = json.loads(out.read_text())
+        assert report["overall_verdict"] == "Inconclusive"
+        assert len(report["criteria"]) == 3
+        for entry in report["criteria"]:
+            assert entry["verdict"] == "PreconditionViolated"
+            first, last = entry["window"]
+            a_violations = [v for v in entry["precondition_violations"] if v[1] == "a_n <= 0"]
+            assert a_violations == [[n, "a_n <= 0"] for n in range(first, last + 1)]
+
     def test_report_shape(self, tmp_path):
         out = tmp_path / "report.json"
         run_cli("analyze", EXAMPLE1, "--out", out)
@@ -219,6 +236,16 @@ class TestCheck:
         res = run_cli("check", EXAMPLE2, "--samples", 4)
         assert res.returncode == 0
         assert all(l.startswith("PASS") for l in res.stdout.splitlines() if l)
+
+    @pytest.mark.parametrize("impulse", [{"factor": 0.5}, "none"], ids=["factor", "none"])
+    def test_zero_in_window_is_consistent(self, tmp_path, impulse):
+        # z_2 is the window's exact 0 and the reconstructed left limit a
+        # rounding residue; the gap is measured against the interval's terms
+        doc = {"a": "-1", "b": "-1/3", "direction": "advanced", "k": 2,
+               "impulse": impulse, "initial_window": [1, 1, 0], "horizon": 40}
+        res = run_cli("check", write_problem(tmp_path, doc))
+        assert res.returncode == 0, res.stdout
+        assert "FAIL" not in res.stdout
 
     @pytest.mark.parametrize("name", sorted(TILE_EDGE_DOCS))
     def test_one_tail_for_both_verdicts(self, tmp_path, name):
@@ -522,3 +549,122 @@ class TestDeepExpressions:
         assert res.stderr == (f"error: key '{key}': parse error at offset {offset}: "
                               "expression nested deeper than 300 levels\n")
         assert not out.exists()
+
+
+def perturbed(value):
+    return value * (1.0 + 1e-6)
+
+
+class TestInvariantsCanFail:
+    """Each check invariant reports FAIL, with exit 1, on a perturbed input.
+
+    The perturbation goes through the module attribute the CLI calls, in
+    this process.
+    """
+
+    @staticmethod
+    def check(capsys, problem=EXAMPLE1):
+        code = cli.main(["check", str(problem), "--samples", "4"])
+        return code, capsys.readouterr()
+
+    @staticmethod
+    def off_by_one_part_in_a_million(monkeypatch, index):
+        direct = reduction.compute_qn_direct
+
+        def wrong(spec, n, tol=1e-10):
+            value = direct(spec, n, tol)
+            return perturbed(value) if n == index else value
+
+        monkeypatch.setattr(reduction, "compute_qn_direct", wrong)
+
+    def test_q_audit_raises_with_index(self, monkeypatch):
+        self.off_by_one_part_in_a_million(monkeypatch, 10)
+        pf = cli.load_problem(EXAMPLE1)
+        with pytest.raises(DiagnosticMismatch) as exc:
+            reduction.build_discrete_system(pf.spec, pf.tol)
+        assert exc.value.index == 10
+
+    def test_q_audit_coeffs_exit_3(self, monkeypatch, capsys):
+        self.off_by_one_part_in_a_million(monkeypatch, 10)
+        assert cli.main(["coeffs", str(EXAMPLE1)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure: Q_10 mismatch: alpha-ratio ")
+
+    def test_q_audit_check_fails(self, monkeypatch, capsys):
+        self.off_by_one_part_in_a_million(monkeypatch, 10)
+        code, captured = self.check(capsys)
+        assert code == 1
+        assert captured.out.startswith("FAIL dual_route_q_audit: Q_10 mismatch")
+
+    def test_alpha_telescoping(self, monkeypatch, capsys):
+        build = cli.build_discrete_system
+
+        def wrong(spec, tol):
+            ds = build(spec, tol)
+            ds.alpha_seq[5] = perturbed(ds.alpha_seq[5])
+            return ds
+
+        monkeypatch.setattr(cli, "build_discrete_system", wrong)
+        code, captured = self.check(capsys)
+        assert code == 1
+        assert "FAIL alpha_telescoping: max deviation 1.000e-06" in captured.out
+
+    def test_recursion_residual(self, monkeypatch, capsys):
+        continuation = diffeq.continue_window
+
+        def wrong(ds, init):
+            sol = continuation(ds, init)
+            sol.values[5] = perturbed(sol.values[5])   # z_2, of order 0.1
+            return sol
+
+        monkeypatch.setattr(diffeq, "continue_window", wrong)
+        code, captured = self.check(capsys)
+        assert code == 1
+        assert "FAIL recursion_residual" in captured.out
+
+    def test_reduced_form_residual(self, monkeypatch, capsys):
+        reduce = diffeq.reduce_to_y
+
+        def wrong(ds, sol):
+            y = reduce(ds, sol)
+            y[-1] = perturbed(y[-1])
+            return y
+
+        monkeypatch.setattr(diffeq, "reduce_to_y", wrong)
+        code, captured = self.check(capsys)
+        assert code == 1
+        assert "FAIL reduced_form_residual" in captured.out
+        assert captured.out.count("FAIL") == 1
+
+    def test_continuity_without_impulses(self, monkeypatch, capsys, tmp_path):
+        rebuild = trajectory.reconstruct
+
+        def wrong(*args):
+            traj = rebuild(*args)
+            rec = traj.nodes[0]
+            traj.nodes[0] = type(rec)(rec.n, perturbed(rec.z_left), rec.z_right,
+                                      rec.jump_factor)
+            return traj
+
+        monkeypatch.setattr(trajectory, "reconstruct", wrong)
+        doc = {**json.loads(EXAMPLE1.read_text()), "impulse": "none"}
+        code, captured = self.check(capsys, write_problem(tmp_path, doc))
+        assert code == 1
+        assert "FAIL continuity_without_impulses" in captured.out
+
+    def test_discrete_to_continuous_transfer(self, monkeypatch, capsys):
+        rebuild = trajectory.reconstruct
+
+        def one_signed(*args):
+            traj = rebuild(*args)
+            traj.samples[:] = [(t, abs(z)) for t, z in traj.samples]
+            traj.nodes[:] = [type(rec)(rec.n, abs(rec.z_left), rec.z_right, rec.jump_factor)
+                             for rec in traj.nodes]
+            return traj
+
+        monkeypatch.setattr(trajectory, "reconstruct", one_signed)
+        code, captured = self.check(capsys)
+        assert code == 1
+        assert ("FAIL discrete_to_continuous_transfer: discrete Oscillatory, "
+                "continuous EventuallyPositive") in captured.out

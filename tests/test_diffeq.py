@@ -14,8 +14,6 @@ from idepca.diffeq import (
     reduce_to_y,
     sign_change,
     solve,
-    solve_advanced,
-    solve_delayed,
 )
 from idepca.quad import NumericFailure
 from idepca.reduction import Direction, DiscreteSystem
@@ -54,7 +52,7 @@ def fabricate(a_seq, b_seq, k=1, direction=Direction.DELAYED, n0=0):
 class TestSolveDelayed:
     def test_constant_solution(self):
         ds = fabricate([1.0] * 10, [0.0] * 10, k=2)
-        sol = solve_delayed(ds, [1.0, 1.0, 1.0])
+        sol = continue_window(ds, [1.0, 1.0, 1.0])
         assert sol.n_lo == -2
         assert all(v == 1.0 for v in sol.values)
         assert sol.truncated_at is None
@@ -62,7 +60,7 @@ class TestSolveDelayed:
     def test_period_two_alternation(self):
         # z_{n+1} = z_{n-1} swaps the two window values forever
         ds = fabricate([0.0] * 8, [1.0] * 8, k=1)
-        sol = solve_delayed(ds, [1.0, -1.0])
+        sol = continue_window(ds, [1.0, -1.0])
         assert sol.value(1) == 1.0
         assert sol.value(2) == -1.0
         assert sol.value(7) == 1.0
@@ -72,53 +70,53 @@ class TestSolveDelayed:
         an = 1.0 / (2.0 * E)
         bn = (1.0 - E) / (6.0 * E)
         ds = fabricate([an] * 6, [bn] * 6, k=3)
-        sol = solve_delayed(ds, [1.0] * 4)
+        sol = continue_window(ds, [1.0] * 4)
         assert sol.value(1) == pytest.approx(an + bn, abs=1e-12)
         assert sol.value(1) == pytest.approx(0.0785863, abs=1e-7)
 
     def test_window_kept_verbatim(self):
         ds = fabricate([0.5] * 5, [0.25] * 5, k=2)
         window = [3.0, -1.0, 2.0]
-        sol = solve_delayed(ds, window)
+        sol = continue_window(ds, window)
         assert sol.values[:3] == window
 
     def test_overflow_truncates(self):
         ds = fabricate([1e200] * 6, [0.0] * 6, k=1)
-        sol = solve_delayed(ds, [1.0, 1.0])
+        sol = continue_window(ds, [1.0, 1.0])
         assert sol.truncated_at == 2
         assert all(math.isfinite(v) for v in sol.values)
 
     def test_wrong_window_length(self):
         ds = fabricate([1.0] * 5, [0.0] * 5, k=2)
         with pytest.raises(ValueError):
-            solve_delayed(ds, [1.0, 1.0])
+            continue_window(ds, [1.0, 1.0])
 
 
 class TestSolveAdvanced:
     def test_geometric_growth_k1(self):
         # z_{n+1} = z_n / (1 - 1/2) doubles every step
         ds = fabricate([1.0] * 6, [0.5] * 6, k=1, direction=Direction.ADVANCED)
-        sol = solve_advanced(ds, [1.0, 99.0])  # only the first entry is used
+        sol = continue_window(ds, [1.0, 99.0])  # only the first entry is used
         assert sol.value(0) == 1.0
         assert sol.value(1) == pytest.approx(2.0)
         assert sol.value(2) == pytest.approx(4.0)
 
     def test_rearranged_step_k2(self):
         ds = fabricate([1.0] * 6, [1.0] * 6, k=2, direction=Direction.ADVANCED)
-        sol = solve_advanced(ds, [1.0, 1.0, 1.0])
+        sol = continue_window(ds, [1.0, 1.0, 1.0])
         assert sol.value(3) == pytest.approx(0.0)
 
     def test_window_kept_for_k_at_least_2(self):
         ds = fabricate([0.5] * 8, [0.25] * 8, k=3, direction=Direction.ADVANCED)
         window = [1.0, 2.0, 3.0, 4.0]
-        sol = solve_advanced(ds, window)
+        sol = continue_window(ds, window)
         assert sol.values[:4] == window
 
     def test_original_recursion_satisfied(self):
         ds = fabricate([0.9, 1.1, 0.8, 1.2, 0.95, 1.05, 0.85, 1.15],
                        [0.4, -0.3, 0.5, 0.6, -0.2, 0.35, 0.45, -0.25],
                        k=3, direction=Direction.ADVANCED)
-        sol = solve_advanced(ds, [1.0, 0.5, -0.5, 2.0])
+        sol = continue_window(ds, [1.0, 0.5, -0.5, 2.0])
         # the sweep enforces the relation from n0+1 on
         for n in range(1, sol.n_hi - 2):
             lhs = sol.value(n + 1)
@@ -130,14 +128,14 @@ class TestSolveAdvanced:
                        k=2, direction=Direction.ADVANCED)
         with pytest.raises(NumericFailure,
                            match=r"^b_1 = 0: advanced recursion cannot be rearranged$") as exc:
-            solve_advanced(ds, [1.0, 1.0, 1.0])
+            continue_window(ds, [1.0, 1.0, 1.0])
         assert exc.value.index == 1
 
     def test_degenerate_advance_k1(self):
         ds = fabricate([1.0] * 6, [1.0] * 6, k=1, direction=Direction.ADVANCED)
         with pytest.raises(NumericFailure,
                            match=r"^b_0 = 1 with k = 1: degenerate advance$") as exc:
-            solve_advanced(ds, [1.0, 1.0])
+            continue_window(ds, [1.0, 1.0])
         assert exc.value.index == 0
 
     def test_dispatch(self):
@@ -220,20 +218,20 @@ class TestSolveAdvanced:
 class TestReduceToY:
     def test_identity_alpha(self):
         ds = fabricate([1.0] * 6, [0.0] * 6, k=1)
-        sol = solve_delayed(ds, [2.0, 2.0])
+        sol = continue_window(ds, [2.0, 2.0])
         y = reduce_to_y(ds, sol)
         assert y == [2.0] * 7
 
     def test_zero_solution(self):
         ds = fabricate([0.5] * 6, [0.25] * 6, k=1)
-        sol = solve_delayed(ds, [0.0, 0.0])
+        sol = continue_window(ds, [0.0, 0.0])
         assert all(v == 0.0 for v in reduce_to_y(ds, sol))
 
     def test_reduced_recursion_residual(self):
         ds = fabricate([0.6, 0.7, 0.8, 0.9, 0.65, 0.75, 0.85, 0.95],
                        [-0.2, -0.3, -0.25, -0.15, -0.2, -0.3, -0.25, -0.15],
                        k=2)
-        sol = solve_delayed(ds, [1.0, 1.0, 1.0])
+        sol = continue_window(ds, [1.0, 1.0, 1.0])
         y = reduce_to_y(ds, sol)
         scale = max(abs(v) for v in y)
         for n in range(2, 7):

@@ -162,11 +162,12 @@ def test_compile_matches_evaluate():
         assert fn(x) == by_hand(x)
 
 
-def test_compile_cache_returns_same_closure():
-    node_a = parse("t + 1", "t")
-    node_b = parse("t+1", "t")
-    assert node_a == node_b
-    assert compile_expr(node_a) is compile_expr(node_b)
+def test_signed_zero_divisors_stay_apart():
+    # a literal is unsigned: "-0.0" is the negation of the constant 0.0
+    assert parse("-0.0", "t") == Unary("neg", Constant(0.0))
+    assert math.copysign(1.0, parse("0.0", "t").value) == 1.0
+    assert compile_expr(parse("t/0.0", "t"))(1.0) == math.inf
+    assert compile_expr(parse("t/-0.0", "t"))(1.0) == -math.inf
 
 
 def test_ast_nodes_are_immutable():

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 
+from idepca import reduction
+from idepca.diffeq import continue_window
 from idepca.exprlang import parse
 from idepca.quad import NumericFailure
 from idepca.reduction import (
@@ -18,6 +21,7 @@ from idepca.reduction import (
     compute_qn_direct,
     weighted_integral,
 )
+from idepca.trajectory import reconstruct
 
 E = math.e
 
@@ -73,6 +77,43 @@ class TestProblemSpecValidation:
     def test_window_length(self):
         with pytest.raises(ValueError):
             make_spec(window=(1.0, 1.0))
+
+    def test_zero_jump_factor_names_its_node(self):
+        with pytest.raises(ZeroImpulseFactor, match="jump factor at node 2 is 0.0") as exc:
+            ProblemSpec(a=parse("-1", "t"), b=parse("-1/3", "t"),
+                        direction=Direction.DELAYED, k=1,
+                        impulse=ImpulseSpec.table([1.0, 1.0, 0.0]),
+                        initial_window=(1.0, 1.0), horizon=10)
+        assert exc.value.index == 2
+        assert isinstance(exc.value, ValueError)
+
+    def test_replace_checks_the_longer_horizon(self):
+        # the zero at node 25 lies past horizon 20, so only the longer run fails
+        spec = ProblemSpec(a=parse("-1", "t"), b=parse("-1/3", "t"),
+                           direction=Direction.DELAYED, k=1,
+                           impulse=ImpulseSpec.formula(parse("1 - 1/(26 - n)", "n")),
+                           initial_window=(1.0, 1.0), horizon=20)
+        assert dataclasses.replace(spec, horizon=24).horizon == 24
+        with pytest.raises(ZeroImpulseFactor) as exc:
+            dataclasses.replace(spec, horizon=30)
+        assert exc.value.index == 25
+
+    def test_each_expression_compiled_once(self, monkeypatch):
+        compiled = []
+        compile_expr = reduction.compile_expr
+
+        def counting(expr):
+            compiled.append(expr)
+            return compile_expr(expr)
+
+        monkeypatch.setattr(reduction, "compile_expr", counting)
+        spec = ProblemSpec(a=parse("-1 + t/50", "t"), b=parse("sin(t)/3", "t"),
+                           direction=Direction.ADVANCED, k=2,
+                           impulse=ImpulseSpec.formula(parse("1 + 1/(n + 1)", "n")),
+                           initial_window=(1.0, 1.0, 1.0), horizon=12)
+        ds = build_discrete_system(spec, 1e-10)
+        reconstruct(spec, ds, continue_window(ds, spec.initial_window), 4, 1e-10)
+        assert [id(e) for e in compiled] == [id(spec.impulse.expr), id(spec.a), id(spec.b)]
 
 
 class TestCoefficients:

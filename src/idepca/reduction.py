@@ -83,50 +83,41 @@ class IndexOutOfRange(Exception):
 class ImpulseSpec:
     """Jump factors r_n = 1 + c_n applied at integer nodes.
 
-    kind is one of "none", "factor", "formula", "table".  For "formula" the
-    expression is in the node index n; for "table" entry i applies at node i
-    and nodes past the end of the list fall back to the default.
+    When expr is set, r_n is that formula in the node index n.  Otherwise
+    entry i of values applies at node i, and every other node takes default.
     """
 
-    kind: str = "none"
-    value: float = 1.0
-    expr: Optional[Expr] = None
     values: Tuple[float, ...] = ()
     default: float = 1.0
+    expr: Optional[Expr] = None
 
     @classmethod
     def none(cls) -> "ImpulseSpec":
-        return cls(kind="none")
+        return cls()
 
     @classmethod
     def constant(cls, r: float) -> "ImpulseSpec":
-        return cls(kind="factor", value=r)
+        return cls(default=r)
 
     @classmethod
     def formula(cls, expr: Expr) -> "ImpulseSpec":
-        return cls(kind="formula", expr=expr)
+        return cls(expr=expr)
 
     @classmethod
     def table(cls, values: Sequence[float], default: float = 1.0) -> "ImpulseSpec":
-        return cls(kind="table", values=tuple(values), default=default)
+        return cls(values=tuple(values), default=default)
 
     @cached_property
     def fr(self) -> Callable[[float], float]:
-        """The compiled formula for r_n (kind "formula" only)."""
+        """The compiled formula for r_n (only when expr is set)."""
         return compile_expr(self.expr)
 
     def factor(self, n: int) -> float:
         """The realized jump factor 1 + c_n; never zero."""
-        if self.kind == "none":
-            return 1.0
-        elif self.kind == "factor":
-            r = self.value
-        elif self.kind == "formula":
+        if self.expr is not None:
             r = self.fr(float(n))
-        elif self.kind == "table":
-            r = self.values[n] if 0 <= n < len(self.values) else self.default
         else:
-            raise ValueError(f"unknown impulse kind {self.kind!r}")
+            r = self.values[n] if 0 <= n < len(self.values) else self.default
         if not math.isfinite(r) or r == 0.0:
             raise ZeroImpulseFactor(n, r)
         return r

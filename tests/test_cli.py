@@ -599,29 +599,34 @@ class TestInvariantsCanFail:
 
     def test_alpha_telescoping(self, monkeypatch, capsys):
         build = cli.build_discrete_system
+        for index in (5, 55):   # near the start and in the tail
 
-        def wrong(spec, tol):
-            ds = build(spec, tol)
-            ds.alpha_seq[5] = perturbed(ds.alpha_seq[5])
-            return ds
+            def wrong(spec, tol):
+                ds = build(spec, tol)
+                ds.alpha_seq[index] = perturbed(ds.alpha_seq[index])
+                return ds
 
-        monkeypatch.setattr(cli, "build_discrete_system", wrong)
-        code, captured = self.check(capsys)
-        assert code == 1
-        assert "FAIL alpha_telescoping: max deviation 1.000e-06" in captured.out
+            monkeypatch.setattr(cli, "build_discrete_system", wrong)
+            code, captured = self.check(capsys)
+            assert code == 1
+            assert "FAIL alpha_telescoping: max deviation 1.000e-06" in captured.out
 
     def test_recursion_residual(self, monkeypatch, capsys):
         continuation = diffeq.continue_window
+        # z_2 is of order 0.1 and z_17 about 1.5e-4: each residual is
+        # relative to the terms of its own interval
+        for index in (5, 20):
 
-        def wrong(ds, init):
-            sol = continuation(ds, init)
-            sol.values[5] = perturbed(sol.values[5])   # z_2, of order 0.1
-            return sol
+            def wrong(ds, init):
+                sol = continuation(ds, init)
+                sol.values[index] = perturbed(sol.values[index])
+                return sol
 
-        monkeypatch.setattr(diffeq, "continue_window", wrong)
-        code, captured = self.check(capsys)
-        assert code == 1
-        assert "FAIL recursion_residual" in captured.out
+            monkeypatch.setattr(diffeq, "continue_window", wrong)
+            code, captured = self.check(capsys)
+            assert code == 1
+            for name in ("recursion_residual", "reduced_form_residual", "node_consistency"):
+                assert f"FAIL {name}" in captured.out
 
     def test_reduced_form_residual(self, monkeypatch, capsys):
         reduce = diffeq.reduce_to_y
@@ -651,7 +656,8 @@ class TestInvariantsCanFail:
         doc = {**json.loads(EXAMPLE1.read_text()), "impulse": "none"}
         code, captured = self.check(capsys, write_problem(tmp_path, doc))
         assert code == 1
-        assert "FAIL continuity_without_impulses" in captured.out
+        assert "FAIL node_consistency" in captured.out
+        assert "continuity_without_impulses" not in captured.out
 
     def test_discrete_to_continuous_transfer(self, monkeypatch, capsys):
         rebuild = trajectory.reconstruct

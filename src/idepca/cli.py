@@ -213,10 +213,7 @@ def cmd_coeffs(pf: ProblemFile, out: Optional[str]) -> int:
 
 
 def _stats_dict(r: crit.CriterionReport) -> dict:
-    doc = {**asdict(r), "kind": r.kind.value, "verdict": r.verdict.value}
-    if r.note is None:
-        del doc["note"]
-    return doc
+    return {**asdict(r), "kind": r.kind.value, "verdict": r.verdict.value}
 
 
 def cmd_analyze(pf: ProblemFile, out: Optional[str]) -> int:

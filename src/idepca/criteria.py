@@ -2,9 +2,9 @@
 
 ``CRITERIA`` holds one row per published hypothesis: its direction, its
 family (oscillation or nonoscillation), the statistic (a tail liminf or
-limsup of Q_n, of Q*_n = -Q_n, or of short moving sums of them), the
-threshold as a function of the deviation k (delayed) or l (advanced), the
-side of the threshold that fires and the sign that b_n must keep.  One
+limsup of sums of Q_n, or of Q*_n = -Q_n, over the row's index offsets),
+the threshold as a function of the deviation k (delayed) or l (advanced),
+the side of the threshold that fires and the sign that b_n must keep.  One
 evaluator turns a row into a ``CriterionReport``; ``evaluate_all`` runs the
 rows of the system's direction.
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .diffeq import TooShort, tail_start
 from .quad import NumericFailure
@@ -122,59 +122,51 @@ class CriterionReport:
     convergence_flag: bool
     precondition_violations: List[Tuple[int, str]]
     verdict: CriterionVerdict
-    note: Optional[str] = None
 
 
 @dataclass(frozen=True)
 class Criterion:
     """One published hypothesis on the reduced coefficients, as a table row.
 
-    The statistic is taken over sign * Q_n (sign -1 gives Q*_n = -Q_n).
-    Pointwise rows (sums None) use those values as they are.  For the others
-    sums(k) gives (first, lo, width, stop): entry i, for i in
-    range(len(Q) - stop), is the fsum of values[i + lo : i + lo + width] and
-    belongs to index q_start + first + i.
+    terms(k) gives the offsets (lo, hi): the row's entry at index n is the
+    fsum of sign * Q_j for j in n+lo..n+hi (sign -1 gives Q*_j = -Q_j), and
+    it exists wherever n and every such j are Q indices.
     """
 
     criterion_id: str
     direction: Direction
     oscillation: bool  # family: True proves oscillation, False nonoscillation
     sign: int
-    sums: Optional[Callable[[int], Tuple[int, int, int, int]]]
+    terms: Callable[[int], Tuple[int, int]]
     kind: TailKind
     threshold: Callable[[int], float]
     above: bool  # fires when the statistic is above the threshold, else below
     b_sign: int  # required sign of b_n over the examined tail
     boundary_fires: bool = False  # a non-strict bound: margin 0 fires too
-    note: Optional[str] = None
 
 
-_OCALAN_NOTE = (
-    "condition evaluated on signed Q_n (limsup Q_n < -threshold); the source "
-    "formulation is stated for the positive counterpart, which cannot be "
-    "negative by definition"
-)
+def _pointwise(k: int) -> Tuple[int, int]:
+    return 0, 0
+
 
 _D, _A = Direction.DELAYED, Direction.ADVANCED
 _INF, _SUP = TailKind.LIMINF, TailKind.LIMSUP
 
-# Columns: id, direction, oscillation family, sign of Q, sums, tail kind,
-# threshold(k), fires above the threshold, required sign of b_n.  Within a
-# direction the reports come in row order.
+# Columns: id, direction, oscillation family, sign of Q, term offsets, tail
+# kind, threshold(k), fires above the threshold, required sign of b_n.
+# Within a direction the reports come in row order.
 CRITERIA: Tuple[Criterion, ...] = (
-    Criterion("ErbeZhang", _D, True, -1, None, _INF,
+    Criterion("ErbeZhang", _D, True, -1, _pointwise, _INF,
               delayed_liminf_threshold, True, -1),
-    Criterion("LadasPhilosSficas", _D, True, -1, lambda k: (k, 0, k, k), _INF,
+    Criterion("LadasPhilosSficas", _D, True, -1, lambda k: (-k, -1), _INF,
               delayed_sum_threshold, True, -1),
-    Criterion("GyoriLadasNonOsc", _D, False, -1, None, _SUP,
+    Criterion("GyoriLadasNonOsc", _D, False, -1, _pointwise, _SUP,
               delayed_liminf_threshold, False, -1, boundary_fires=True),
-    Criterion("GyoriLadasA", _A, True, 1, lambda l: (0, 1, l - 1, l), _INF,
+    Criterion("GyoriLadasA", _A, True, 1, lambda l: (1, l - 1), _INF,
               advanced_sum_threshold, True, 1),
-    Criterion("GyoriLadasB", _A, True, 1, lambda l: (0, 0, l, l - 1), _SUP,
+    Criterion("GyoriLadasB", _A, True, 1, lambda l: (0, l - 1), _SUP,
               lambda l: 1.0, True, 1),
-    Criterion("OcalanAkin", _A, True, 1, None, _SUP,
-              lambda l: -advanced_pointwise_threshold(l), False, -1, note=_OCALAN_NOTE),
-    Criterion("OcalanAkinNonOsc", _A, False, 1, None, _INF,
+    Criterion("OcalanAkinNonOsc", _A, False, 1, _pointwise, _INF,
               lambda l: -advanced_pointwise_threshold(l), True, 1),
 )
 
@@ -194,11 +186,10 @@ def _preconditions(ds: DiscreteSystem, index_range: range,
     return violations
 
 
-def _moving_sums(values: Sequence[float], start: int, lo: int, width: int,
-                 count: int) -> List[float]:
-    """Entry i: fsum of values[i + lo : i + lo + width]; values[0] is Q_start."""
+def _moving_sums(values: Sequence[float], start: int, width: int) -> List[float]:
+    """Entry i: fsum of values[i : i + width]; values[0] is Q_start."""
     sums = []
-    for i in range(lo, lo + count):
+    for i in range(len(values) - width + 1):
         try:
             sums.append(math.fsum(values[i:i + width]))
         except OverflowError:
@@ -211,15 +202,15 @@ def _moving_sums(values: Sequence[float], start: int, lo: int, width: int,
 
 def _evaluate(row: Criterion, ds: DiscreteSystem, tail_fraction: float) -> CriterionReport:
     k = ds.k
-    values = [row.sign * q for q in ds.q_seq]
-    first = 0
-    if row.sums is not None:
-        first, lo, width, stop = row.sums(k)
-        if len(values) - stop < 1:
-            what = "moving sum" if row.direction is _D else "advanced sums"
-            raise TooShort(f"not enough Q values for the {what}")
-        values = _moving_sums(values, ds.q_start, lo, width, len(values) - stop)
-    stats = tail_stats(values, row.kind, tail_fraction, offset=ds.q_start + first)
+    lo, hi = row.terms(k)
+    # positions p = n - q_start whose terms p+lo..p+hi are all Q positions
+    first, last = max(0, -lo), len(ds.q_seq) - 1 - max(0, hi)
+    if last < first:
+        what = "moving sum" if row.direction is _D else "advanced sums"
+        raise TooShort(f"not enough Q values for the {what}")
+    values = [row.sign * q for q in ds.q_seq[first + lo:last + hi + 1]]
+    sums = _moving_sums(values, ds.q_start + first + lo, hi - lo + 1)
+    stats = tail_stats(sums, row.kind, tail_fraction, offset=ds.q_start + first)
     threshold = row.threshold(k)
     margin = stats.statistic - threshold if row.above else threshold - stats.statistic
     violations = _preconditions(ds, range(stats.window[0], stats.window[1] + 1), row.b_sign)
@@ -231,7 +222,7 @@ def _evaluate(row: Criterion, ds: DiscreteSystem, tail_fraction: float) -> Crite
         verdict = CriterionVerdict.FIRES if fires else CriterionVerdict.DOES_NOT_FIRE
     return CriterionReport(row.criterion_id, threshold, stats.statistic, stats.kind,
                            stats.window, margin, stats.convergence_flag, violations,
-                           verdict, row.note)
+                           verdict)
 
 
 def evaluate_all(ds: DiscreteSystem, tail_fraction: float = 0.5) -> List[CriterionReport]:

@@ -54,7 +54,6 @@ __all__ = [
     "reduce_to_y",
     "discrete_oscillation_check",
     "default_window",
-    "sign_change",
     "tail_start",
     "block_verdict",
 ]
@@ -220,11 +219,6 @@ def reduce_to_y(ds: DiscreteSystem, sol: DiscreteSolution) -> List[float]:
     """y_n = alpha_n z_n for n in [n0, ...], aligned at ds.n0."""
     n_hi = min(sol.n_hi, ds.n0 + len(ds.alpha_seq) - 1)
     return [ds.alpha(n) * sol.value(n) for n in range(ds.n0, n_hi + 1)]
-
-
-def sign_change(u: float, v: float) -> bool:
-    """u * v <= 0, evaluated without forming the (possibly huge) product."""
-    return u == 0.0 or v == 0.0 or (u > 0.0) != (v > 0.0)
 
 
 def tail_start(m: int, fraction: float) -> int:

@@ -17,7 +17,6 @@ relates the two.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -32,7 +31,6 @@ __all__ = [
     "Trajectory",
     "reconstruct",
     "continuous_oscillation_check",
-    "max_node_discontinuity",
 ]
 
 
@@ -81,17 +79,6 @@ def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,
                 z_left = z
         nodes.append(NodeRecord(n + 1, z_left, sol.value(n + 1), spec.impulse.factor(n + 1)))
     return Trajectory(spec.k, samples, nodes, intervals.start)
-
-
-def max_node_discontinuity(traj: Trajectory) -> float:
-    """Largest relative gap between left limit and node value (continuity audit)."""
-    worst = 0.0
-    for rec in traj.nodes:
-        if not math.isfinite(rec.z_right):
-            continue
-        gap = abs(rec.z_left - rec.z_right) / max(1.0, abs(rec.z_left))
-        worst = max(worst, gap)
-    return worst
 
 
 def continuous_oscillation_check(traj: Trajectory, first: int) -> OscillationVerdict:

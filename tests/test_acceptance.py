@@ -12,6 +12,7 @@ import sys
 import time
 from pathlib import Path
 
+from _audits import max_node_discontinuity, sign_change
 from _battery import TOL as BATTERY_TOL
 from _battery import get_battery
 from idepca import criteria as crit
@@ -28,7 +29,6 @@ from idepca.diffeq import (
     Verdict,
     discrete_oscillation_check,
     reduce_to_y,
-    sign_change,
     solve,
 )
 from idepca.quad import integrate
@@ -39,7 +39,7 @@ from idepca.reduction import (
     build_discrete_system,
     compute_qn_direct,
 )
-from idepca.trajectory import max_node_discontinuity, reconstruct
+from idepca.trajectory import reconstruct
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLE1 = REPO / "problems" / "example1.json"

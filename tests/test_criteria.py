@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 from idepca.criteria import (
     CRITERIA,
+    CriterionReport,
     CriterionVerdict,
     NONOSCILLATION_IDS,
     OSCILLATION_IDS,
@@ -166,28 +168,11 @@ class TestGyoriLadas:
         assert report(ds, "GyoriLadasB").verdict is CriterionVerdict.DOES_NOT_FIRE
 
     def test_too_few_points(self):
-        ds = system_with_q([0.3] * 5, k=5, direction=Direction.ADVANCED,
+        # with l = 5 values GyoriLadasA has one entry; with 4 it has none
+        ds = system_with_q([0.3] * 4, k=5, direction=Direction.ADVANCED,
                            b_value=0.3)
         with pytest.raises(TooShort, match=r"^not enough Q values for the advanced sums$"):
             evaluate_all(ds)
-
-
-class TestOcalanAkin:
-    def test_fires(self):
-        ds = system_with_q([-0.1] * 30, k=5, direction=Direction.ADVANCED)
-        rep = report(ds, "OcalanAkin")
-        assert rep.threshold == pytest.approx(-256.0 / 3125.0)
-        assert rep.verdict is CriterionVerdict.FIRES
-        assert rep.note  # documents the signed-Q reading of the condition
-
-    def test_does_not_fire(self):
-        ds = system_with_q([-0.05] * 30, k=5, direction=Direction.ADVANCED)
-        assert report(ds, "OcalanAkin").verdict is CriterionVerdict.DOES_NOT_FIRE
-
-    def test_positive_b_violates_precondition(self):
-        ds = system_with_q([-0.1] * 30, k=5, direction=Direction.ADVANCED,
-                           b_value=0.3)
-        assert report(ds, "OcalanAkin").verdict is CriterionVerdict.PRECONDITION_VIOLATED
 
 
 class TestNonOscillation:
@@ -236,13 +221,40 @@ class TestEvaluateAll:
         ds = system_with_q([0.3] * 30, k=5, direction=Direction.ADVANCED,
                            b_value=0.3)
         ids = [r.criterion_id for r in evaluate_all(ds)]
-        assert ids == ["GyoriLadasA", "GyoriLadasB", "OcalanAkin",
-                       "OcalanAkinNonOsc"]
+        assert ids == ["GyoriLadasA", "GyoriLadasB", "OcalanAkinNonOsc"]
 
     def test_advanced_unit_advance_empty(self):
         ds = system_with_q([0.3] * 30, k=1, direction=Direction.ADVANCED,
                            b_value=0.3)
         assert evaluate_all(ds) == []
+
+
+class TestTermRule:
+    """A row's entry at n exists wherever n and all its terms are Q indices."""
+
+    @pytest.mark.parametrize("m, k", [(20, 3), (31, 5)])
+    def test_window_ends(self, m, k):
+        delayed = system_with_q([-0.1] * m, k=k)
+        # n must itself be a Q index, although its last term is Q*_{n-1}
+        assert report(delayed, "LadasPhilosSficas").window[1] == delayed.q_start + m - 1
+        ds = system_with_q([0.3] * m, k=k, direction=Direction.ADVANCED,
+                           b_value=0.3)
+        # Q_{n+1} .. Q_{n+l-1} and Q_n .. Q_{n+l-1} both end at the last Q
+        assert report(ds, "GyoriLadasA").window[1] == ds.q_start + m - k
+        assert report(ds, "GyoriLadasB").window[1] == ds.q_start + m - k
+
+    def test_sums_read_their_offsets(self):
+        # distinct powers of two: each sum names exactly the Q it adds
+        q = [2.0 ** i for i in range(12)]
+        ds = system_with_q(q, k=3, direction=Direction.ADVANCED, b_value=0.3)
+        rep_a, rep_b = report(ds, "GyoriLadasA"), report(ds, "GyoriLadasB")
+        n = rep_a.window[0] - ds.q_start
+        assert rep_a.statistic == q[n + 1] + q[n + 2]
+        assert rep_b.statistic == q[-3] + q[-2] + q[-1]
+        delayed = system_with_q([-x for x in q], k=3)
+        rep = report(delayed, "LadasPhilosSficas")
+        n = rep.window[0] - delayed.q_start
+        assert rep.statistic == q[n - 3] + q[n - 2] + q[n - 1]
 
 
 class TestSynthesis:
@@ -268,7 +280,7 @@ class TestSynthesis:
     def test_id_partition(self):
         assert not (OSCILLATION_IDS & NONOSCILLATION_IDS)
         ids = [c.criterion_id for c in CRITERIA]
-        assert len(set(ids)) == len(ids) == 7
+        assert len(set(ids)) == len(ids) == 6
         assert OSCILLATION_IDS | NONOSCILLATION_IDS == set(ids)
 
 
@@ -286,3 +298,11 @@ class TestTable:
                      "< 0" if c.b_sign < 0 else "> 0")
                     for c in CRITERIA]
         assert documented == expected
+
+    def test_readme_entry_keys_match_report_fields(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        section = text[text.index("with these keys:"):text.index("The criteria are one table")]
+        keys = [line[3:line.index("`", 3)] for line in section.splitlines()
+                if line.startswith("- `")]
+        assert keys == [f.name for f in dataclasses.fields(CriterionReport)]

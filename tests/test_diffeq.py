@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from _audits import sign_change
 from idepca.diffeq import (
     TooShort,
     Verdict,
@@ -12,7 +13,6 @@ from idepca.diffeq import (
     discrete_oscillation_check,
     DiscreteSolution,
     reduce_to_y,
-    sign_change,
     solve,
 )
 from idepca.quad import NumericFailure

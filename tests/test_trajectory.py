@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from _audits import max_node_discontinuity
 from idepca.diffeq import (TooShort, Verdict, continue_window, discrete_oscillation_check,
                            solve)
 from idepca.exprlang import parse
@@ -15,7 +16,6 @@ from idepca.trajectory import (
     NodeRecord,
     Trajectory,
     continuous_oscillation_check,
-    max_node_discontinuity,
     reconstruct,
 )
 

@@ -1,11 +1,27 @@
-"""Adaptive Simpson quadrature.
+"""Quadrature: one Chebyshev kernel per unit interval, and adaptive Simpson.
 
-All definite integrals in the coefficient formulas run through
-:func:`integrate`.  A panel is accepted when the fine and coarse Simpson
-estimates agree to within 15x the local tolerance; the Richardson-corrected
-fine estimate is returned.  Reversed bounds flip the sign of the result
-without re-integration.  Non-finite integrand samples abort immediately:
-singularities are the caller's problem, and this is where they surface.
+Every coefficient of the reduction is built from the running integrals of
+one unit interval [n, n+1], which :class:`IntervalKernel` holds:
+
+    A(t) = int_n^t a,    G(t) = int_n^t exp(-A(s)) b(s) ds.
+
+Each integrand is sampled on Clenshaw-Curtis points, turned into Chebyshev
+coefficients and integrated spectrally (Trefethen, *Approximation Theory
+and Approximation Practice*, ch. 19).  A piece is accepted once the
+chopping test of Aurentz & Trefethen ("Chopping a Chebyshev series", ACM
+TOMS 2017) finds the series' plateau.  A piece that is not resolved at
+degree 16 is retried at 32 and 64, reusing its samples, and is then
+bisected; MAX_PIECES pieces per integrand bound the work.  A piece's tail
+is judged against the whole interval's scale weighted by the piece's
+length, since that is what the piece contributes to the integral.  The
+kernel has no tolerance parameter: it resolves to machine precision.
+
+:func:`integrate` is the adaptive Simpson rule.  A panel is accepted when
+the fine and coarse Simpson estimates agree to within 15x the local
+tolerance; the Richardson-corrected fine estimate is returned.  Reversed
+bounds flip the sign of the result without re-integration.  Non-finite
+integrand samples abort immediately: singularities are the caller's
+problem, and this is where they surface.
 
 Samples are taken in a fixed order: both ends, the midpoint, then at each
 panel its left and right quarter points, left subtree first.  Every panel
@@ -17,18 +33,29 @@ integrand received.
 
 from __future__ import annotations
 
-from math import isfinite
-from typing import Callable, NamedTuple, Optional
+from bisect import bisect_right
+from functools import lru_cache
+from math import isfinite, log, log10, pi, sin
+from operator import mul
+from typing import Callable, List, NamedTuple, Optional, Tuple
+
+from .exprlang import _safe_exp
 
 __all__ = [
     "QuadResult",
     "NumericFailure",
     "SingularIntegrand",
+    "IntervalKernel",
     "integrate",
     "MAX_DEPTH",
+    "MAX_PIECES",
 ]
 
 MAX_DEPTH = 60
+
+DEGREES = (16, 32, 64)
+MAX_PIECES = 64      # per integrand and interval
+EPS = 2.0 ** -52
 
 
 class QuadResult(NamedTuple):
@@ -38,10 +65,19 @@ class QuadResult(NamedTuple):
 
 
 class NumericFailure(Exception):
-    """Any stage's numeric failure (CLI exit 3); index names n where one applies."""
+    """Any stage's numeric failure (CLI exit 3); index names n where one applies.
 
-    def __init__(self, message: str, index: Optional[int] = None):
+    A failure in the computation of one unit interval also names its stage
+    (``a_n``, ``b_n``, ``Q_n direct`` or ``reconstruct``): the message then
+    starts with the stage and the interval [n, n+1].
+    """
+
+    def __init__(self, message: str, index: Optional[int] = None,
+                 stage: Optional[str] = None):
         self.index = index
+        self.stage = stage
+        if stage is not None:
+            message = f"{stage} on [{index}, {index + 1}]: {message}"
         super().__init__(message)
 
 
@@ -52,6 +88,205 @@ class SingularIntegrand(NumericFailure):
         self.abscissa = abscissa
         super().__init__(f"non-finite integrand sample at {abscissa!r}")
 
+
+# -- the per-interval Chebyshev kernel ----------------------------------------
+
+@lru_cache(maxsize=None)
+def _chebyshev(degree: int) -> Tuple[Tuple[float, ...], Tuple[Tuple[float, ...], ...]]:
+    """The points x_j = cos(j pi / N), 1 down to -1, and the rows
+    T_k(x_j) = cos(k j pi / N) of the map from values to coefficients.
+    Every cosine is sin of an angle in [-pi/2, pi/2], so x_{N/2} is exactly
+    0 and the points nest: the points of degree N are the even-indexed
+    points of degree 2N, bit for bit.  The rows share the 2N distinct
+    cosines rather than hold (N+1)^2 floats."""
+    N = degree
+    cosines = []
+    for m in range(2 * N):     # cos(pi m / N)
+        m = min(m, 2 * N - m)
+        cosines.append(sin(pi * (N - 2 * m) / (2 * N)))
+    rows = tuple(tuple(cosines[k * j % (2 * N)] for j in range(N + 1)) for k in range(N + 1))
+    return rows[1], rows
+
+
+def _coefficients(values: List[float], rows) -> List[float]:
+    """Chebyshev coefficients of the interpolant in the points of rows.
+
+    They are taken of values - values[0], and values[0] is added back, so a
+    constant comes out exactly.
+    """
+    N = len(values) - 1
+    v0 = values[0]
+    shifted = [v - v0 for v in values]
+    shifted[N] *= 0.5          # shifted[0] is 0, so its half weight is moot
+    coeffs = [sum(map(mul, row, shifted)) * (2.0 / N) for row in rows]
+    coeffs[0] = 0.5 * coeffs[0] + v0
+    coeffs[N] *= 0.5
+    return coeffs
+
+
+def _chop(coeffs: List[float], tol: float) -> Optional[int]:
+    """How many leading coefficients to keep, or None when the series has
+    not reached its plateau below tol (Aurentz & Trefethen's standardChop,
+    with 0-based indices)."""
+    n = len(coeffs)
+    envelope = [abs(c) for c in coeffs]
+    for j in range(n - 2, -1, -1):
+        envelope[j] = max(envelope[j], envelope[j + 1])
+    if envelope[0] == 0.0:
+        return 1
+    envelope = [e / envelope[0] for e in envelope]
+    log_tol = log(tol)
+    for j in range(1, n):
+        j2 = int(1.25 * (j + 1) + 5.5) - 1
+        if j2 >= n:
+            return None
+        e1, e2 = envelope[j], envelope[j2]
+        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - log(e1) / log_tol):
+            plateau = j - 1
+            break
+    if envelope[plateau] == 0.0:
+        return plateau + 1
+    floor = tol ** (7.0 / 6.0)
+    j3 = sum(1 for e in envelope if e >= floor)
+    end = j2 + 1
+    if j3 < end:
+        end = j3 + 1
+        envelope[j3] = floor
+    slope = -log10(tol) / 3.0 / (end - 1)
+    cost = [log10(envelope[i]) + slope * i for i in range(end)]
+    return max(cost.index(min(cost)), 1)
+
+
+def _cumulative(coeffs: List[float], half: float) -> List[float]:
+    """Coefficients of x -> half * int_{-1}^x of the (nonempty) series
+    (ATAP ch. 19)."""
+    c = list(coeffs) + [0.0, 0.0]
+    m = len(coeffs)
+    b = [0.0] * (m + 1)
+    b[1] = c[0] - 0.5 * c[2]
+    for j in range(2, m + 1):
+        b[j] = (c[j - 1] - c[j + 1]) / (2 * j)
+    b[0] = -sum(bj if j % 2 == 0 else -bj for j, bj in enumerate(b[1:], 1))
+    return [half * bj for bj in b]
+
+
+def _clenshaw(c: List[float], x: float) -> float:
+    b1 = b2 = 0.0
+    x2 = 2.0 * x
+    for ck in reversed(c[1:]):
+        b1, b2 = ck + x2 * b1 - b2, b1
+    return c[0] + x * b1 - b2
+
+
+class _Running:
+    """F(t) = int_lo^t f as pieces: F = offset + a cumulative series in x."""
+
+    __slots__ = ("los", "pieces", "total")
+
+    def __init__(self, pieces):
+        self.pieces = pieces              # (lo, hi, offset, series), left to right
+        self.los = [p[0] for p in pieces]
+        lo, hi, offset, series = pieces[-1]
+        self.total = offset + sum(series)   # the series at x = 1
+
+    def __call__(self, t: float) -> float:
+        lo, hi, offset, series = self.pieces[max(0, bisect_right(self.los, t) - 1)]
+        return offset + _clenshaw(series, (2.0 * t - lo - hi) / (hi - lo))
+
+
+def _running_integral(f: Callable[[float], float], lo: float, hi: float,
+                      name: str, n: int, stage: str) -> _Running:
+    """Resolve f piece by piece, left to right, and integrate it."""
+    length = hi - lo
+    scale = 0.0          # the interval's scale: the largest |f| sampled
+    pieces = []
+    offset = 0.0
+    todo = [(lo, hi)]
+    while todo:
+        a, b = todo.pop()
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        values: List[float] = []
+        for degree in DEGREES:
+            points, rows = _chebyshev(degree)
+            if values:
+                fresh = _sample(f, mid, half, points[1::2], name, n, stage)
+                merged = [0.0] * (degree + 1)
+                merged[0::2], merged[1::2] = values, fresh
+                values = merged
+            else:
+                values = _sample(f, mid, half, points, name, n, stage)
+            local = max(map(abs, values))
+            scale = max(scale, local)
+            coeffs = _coefficients(values, rows)
+            share = local * (b - a)
+            if share <= EPS * scale * length:
+                keep = 1       # below rounding of the whole integral
+            else:
+                keep = _chop(coeffs, min(0.5, EPS * max(1.0, scale * length / share)))
+            if keep is not None:
+                break
+        else:
+            if len(pieces) + len(todo) + 2 > MAX_PIECES:
+                raise NumericFailure(f"{name} not resolved within {MAX_PIECES} pieces",
+                                     n, stage)
+            todo += [(mid, b), (a, mid)]
+            continue
+        series = _cumulative(coeffs[:keep], half)
+        pieces.append((a, b, offset, series))
+        offset += sum(series)
+    return _Running(pieces)
+
+
+def _sample(f, mid, half, points, name, n, stage) -> List[float]:
+    values = []
+    for x in points:
+        t = mid + half * x
+        v = f(t)
+        if not isfinite(v):
+            raise NumericFailure(f"{name} is not finite at t = {t!r}", n, stage)
+        values.append(v)
+    return values
+
+
+class IntervalKernel:
+    """The running integrals of a and of the weight on [n, n+1].
+
+        A(t) = int_n^t a,    G(t) = int_n^t exp(-A(s)) b(s) ds = exp(scale) W(t)
+
+    A is built on construction and ``total`` is T_n = A(n+1).  W is built
+    on the first call of :meth:`weight`.  scale = max(0, -T_n) keeps
+    exp(-A(s) - scale) at most 1 at both ends of the interval, so the
+    weight overflows only where the coefficient built from it does.
+    ``stage`` names the caller in a NumericFailure.
+    """
+
+    def __init__(self, fa: Callable[[float], float], fb: Callable[[float], float],
+                 n: int, stage: str):
+        self.n = n
+        self._fb = fb
+        self._a = _running_integral(fa, float(n), float(n + 1), "a", n, stage)
+        self.total = self._a.total
+        self.scale = max(0.0, -self.total)
+        self._w: Optional[_Running] = None
+
+    def weight(self, stage: str) -> Tuple[float, float]:
+        """(scale, W(n+1)), so that G(n+1) = exp(scale) W(n+1)."""
+        if self._w is None:
+            A, fb, scale = self._a, self._fb, self.scale
+
+            def w(s):
+                return _safe_exp(-A(s) - scale) * fb(s)
+
+            self._w = _running_integral(w, float(self.n), float(self.n + 1),
+                                        "the weight", self.n, stage)
+        return self.scale, self._w.total
+
+    def at(self, t: float) -> Tuple[float, float]:
+        """(A(t), W(t)) for t in [n, n+1]; :meth:`weight` must have run."""
+        return self._a(t), self._w(t)
+
+
+# -- adaptive Simpson ---------------------------------------------------------
 
 def integrate(f: Callable[[float], float], lo: float, hi: float,
               tol: float = 1e-10) -> QuadResult:

@@ -14,10 +14,15 @@ and r_n is the jump factor applied when crossing node n (r_n = 1 for the
 non-impulsive case).  From a_n the cumulative weights alpha_n and the
 reduced-form coefficients Q_n are derived.
 
+Every integral comes from the interval's kernel (quad.IntervalKernel):
+T_n = I(n, n+1) and G_n = int_n^{n+1} exp(-I(n, s)) b(s) ds, since
+I(s, target) = I(n, target) - I(n, s).  So b_n = r_{n+1} exp(T_n) G_n.
+
 Q_n is computed by two independent routes -- the alpha-ratio definition and
-a direct nested quadrature with the jump-factor product -- and the build
-aborts if they disagree.  That audit is the main defense against index and
-sign bugs in this file.
+a direct route that aims the weight at the deviated node, sums the T_j
+itself and multiplies the jump factors in -- and the build aborts if they
+disagree.  That audit is the main defense against index and sign bugs in
+this file.
 """
 
 from __future__ import annotations
@@ -26,10 +31,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exprlang import Expr, compile_expr, _safe_exp
-from .quad import NumericFailure, integrate
+from .quad import IntervalKernel, NumericFailure
 
 __all__ = [
     "Direction",
@@ -43,7 +48,6 @@ __all__ = [
     "compute_bn",
     "compute_qn",
     "compute_qn_direct",
-    "weighted_integral",
     "build_discrete_system",
 ]
 
@@ -63,7 +67,7 @@ class ZeroImpulseFactor(ValueError):
 
 
 class DiagnosticMismatch(NumericFailure):
-    """The alpha-ratio and direct-quadrature routes for Q_n disagree."""
+    """The alpha-ratio and direct routes for Q_n disagree."""
 
     def __init__(self, n: int, ratio_value: float, direct_value: float):
         self.ratio_value = ratio_value
@@ -162,39 +166,71 @@ class ProblemSpec:
         """The compiled coefficient b(t)."""
         return compile_expr(self.b)
 
+    @cached_property
+    def intervals(self) -> "_Intervals":
+        """The interval totals the coefficients are built from."""
+        return _Intervals(self)
+
+
+class _Intervals:
+    """Each interval's T_n and weight of one spec, from one kernel per interval.
+
+    Only the last interval's kernel is kept, so b_n reuses the kernel a_n
+    built; a_n reads T_n and b_n the weight, and Q_n direct reads both
+    from here.
+    """
+
+    def __init__(self, spec: ProblemSpec):
+        self._fa, self._fb = spec.fa, spec.fb
+        self._totals: Dict[int, float] = {}
+        self._weights: Dict[int, Tuple[float, float]] = {}
+        self._last: Optional[IntervalKernel] = None
+
+    def _kernel(self, n: int, stage: str) -> IntervalKernel:
+        if self._last is None or self._last.n != n:
+            self._last = IntervalKernel(self._fa, self._fb, n, stage)
+        return self._last
+
+    def total(self, n: int, stage: str) -> float:
+        """T_n = I(n, n+1)."""
+        if n not in self._totals:
+            self._totals[n] = self._kernel(n, stage).total
+        return self._totals[n]
+
+    def weight(self, n: int, stage: str) -> Tuple[float, float]:
+        """(scale, W) with int_n^{n+1} exp(I(s, n)) b(s) ds = exp(scale) W."""
+        if n not in self._weights:
+            self._weights[n] = self._kernel(n, stage).weight(stage)
+        return self._weights[n]
+
+
+def _scaled(expo: float, value: float, n: int, stage: str) -> float:
+    """value * exp(expo), or the stage's NumericFailure if that overflows."""
+    out = value * _safe_exp(expo) if value != 0.0 else 0.0
+    if not math.isfinite(out):
+        raise NumericFailure(f"the weighted integral exp({expo!r}) * {value!r} overflowed",
+                             n, stage)
+    return out
+
 
 def compute_an(spec: ProblemSpec, n: int, tol: float = 1e-10) -> float:
-    """a_n = r_{n+1} * exp(integral of a over [n, n+1])."""
-    r = spec.impulse.factor(n + 1)
-    expo = integrate(spec.fa, n, n + 1, tol).value
-    value = r * _safe_exp(expo)
-    if not math.isfinite(value):
-        raise NumericFailure(f"at index {n}: a_n overflowed (exponent {expo!r})", n)
-    return value
+    """a_n = r_{n+1} * exp(T_n), T_n the integral of a over [n, n+1].
 
-
-def weighted_integral(fa: Callable[[float], float], fb: Callable[[float], float],
-                      lo: float, hi: float, target: float, tol: float) -> float:
-    """int_lo^hi exp(I(s, target)) b(s) ds, the inner integral I at tol/10.
-
-    I(s, target) is signed, so a target left of the interval gives the
-    decaying weight exp(-I(target, s)).
+    tol is not used: the kernel resolves to machine precision.  The three
+    coefficient functions keep it for the callers that pass it.
     """
-    inner_tol = tol / 10.0
-
-    def integrand(s: float) -> float:
-        return _safe_exp(integrate(fa, s, target, inner_tol).value) * fb(s)
-
-    return integrate(integrand, lo, hi, tol).value
+    total = spec.intervals.total(n, "a_n")
+    value = spec.impulse.factor(n + 1) * _safe_exp(total)
+    if not math.isfinite(value):
+        raise NumericFailure(f"exp(T_n) overflowed (T_n = {total!r})", n, "a_n")
+    return value
 
 
 def compute_bn(spec: ProblemSpec, n: int, tol: float = 1e-10) -> float:
-    """b_n = r_{n+1} * int_n^{n+1} exp(I(s, n+1)) b(s) ds (nested quadrature)."""
-    r = spec.impulse.factor(n + 1)
-    value = r * weighted_integral(spec.fa, spec.fb, n, n + 1, n + 1, tol)
-    if not math.isfinite(value):
-        raise NumericFailure(f"at index {n}: b_n overflowed", n)
-    return value
+    """b_n = r_{n+1} * int_n^{n+1} exp(I(s, n+1)) b(s) ds = r_{n+1} exp(T_n) G_n."""
+    total = spec.intervals.total(n, "b_n")
+    scale, weight = spec.intervals.weight(n, "b_n")
+    return _scaled(total + scale, spec.impulse.factor(n + 1) * weight, n, "b_n")
 
 
 @dataclass
@@ -257,23 +293,27 @@ def compute_qn(ds: DiscreteSystem, n: int) -> float:
 
 
 def compute_qn_direct(spec: ProblemSpec, n: int, tol: float = 1e-10) -> float:
-    """Q_n by direct nested quadrature with the jump-factor product.
+    """Q_n from the weight aimed at the deviated node, with the jump-factor product.
 
     Independent of the alpha route: the exponential weight targets the
-    deviated node n -+ k directly and the jump factors enter as an explicit
-    product over the nodes between n and the deviated node.
+    deviated node n -+ k directly, I(s, n -+ k) = I(n, n -+ k) - I(n, s),
+    with I(n, n -+ k) summed here from the interval totals T_j, and the
+    jump factors enter as an explicit product over the nodes between n and
+    the deviated node.
     """
+    intervals = spec.intervals
     if spec.direction is Direction.DELAYED:
-        target = n - spec.k
         prod = 1.0
         for j in range(n - spec.k + 1, n + 1):
             prod /= spec.impulse.factor(j)
+        expo = -math.fsum(intervals.total(j, "Q_n direct") for j in range(n - spec.k, n))
     else:
-        target = n + spec.k
         prod = 1.0
         for j in range(n + 1, n + spec.k + 1):
             prod *= spec.impulse.factor(j)
-    return prod * weighted_integral(spec.fa, spec.fb, n, n + 1, target, tol)
+        expo = math.fsum(intervals.total(j, "Q_n direct") for j in range(n, n + spec.k))
+    scale, weight = intervals.weight(n, "Q_n direct")
+    return _scaled(expo + scale, prod * weight, n, "Q_n direct")
 
 
 # Near-zero Q values fall back to an absolute floor: a pure relative test is

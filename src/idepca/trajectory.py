@@ -23,8 +23,8 @@ from typing import List, Tuple
 from .diffeq import (DiscreteSolution, OscillationVerdict, TooShort, block_verdict,
                      default_window)
 from .exprlang import _safe_exp
-from .quad import integrate
-from .reduction import DiscreteSystem, ProblemSpec, weighted_integral
+from .quad import IntervalKernel
+from .reduction import DiscreteSystem, ProblemSpec
 
 __all__ = [
     "NodeRecord",
@@ -52,10 +52,14 @@ class Trajectory:
 
 def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,
                 samples_per_interval: int = 32, tol: float = 1e-10) -> Trajectory:
-    """Sample the continuous solution on every interval the skeleton covers."""
+    """Sample the continuous solution on every interval the skeleton covers.
+
+    Each interval's kernel is built anew here rather than kept from the
+    reduction, so only one interval's series is held at a time.  tol is not
+    used: the kernel resolves to machine precision.
+    """
     if samples_per_interval < 1:
         raise ValueError("samples_per_interval must be >= 1")
-    fa, fb = spec.fa, spec.fb
     intervals = sol.relation_indices()
     samples: List[Tuple[float, float]] = []
     nodes: List[NodeRecord] = []
@@ -63,20 +67,15 @@ def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,
     for n in intervals:
         z_n = sol.value(n)
         z_dev = sol.value(ds.dev(n))
-        expo = 0.0   # I(n, t_i), accumulated
-        g = 0.0      # G(t_i), accumulated
-        t_prev = float(n)
-        for i in range(m + 1):
-            t = n + i / m if i < m else float(n + 1)
-            if i > 0:
-                expo += integrate(fa, t_prev, t, tol / 10.0).value
-                g += weighted_integral(fa, fb, t_prev, t, n, tol)
-            t_prev = t
-            z = _safe_exp(expo) * (z_n + z_dev * g)
-            if i < m:
-                samples.append((t, z))
-            else:
-                z_left = z
+        kernel = IntervalKernel(spec.fa, spec.fb, n, "reconstruct")
+        scale, weight = kernel.weight("reconstruct")
+        samples.append((float(n), z_n))
+        for i in range(1, m):
+            t = n + i / m
+            expo, w = kernel.at(t)
+            samples.append((t, _safe_exp(expo) * z_n + z_dev * (_safe_exp(expo + scale) * w)))
+        expo = kernel.total
+        z_left = _safe_exp(expo) * z_n + z_dev * (_safe_exp(expo + scale) * weight)
         nodes.append(NodeRecord(n + 1, z_left, sol.value(n + 1), spec.impulse.factor(n + 1)))
     return Trajectory(spec.k, samples, nodes, intervals.start)
 

@@ -1,9 +1,12 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 from idepca import reduction
+from idepca.cli import load_problem, main
 from idepca.diffeq import continue_window
 from idepca.exprlang import parse
 from idepca.quad import NumericFailure
@@ -19,11 +22,11 @@ from idepca.reduction import (
     compute_bn,
     compute_qn,
     compute_qn_direct,
-    weighted_integral,
 )
 from idepca.trajectory import reconstruct
 
 E = math.e
+EXAMPLES = Path(__file__).resolve().parent.parent / "problems"
 
 
 def make_spec(a="-1", b="-1/3", direction=Direction.DELAYED, k=3, factor=0.5,
@@ -193,20 +196,6 @@ class TestAlpha:
             ds.alpha(7)
 
 
-class TestWeightedIntegral:
-    # constant a and b: int_lo^hi exp(alpha (T - s)) beta ds
-    #                   = beta (exp(alpha (T - lo)) - exp(alpha (T - hi))) / alpha
-    # targets at or left of lo take the reversed orientation that trajectory
-    # reconstruction uses (target n on [t_prev, t] inside [n, n+1])
-    @pytest.mark.parametrize("target", [5.0, 3.0, 2.0, 0.5])
-    def test_constant_closed_form(self, target):
-        alpha, beta, lo, hi = 0.7, -0.4, 2.0, 3.0
-        expected = beta * (math.exp(alpha * (target - lo))
-                           - math.exp(alpha * (target - hi))) / alpha
-        value = weighted_integral(lambda s: alpha, lambda s: beta, lo, hi, target, 1e-10)
-        assert value == pytest.approx(expected, rel=1e-10, abs=1e-12)
-
-
 class TestBuildDelayed:
     def test_example_constant_sequences(self):
         ds = build_discrete_system(make_spec(horizon=30), 1e-10)
@@ -312,3 +301,91 @@ class TestAccessors:
         ds = build_discrete_system(make_spec(horizon=10), 1e-10)
         assert ds.horizon == 10
         assert len(ds.alpha_seq) == 11
+
+
+class TestStageFailures:
+    """A kernel failure names its stage, the interval [n, n+1] and the integrand."""
+
+    def test_a_n(self):
+        spec = make_spec(a="1/t", b="1", factor=None)
+        with pytest.raises(NumericFailure) as exc:
+            compute_an(spec, 0)
+        assert str(exc.value) == "a_n on [0, 1]: a is not finite at t = 0.0"
+        assert (exc.value.index, exc.value.stage) == (0, "a_n")
+
+    def test_b_n_nonfinite_weight(self):
+        # 0.5 is the middle Chebyshev point of [0, 1]
+        spec = make_spec(a="0", b="1/(t - 0.5)", factor=None)
+        assert compute_an(spec, 0) == 1.0
+        with pytest.raises(NumericFailure) as exc:
+            compute_bn(spec, 0)
+        assert str(exc.value) == "b_n on [0, 1]: the weight is not finite at t = 0.5"
+        assert exc.value.index == 0
+
+    def test_b_n_overflow(self):
+        # a_0 = e^700 is finite, b_0 = 1e10 (e^700 - 1) / 700 is not
+        spec = make_spec(a="700", b="1e10", factor=None)
+        assert math.isfinite(compute_an(spec, 0))
+        with pytest.raises(NumericFailure,
+                           match=r"^b_n on \[0, 1\]: the weighted integral exp\(700\.0\) "
+                                 r"\* .* overflowed$") as exc:
+            compute_bn(spec, 0)
+        assert exc.value.index == 0
+
+    def test_b_n_overflow_through_the_jump_factor(self):
+        # b_0 = 1e300 * 1e10 overflows although the weighted integral does not
+        spec = make_spec(a="0", b="1e10", factor=1e300)
+        with pytest.raises(NumericFailure, match=r"^b_n on \[0, 1\]: .* overflowed$"):
+            compute_bn(spec, 0)
+
+    def test_q_n_direct_overflow(self):
+        # the weight aimed three nodes ahead is exp(900) (1 - e^-300) / 300
+        spec = make_spec(a="300", b="1", direction=Direction.ADVANCED, factor=None)
+        with pytest.raises(NumericFailure,
+                           match=r"^Q_n direct on \[0, 1\]: the weighted integral "
+                                 r"exp\(900\.0\) \* .* overflowed$") as exc:
+            compute_qn_direct(spec, 0)
+        assert (exc.value.index, exc.value.stage) == (0, "Q_n direct")
+
+
+class TestNonSmoothCoefficients:
+    """Both exit 0 and match the closed form of a_n = exp(T_n)."""
+
+    @pytest.mark.parametrize("a,total", [
+        # an infinite slope at t = 0
+        ("-sqrt(t)", lambda n: -2.0 / 3.0 * ((n + 1) ** 1.5 - n ** 1.5)),
+        # a kink inside [10, 11]
+        ("-abs(t - 10.5)/10", lambda n: -0.025 if n == 10 else -abs(n - 10) / 10),
+    ], ids=["sqrt", "kink"])
+    def test_exit_0_and_closed_form(self, tmp_path, a, total):
+        doc = {"a": a, "b": "-1/3", "direction": "delayed", "k": 1, "impulse": "none",
+               "initial_window": [1, 1], "n0": 0, "horizon": 30}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        assert main(["coeffs", str(path), "--out", str(tmp_path / "c.csv")]) == 0
+        spec = load_problem(path).spec
+        for n in range(30):
+            assert compute_an(spec, n) == pytest.approx(math.exp(total(n)), rel=1e-10)
+
+
+class TestClosedFormAccuracy:
+    """The shipped examples at horizon 505, to 1e-13 relative."""
+
+    def test_example1(self):
+        # a = -1, b = -1/3, r = 1/2; alpha overflows past about n = 420, so
+        # the coefficients are computed one by one rather than built
+        spec = load_problem(EXAMPLES / "example1.json", {"horizon": 505}).spec
+        a, b, r = -1.0, -1.0 / 3.0, 0.5
+        for n in range(505):
+            assert compute_an(spec, n) == pytest.approx(r * math.exp(a), rel=1e-13)
+            assert compute_bn(spec, n) == pytest.approx(r * b * (math.exp(a) - 1.0) / a,
+                                                        rel=1e-13)
+
+    def test_example2(self):
+        pf = load_problem(EXAMPLES / "example2.json", {"horizon": 505})
+        ds = build_discrete_system(pf.spec, pf.tol)
+        for n in range(1, 505):
+            assert ds.a(n) == pytest.approx((n + 1) / (2 * n), rel=1e-13)
+            assert ds.b(n) == pytest.approx(1.0 / (2 * n), rel=1e-13)
+        for n in range(1, 506):
+            assert ds.alpha(n) == pytest.approx(math.ldexp(1.0, n - 1) / n, rel=1e-13)

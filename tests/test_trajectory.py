@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from _audits import max_node_discontinuity
 from idepca.diffeq import (TooShort, Verdict, continue_window, discrete_oscillation_check,
                            solve)
 from idepca.exprlang import parse
+from idepca.quad import NumericFailure
 from idepca.reduction import (
     Direction,
     ImpulseSpec,
@@ -75,6 +77,25 @@ class TestReconstruction:
     def test_node_continuity_without_impulses(self):
         _, _, _, traj = make_pipeline(factor=None)
         assert max_node_discontinuity(traj) <= 1e-8
+
+    def test_node_continuity_relative_to_small_values(self):
+        # without impulses z is continuous at every node; here |z| < 1 at
+        # every node and falls to 1e-17, so the gap is measured against |z|
+        # itself, not against max(1, |z|)
+        _, _, _, traj = make_pipeline(a="-2", k=1, factor=None, window=(1.0, 1.0),
+                                      horizon=40)
+        assert max(abs(rec.z_right) for rec in traj.nodes) < 1.0
+        worst = max(abs(rec.z_left - rec.z_right) / abs(rec.z_right) for rec in traj.nodes)
+        assert worst <= 1e-14
+
+    def test_kernel_failure_names_reconstruct(self):
+        spec, ds, sol, _ = make_pipeline()
+        # 3.5 is the middle Chebyshev point of [3, 4]
+        singular = dataclasses.replace(spec, a=parse("1/(t - 3.5)", "t"))
+        with pytest.raises(NumericFailure) as exc:
+            reconstruct(singular, ds, sol, 8, TOL)
+        assert str(exc.value) == "reconstruct on [3, 4]: a is not finite at t = 3.5"
+        assert (exc.value.index, exc.value.stage) == (3, "reconstruct")
 
     def test_node_values_match_discrete_solution(self):
         _, _, sol, traj = make_pipeline()

@@ -9,7 +9,7 @@ discrete skeleton and the reconstructed continuous trajectory.
 """
 
 from .exprlang import Expr, ParseError, compile_expr, parse
-from .quad import NumericFailure, QuadResult, SingularIntegrand, integrate
+from .quad import NumericFailure, QuadResult, integrate
 from .reduction import (
     DiagnosticMismatch,
     Direction,

@@ -237,7 +237,7 @@ def _verdict_dict(v: diffeq.OscillationVerdict) -> dict:
 def cmd_simulate(pf: ProblemFile, prefix: str, samples: int) -> int:
     ds = build_discrete_system(pf.spec, pf.tol)
     sol = diffeq.continue_window(ds, pf.spec.initial_window)
-    traj = trajectory.reconstruct(pf.spec, ds, sol, samples, pf.tol)
+    traj = trajectory.reconstruct(pf.spec, ds, sol, samples)
     discrete = diffeq.discrete_oscillation_check(sol, pf.tail_fraction)
     continuous = trajectory.continuous_oscillation_check(traj, discrete.tail_window[0])
     doc = {
@@ -297,7 +297,7 @@ def _check_instance(pf: ProblemFile, samples: int):
 
     # the terms of interval n also keep a window 0 from being measured
     # against a rounding residue in z_left
-    traj = trajectory.reconstruct(spec, ds, sol, samples, pf.tol)
+    traj = trajectory.reconstruct(spec, ds, sol, samples)
     worst = 0.0
     for rec in traj.nodes:
         if math.isfinite(rec.z_right):
@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("problem", help="path to a JSON problem file")
         p.add_argument("--out", help="output path (coeffs/analyze) or prefix (simulate)")
-        p.add_argument("--tol", type=float, help="override quadrature tolerance")
+        p.add_argument("--tol", type=float, help="override the Q audit's tolerance")
         p.add_argument("--tail", type=float, help="override tail fraction")
         p.add_argument("--samples", type=int, default=32,
                        help="trajectory samples per unit interval")

@@ -1,4 +1,4 @@
-"""Quadrature: one Chebyshev kernel per unit interval, and adaptive Simpson.
+"""Quadrature: one Chebyshev rule, held per unit interval by a kernel.
 
 Every coefficient of the reduction is built from the running integrals of
 one unit interval [n, n+1], which :class:`IntervalKernel` holds:
@@ -14,21 +14,12 @@ degree 16 is retried at 32 and 64, reusing its samples, and is then
 bisected; MAX_PIECES pieces per integrand bound the work.  A piece's tail
 is judged against the whole interval's scale weighted by the piece's
 length, since that is what the piece contributes to the integral.  The
-kernel has no tolerance parameter: it resolves to machine precision.
+rule has no tolerance parameter: it resolves to machine precision.  A
+non-finite sample stops it at once, naming its abscissa.
 
-:func:`integrate` is the adaptive Simpson rule.  A panel is accepted when
-the fine and coarse Simpson estimates agree to within 15x the local
-tolerance; the Richardson-corrected fine estimate is returned.  Reversed
-bounds flip the sign of the result without re-integration.  Non-finite
-integrand samples abort immediately: singularities are the caller's
-problem, and this is where they surface.
-
-Samples are taken in a fixed order: both ends, the midpoint, then at each
-panel its left and right quarter points, left subtree first.  Every panel
-the recursion visits costs two samples, so ``QuadResult.evaluations`` is
-3 + 2 * (number of panels visited), or 1 for an empty interval (one
-sample, checked for finiteness, at lo).  It equals the number of calls the
-integrand received.
+:func:`integrate` is the same rule over any finite [lo, hi].  Its error
+estimate is the sum of the accepted pieces' dropped Chebyshev tails, each
+weighted by its piece's length; ``tol`` is the absolute error it accepts.
 """
 
 from __future__ import annotations
@@ -44,14 +35,10 @@ from .exprlang import _safe_exp
 __all__ = [
     "QuadResult",
     "NumericFailure",
-    "SingularIntegrand",
     "IntervalKernel",
     "integrate",
-    "MAX_DEPTH",
     "MAX_PIECES",
 ]
-
-MAX_DEPTH = 60
 
 DEGREES = (16, 32, 64)
 MAX_PIECES = 64      # per integrand and interval
@@ -79,14 +66,6 @@ class NumericFailure(Exception):
         if stage is not None:
             message = f"{stage} on [{index}, {index + 1}]: {message}"
         super().__init__(message)
-
-
-class SingularIntegrand(NumericFailure):
-    """A non-finite integrand sample; carries the offending abscissa."""
-
-    def __init__(self, abscissa: float):
-        self.abscissa = abscissa
-        super().__init__(f"non-finite integrand sample at {abscissa!r}")
 
 
 # -- the per-interval Chebyshev kernel ----------------------------------------
@@ -179,28 +158,36 @@ def _clenshaw(c: List[float], x: float) -> float:
 
 
 class _Running:
-    """F(t) = int_lo^t f as pieces: F = offset + a cumulative series in x."""
+    """F(t) = int_lo^t f as pieces: F = offset + a cumulative series in x.
 
-    __slots__ = ("los", "pieces", "total")
+    ``evaluations`` counts the samples of f, and ``error`` sums the accepted
+    pieces' dropped Chebyshev tails, each weighted by its piece's length.
+    """
 
-    def __init__(self, pieces):
+    __slots__ = ("los", "pieces", "total", "evaluations", "error")
+
+    def __init__(self, pieces, evaluations: int, error: float):
         self.pieces = pieces              # (lo, hi, offset, series), left to right
         self.los = [p[0] for p in pieces]
         lo, hi, offset, series = pieces[-1]
         self.total = offset + sum(series)   # the series at x = 1
+        self.evaluations = evaluations
+        self.error = error
 
     def __call__(self, t: float) -> float:
         lo, hi, offset, series = self.pieces[max(0, bisect_right(self.los, t) - 1)]
         return offset + _clenshaw(series, (2.0 * t - lo - hi) / (hi - lo))
 
 
-def _running_integral(f: Callable[[float], float], lo: float, hi: float,
-                      name: str, n: int, stage: str) -> _Running:
+def _running_integral(f: Callable[[float], float], lo: float, hi: float, name: str,
+                      n: Optional[int] = None, stage: Optional[str] = None) -> _Running:
     """Resolve f piece by piece, left to right, and integrate it."""
     length = hi - lo
     scale = 0.0          # the interval's scale: the largest |f| sampled
     pieces = []
     offset = 0.0
+    evaluations = 0
+    error = 0.0
     todo = [(lo, hi)]
     while todo:
         a, b = todo.pop()
@@ -225,16 +212,18 @@ def _running_integral(f: Callable[[float], float], lo: float, hi: float,
                 keep = _chop(coeffs, min(0.5, EPS * max(1.0, scale * length / share)))
             if keep is not None:
                 break
-        else:
+        evaluations += len(values)
+        if keep is None:
             if len(pieces) + len(todo) + 2 > MAX_PIECES:
                 raise NumericFailure(f"{name} not resolved within {MAX_PIECES} pieces",
                                      n, stage)
             todo += [(mid, b), (a, mid)]
             continue
+        error += (b - a) * sum(map(abs, coeffs[keep:]))
         series = _cumulative(coeffs[:keep], half)
         pieces.append((a, b, offset, series))
         offset += sum(series)
-    return _Running(pieces)
+    return _Running(pieces, evaluations, error)
 
 
 def _sample(f, mid, half, points, name, n, stage) -> List[float]:
@@ -286,59 +275,20 @@ class IntervalKernel:
         return self._a(t), self._w(t)
 
 
-# -- adaptive Simpson ---------------------------------------------------------
+# -- the rule over any interval ------------------------------------------------
 
 def integrate(f: Callable[[float], float], lo: float, hi: float,
               tol: float = 1e-10) -> QuadResult:
-    """Integrate f over [lo, hi]; lo > hi yields the sign-flipped value."""
+    """Integrate f over [lo, hi]; lo > hi yields the sign-flipped value.
+
+    NumericFailure when the error estimate exceeds tol, an absolute bound.
+    """
     if not (isfinite(lo) and isfinite(hi)):
         raise ValueError("integration bounds must be finite")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
-    if lo == hi:
-        if not isfinite(f(lo)):
-            raise SingularIntegrand(lo)
-        return QuadResult(0.0, 0.0, 1)
-
-    sign = 1.0
-    a, b = lo, hi
-    if a > b:
-        a, b = b, a
-        sign = -1.0
-
-    fa = f(a)
-    if not isfinite(fa):
-        raise SingularIntegrand(a)
-    fb = f(b)
-    if not isfinite(fb):
-        raise SingularIntegrand(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    if not isfinite(fm):
-        raise SingularIntegrand(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    value, err, panels = _adapt(f, a, fa, m, fm, b, fb, whole, tol, 0)
-    return QuadResult(sign * value, err, 3 + 2 * panels)
-
-
-def _adapt(f, a, fa, m, fm, b, fb, whole, tol, depth):
-    """(value, error, panels visited) of the panel [a, b] with midpoint m."""
-    if depth > MAX_DEPTH:
-        raise NumericFailure(f"no convergence on [{a}, {b}] after depth {depth}")
-    lm = 0.5 * (a + m)
-    flm = f(lm)
-    if not isfinite(flm):
-        raise SingularIntegrand(lm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    rm = 0.5 * (m + b)
-    frm = f(rm)
-    if not isfinite(frm):
-        raise SingularIntegrand(rm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0, abs(delta) / 15.0, 1
-    half = 0.5 * tol
-    lv, le, ln = _adapt(f, a, fa, lm, flm, m, fm, left, half, depth + 1)
-    rv, re_, rn = _adapt(f, m, fm, rm, frm, b, fb, right, half, depth + 1)
-    return lv + rv, le + re_, ln + rn + 1
+    run = _running_integral(f, min(lo, hi), max(lo, hi), "the integrand")
+    if run.error > tol:
+        raise NumericFailure(f"error estimate {run.error:.3g} on [{lo!r}, {hi!r}] "
+                             f"exceeds tol = {tol!r}")
+    return QuadResult(run.total if lo <= hi else -run.total, run.error, run.evaluations)

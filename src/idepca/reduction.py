@@ -213,12 +213,8 @@ def _scaled(expo: float, value: float, n: int, stage: str) -> float:
     return out
 
 
-def compute_an(spec: ProblemSpec, n: int, tol: float = 1e-10) -> float:
-    """a_n = r_{n+1} * exp(T_n), T_n the integral of a over [n, n+1].
-
-    tol is not used: the kernel resolves to machine precision.  The three
-    coefficient functions keep it for the callers that pass it.
-    """
+def compute_an(spec: ProblemSpec, n: int) -> float:
+    """a_n = r_{n+1} * exp(T_n), T_n the integral of a over [n, n+1]."""
     total = spec.intervals.total(n, "a_n")
     value = spec.impulse.factor(n + 1) * _safe_exp(total)
     if not math.isfinite(value):
@@ -226,7 +222,7 @@ def compute_an(spec: ProblemSpec, n: int, tol: float = 1e-10) -> float:
     return value
 
 
-def compute_bn(spec: ProblemSpec, n: int, tol: float = 1e-10) -> float:
+def compute_bn(spec: ProblemSpec, n: int) -> float:
     """b_n = r_{n+1} * int_n^{n+1} exp(I(s, n+1)) b(s) ds = r_{n+1} exp(T_n) G_n."""
     total = spec.intervals.total(n, "b_n")
     scale, weight = spec.intervals.weight(n, "b_n")
@@ -292,7 +288,7 @@ def compute_qn(ds: DiscreteSystem, n: int) -> float:
     return q
 
 
-def compute_qn_direct(spec: ProblemSpec, n: int, tol: float = 1e-10) -> float:
+def compute_qn_direct(spec: ProblemSpec, n: int) -> float:
     """Q_n from the weight aimed at the deviated node, with the jump-factor product.
 
     Independent of the alpha route: the exponential weight targets the
@@ -335,13 +331,16 @@ def _q_routes_agree(q_ratio: float, q_direct: float, tol: float,
 
 
 def build_discrete_system(spec: ProblemSpec, tol: float = 1e-10) -> DiscreteSystem:
-    """Compute a_n, b_n, alpha_n, Q_n over [n0, horizon] with the dual audit."""
+    """Compute a_n, b_n, alpha_n, Q_n over [n0, horizon] with the dual audit.
+
+    tol sets only the audit's absolute floor (see _q_routes_agree).
+    """
     n0, horizon, k = spec.n0, spec.horizon, spec.k
     a_seq: List[float] = []
     b_seq: List[float] = []
     for n in range(n0, horizon):
-        a_seq.append(compute_an(spec, n, tol))
-        b_seq.append(compute_bn(spec, n, tol))
+        a_seq.append(compute_an(spec, n))
+        b_seq.append(compute_bn(spec, n))
 
     alpha_seq = [1.0]
     for j in range(n0, horizon):
@@ -360,7 +359,7 @@ def build_discrete_system(spec: ProblemSpec, tol: float = 1e-10) -> DiscreteSyst
     ds.q_start = q_range[0]
     for n in q_range:
         q_ratio = compute_qn(ds, n)
-        q_direct = compute_qn_direct(spec, n, tol)
+        q_direct = compute_qn_direct(spec, n)
         amp = abs(ds.alpha(n + 1) / ds.alpha(ds.dev(n)))
         if not _q_routes_agree(q_ratio, q_direct, tol, amp):
             raise DiagnosticMismatch(n, q_ratio, q_direct)

@@ -51,12 +51,11 @@ class Trajectory:
 
 
 def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,
-                samples_per_interval: int = 32, tol: float = 1e-10) -> Trajectory:
+                samples_per_interval: int = 32) -> Trajectory:
     """Sample the continuous solution on every interval the skeleton covers.
 
     Each interval's kernel is built anew here rather than kept from the
-    reduction, so only one interval's series is held at a time.  tol is not
-    used: the kernel resolves to machine precision.
+    reduction, so only one interval's series is held at a time.
     """
     if samples_per_interval < 1:
         raise ValueError("samples_per_interval must be >= 1")

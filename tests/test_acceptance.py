@@ -162,7 +162,7 @@ def test_04_dual_route_q_agreement():
         for n in ds.q_indices():
             if n > 40:
                 continue
-            direct = compute_qn_direct(inst.spec, n, BATTERY_TOL)
+            direct = compute_qn_direct(inst.spec, n)
             ratio = ds.q(n)
             scale = max(abs(ratio), abs(direct))
             if scale > 0.0:
@@ -209,7 +209,7 @@ def test_06_continuity_without_impulses():
         )
         ds = build_discrete_system(variant, BATTERY_TOL)
         sol = solve(ds, variant.initial_window)
-        traj = reconstruct(variant, ds, sol, 2, BATTERY_TOL)
+        traj = reconstruct(variant, ds, sol, 2)
         worst = max(worst, max_node_discontinuity(traj))
     report(6, worst <= 1e-8,
            f"max node discontinuity {worst:.3e} (tol 1e-8)")
@@ -218,7 +218,7 @@ def test_06_continuity_without_impulses():
 def test_07_node_consistency():
     worst = 0.0
     for inst in get_battery():
-        traj = reconstruct(inst.spec, inst.ds, inst.sol, 1, BATTERY_TOL)
+        traj = reconstruct(inst.spec, inst.ds, inst.sol, 1)
         for rec in traj.nodes:
             if math.isfinite(rec.z_right):
                 gap = abs(rec.jump_factor * rec.z_left - rec.z_right)

@@ -581,8 +581,8 @@ class TestInvariantsCanFail:
     def off_by_one_part_in_a_million(monkeypatch, index):
         direct = reduction.compute_qn_direct
 
-        def wrong(spec, n, tol=1e-10):
-            value = direct(spec, n, tol)
+        def wrong(spec, n):
+            value = direct(spec, n)
             return perturbed(value) if n == index else value
 
         monkeypatch.setattr(reduction, "compute_qn_direct", wrong)

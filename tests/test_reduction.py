@@ -115,7 +115,7 @@ class TestProblemSpecValidation:
                            impulse=ImpulseSpec.formula(parse("1 + 1/(n + 1)", "n")),
                            initial_window=(1.0, 1.0, 1.0), horizon=12)
         ds = build_discrete_system(spec, 1e-10)
-        reconstruct(spec, ds, continue_window(ds, spec.initial_window), 4, 1e-10)
+        reconstruct(spec, ds, continue_window(ds, spec.initial_window), 4)
         assert [id(e) for e in compiled] == [id(spec.impulse.expr), id(spec.a), id(spec.b)]
 
 
@@ -276,7 +276,7 @@ class TestDualRoutes:
         ds = build_discrete_system(spec, 1e-10)
         for n in ds.q_indices():
             ratio = compute_qn(ds, n)
-            direct = compute_qn_direct(spec, n, 1e-10)
+            direct = compute_qn_direct(spec, n)
             assert ratio == pytest.approx(direct, rel=1e-8, abs=1e-12)
 
     @pytest.mark.parametrize("ratio,direct", [

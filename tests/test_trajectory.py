@@ -34,7 +34,7 @@ def make_pipeline(a="-1", b="-1/3", direction=Direction.DELAYED, k=3,
                        horizon=horizon, n0=n0)
     ds = build_discrete_system(spec, TOL)
     sol = continue_window(ds, spec.initial_window)   # what simulate reconstructs
-    traj = reconstruct(spec, ds, sol, samples, TOL)
+    traj = reconstruct(spec, ds, sol, samples)
     return spec, ds, sol, traj
 
 
@@ -93,7 +93,7 @@ class TestReconstruction:
         # 3.5 is the middle Chebyshev point of [3, 4]
         singular = dataclasses.replace(spec, a=parse("1/(t - 3.5)", "t"))
         with pytest.raises(NumericFailure) as exc:
-            reconstruct(singular, ds, sol, 8, TOL)
+            reconstruct(singular, ds, sol, 8)
         assert str(exc.value) == "reconstruct on [3, 4]: a is not finite at t = 3.5"
         assert (exc.value.index, exc.value.stage) == (3, "reconstruct")
 
@@ -118,7 +118,7 @@ class TestReconstruction:
                                        k=5, window=(1.0,) * 6, n0=1, horizon=20,
                                        factor=None)
         sol = solve(ds, spec.initial_window)
-        traj = reconstruct(spec, ds, sol, 8, TOL)
+        traj = reconstruct(spec, ds, sol, 8)
         assert traj.interval_start == 1
         assert traj.nodes[0].n == 2
         assert max_node_discontinuity(traj) <= 1e-8
@@ -131,7 +131,7 @@ class TestReconstruction:
     def test_minimum_sampling_rejected(self):
         spec, ds, sol, _ = make_pipeline()
         with pytest.raises(ValueError):
-            reconstruct(spec, ds, sol, 0, TOL)
+            reconstruct(spec, ds, sol, 0)
 
 
 class TestContinuousCheck:

@@ -257,6 +257,17 @@ def cmd_simulate(pf: ProblemFile, prefix: str, samples: int) -> int:
     return EXIT_OK
 
 
+def _invariant(name: str, bound: float, what: str, residuals):
+    """(name, ok, detail) of "every residual r of the pairs (n, r) is finite
+    and at most bound"; the detail names the first n whose r is not finite."""
+    worst = 0.0
+    for n, r in residuals:
+        if not math.isfinite(r):
+            return name, False, f"{what} at index {n} is {r!r}"
+        worst = max(worst, r)
+    return name, worst <= bound, f"max {what} {worst:.3e}"
+
+
 def _check_instance(pf: ProblemFile, samples: int):
     """Run every per-instance invariant; yields (name, ok, detail)."""
     spec = pf.spec
@@ -271,40 +282,32 @@ def _check_instance(pf: ProblemFile, samples: int):
     def relative(gap, *sizes):
         return abs(gap) / max(1e-300, *map(abs, sizes))
 
-    worst = 0.0
-    for n in range(ds.n0, ds.horizon):
-        worst = max(worst, relative(ds.alpha(n + 1) * ds.a(n) - ds.alpha(n), ds.alpha(n)))
-    yield ("alpha_telescoping", worst <= 1e-12, f"max deviation {worst:.3e}")
+    yield _invariant("alpha_telescoping", 1e-12, "deviation", (
+        (n, relative(ds.alpha(n + 1) * ds.a(n) - ds.alpha(n), ds.alpha(n)))
+        for n in range(ds.n0, ds.horizon)))
 
     sol = diffeq.continue_window(ds, spec.initial_window)
-    terms = {n: (ds.a(n) * sol.value(n), ds.b(n) * sol.value(ds.dev(n)))
-             for n in sol.relation_indices()}
-    worst = 0.0
-    for n, (az, bz) in terms.items():
-        lhs = sol.value(n + 1)
-        worst = max(worst, relative(lhs - (az + bz), lhs, abs(az) + abs(bz)))
-    yield ("recursion_residual", worst <= 1e-9, f"max relative residual {worst:.3e}")
+    z = sol.value
+    terms = {n: (ds.a(n) * z(n), ds.b(n) * z(ds.dev(n))) for n in sol.relation_indices()}
+    yield _invariant("recursion_residual", 1e-9, "relative residual", (
+        (n, relative(z(n + 1) - (az + bz), z(n + 1), abs(az) + abs(bz)))
+        for n, (az, bz) in terms.items()))
 
     y = diffeq.reduce_to_y(ds, sol)
     y_of = lambda n: y[n - ds.n0]
-    worst = 0.0
-    for n in terms:
-        if n in ds.q_indices() and ds.dev(n) - ds.n0 < len(y):
-            qy = ds.q(n) * y_of(ds.dev(n))
-            gap = (y_of(n + 1) - y_of(n)) - qy
-            worst = max(worst, relative(gap, y_of(n + 1), abs(y_of(n)) + abs(qy)))
-    yield ("reduced_form_residual", worst <= 1e-8, f"max relative residual {worst:.3e}")
+    qy = {n: ds.q(n) * y_of(ds.dev(n)) for n in terms
+          if n in ds.q_indices() and ds.dev(n) - ds.n0 < len(y)}
+    yield _invariant("reduced_form_residual", 1e-8, "relative residual", (
+        (n, relative(y_of(n + 1) - y_of(n) - q, y_of(n + 1), abs(y_of(n)) + abs(q)))
+        for n, q in qy.items()))
 
     # the terms of interval n also keep a window 0 from being measured
     # against a rounding residue in z_left
     traj = trajectory.reconstruct(spec, ds, sol, samples)
-    worst = 0.0
-    for rec in traj.nodes:
-        if math.isfinite(rec.z_right):
-            az, bz = terms[rec.n - 1]
-            gap = rec.jump_factor * rec.z_left - rec.z_right
-            worst = max(worst, relative(gap, rec.z_right, rec.z_left, abs(az) + abs(bz)))
-    yield ("node_consistency", worst <= 1e-7, f"max relative gap {worst:.3e}")
+    yield _invariant("node_consistency", 1e-7, "relative gap", (
+        (rec.n, relative(rec.jump_factor * rec.z_left - rec.z_right,
+                         rec.z_right, rec.z_left, sum(map(abs, terms[rec.n - 1]))))
+        for rec in traj.nodes if math.isfinite(rec.z_right)))
 
     discrete = diffeq.discrete_oscillation_check(sol, pf.tail_fraction)
     continuous = trajectory.continuous_oscillation_check(traj, discrete.tail_window[0])

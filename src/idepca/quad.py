@@ -1,7 +1,8 @@
 """Quadrature: one Chebyshev rule, held per unit interval by a kernel.
 
 Every coefficient of the reduction is built from the running integrals of
-one unit interval [n, n+1], which :class:`IntervalKernel` holds:
+one unit interval [n, n+1], which :class:`IntervalKernel` computes together
+when it is built:
 
     A(t) = int_n^t a,    G(t) = int_n^t exp(-A(s)) b(s) ds.
 
@@ -55,8 +56,8 @@ class NumericFailure(Exception):
     """Any stage's numeric failure (CLI exit 3); index names n where one applies.
 
     A failure in the computation of one unit interval also names its stage
-    (``a_n``, ``b_n``, ``Q_n direct`` or ``reconstruct``): the message then
-    starts with the stage and the interval [n, n+1].
+    (``a_n``, ``b_n`` or ``Q_n direct``): the message then starts with the
+    stage and the interval [n, n+1].
     """
 
     def __init__(self, message: str, index: Optional[int] = None,
@@ -242,36 +243,26 @@ class IntervalKernel:
 
         A(t) = int_n^t a,    G(t) = int_n^t exp(-A(s)) b(s) ds = exp(scale) W(t)
 
-    A is built on construction and ``total`` is T_n = A(n+1).  W is built
-    on the first call of :meth:`weight`.  scale = max(0, -T_n) keeps
-    exp(-A(s) - scale) at most 1 at both ends of the interval, so the
-    weight overflows only where the coefficient built from it does.
-    ``stage`` names the caller in a NumericFailure.
+    Both are built on construction: ``total`` is T_n = A(n+1) and ``weight``
+    is W(n+1).  scale = max(0, -T_n) keeps exp(-A(s) - scale) at most 1 at
+    both ends of the interval, so the weight overflows only where the
+    coefficient built from it does.  A failure of A is stage ``a_n`` and a
+    failure of the weight stage ``b_n``, whichever coefficient is asked for.
     """
 
-    def __init__(self, fa: Callable[[float], float], fb: Callable[[float], float],
-                 n: int, stage: str):
-        self.n = n
-        self._fb = fb
-        self._a = _running_integral(fa, float(n), float(n + 1), "a", n, stage)
-        self.total = self._a.total
-        self.scale = max(0.0, -self.total)
-        self._w: Optional[_Running] = None
+    def __init__(self, fa: Callable[[float], float], fb: Callable[[float], float], n: int):
+        self._a = A = _running_integral(fa, float(n), float(n + 1), "a", n, "a_n")
+        self.total = A.total
+        self.scale = scale = max(0.0, -self.total)
 
-    def weight(self, stage: str) -> Tuple[float, float]:
-        """(scale, W(n+1)), so that G(n+1) = exp(scale) W(n+1)."""
-        if self._w is None:
-            A, fb, scale = self._a, self._fb, self.scale
+        def w(s):
+            return _safe_exp(-A(s) - scale) * fb(s)
 
-            def w(s):
-                return _safe_exp(-A(s) - scale) * fb(s)
-
-            self._w = _running_integral(w, float(self.n), float(self.n + 1),
-                                        "the weight", self.n, stage)
-        return self.scale, self._w.total
+        self._w = _running_integral(w, float(n), float(n + 1), "the weight", n, "b_n")
+        self.weight = self._w.total
 
     def at(self, t: float) -> Tuple[float, float]:
-        """(A(t), W(t)) for t in [n, n+1]; :meth:`weight` must have run."""
+        """(A(t), W(t)) for t in [n, n+1]."""
         return self._a(t), self._w(t)
 
 

@@ -14,9 +14,10 @@ and r_n is the jump factor applied when crossing node n (r_n = 1 for the
 non-impulsive case).  From a_n the cumulative weights alpha_n and the
 reduced-form coefficients Q_n are derived.
 
-Every integral comes from the interval's kernel (quad.IntervalKernel):
-T_n = I(n, n+1) and G_n = int_n^{n+1} exp(-I(n, s)) b(s) ds, since
-I(s, target) = I(n, target) - I(n, s).  So b_n = r_{n+1} exp(T_n) G_n.
+Every integral comes from one record per interval, built by the interval's
+kernel (quad.IntervalKernel) at the first coefficient that needs it:
+T_n = I(n, n+1) and G_n = int_n^{n+1} exp(-I(n, s)) b(s) ds = exp(scale) W_n,
+since I(s, target) = I(n, target) - I(n, s).  So b_n = r_{n+1} exp(T_n) G_n.
 
 Q_n is computed by two independent routes -- the alpha-ratio definition and
 a direct route that aims the weight at the deviated node, sums the T_j
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .exprlang import Expr, compile_expr, _safe_exp
 from .quad import IntervalKernel, NumericFailure
@@ -168,40 +169,24 @@ class ProblemSpec:
 
     @cached_property
     def intervals(self) -> "_Intervals":
-        """The interval totals the coefficients are built from."""
+        """n -> (T_n, scale, W_n), the interval integrals the coefficients are built from."""
         return _Intervals(self)
 
 
-class _Intervals:
-    """Each interval's T_n and weight of one spec, from one kernel per interval.
+class _Intervals(dict):
+    """n -> (T_n, scale, W_n) of one spec, each entry from one interval kernel.
 
-    Only the last interval's kernel is kept, so b_n reuses the kernel a_n
-    built; a_n reads T_n and b_n the weight, and Q_n direct reads both
-    from here.
+    a_n reads T_n, b_n all three, and Q_n direct T_j over the deviation span
+    and the weight of n, so every interval is integrated once.
     """
 
     def __init__(self, spec: ProblemSpec):
+        super().__init__()
         self._fa, self._fb = spec.fa, spec.fb
-        self._totals: Dict[int, float] = {}
-        self._weights: Dict[int, Tuple[float, float]] = {}
-        self._last: Optional[IntervalKernel] = None
 
-    def _kernel(self, n: int, stage: str) -> IntervalKernel:
-        if self._last is None or self._last.n != n:
-            self._last = IntervalKernel(self._fa, self._fb, n, stage)
-        return self._last
-
-    def total(self, n: int, stage: str) -> float:
-        """T_n = I(n, n+1)."""
-        if n not in self._totals:
-            self._totals[n] = self._kernel(n, stage).total
-        return self._totals[n]
-
-    def weight(self, n: int, stage: str) -> Tuple[float, float]:
-        """(scale, W) with int_n^{n+1} exp(I(s, n)) b(s) ds = exp(scale) W."""
-        if n not in self._weights:
-            self._weights[n] = self._kernel(n, stage).weight(stage)
-        return self._weights[n]
+    def __missing__(self, n: int) -> Tuple[float, float, float]:
+        k = IntervalKernel(self._fa, self._fb, n)
+        return self.setdefault(n, (k.total, k.scale, k.weight))
 
 
 def _scaled(expo: float, value: float, n: int, stage: str) -> float:
@@ -215,7 +200,7 @@ def _scaled(expo: float, value: float, n: int, stage: str) -> float:
 
 def compute_an(spec: ProblemSpec, n: int) -> float:
     """a_n = r_{n+1} * exp(T_n), T_n the integral of a over [n, n+1]."""
-    total = spec.intervals.total(n, "a_n")
+    total = spec.intervals[n][0]
     value = spec.impulse.factor(n + 1) * _safe_exp(total)
     if not math.isfinite(value):
         raise NumericFailure(f"exp(T_n) overflowed (T_n = {total!r})", n, "a_n")
@@ -224,8 +209,7 @@ def compute_an(spec: ProblemSpec, n: int) -> float:
 
 def compute_bn(spec: ProblemSpec, n: int) -> float:
     """b_n = r_{n+1} * int_n^{n+1} exp(I(s, n+1)) b(s) ds = r_{n+1} exp(T_n) G_n."""
-    total = spec.intervals.total(n, "b_n")
-    scale, weight = spec.intervals.weight(n, "b_n")
+    total, scale, weight = spec.intervals[n]
     return _scaled(total + scale, spec.impulse.factor(n + 1) * weight, n, "b_n")
 
 
@@ -298,17 +282,16 @@ def compute_qn_direct(spec: ProblemSpec, n: int) -> float:
     the deviated node.
     """
     intervals = spec.intervals
+    prod = 1.0
     if spec.direction is Direction.DELAYED:
-        prod = 1.0
         for j in range(n - spec.k + 1, n + 1):
             prod /= spec.impulse.factor(j)
-        expo = -math.fsum(intervals.total(j, "Q_n direct") for j in range(n - spec.k, n))
+        expo = -math.fsum(intervals[j][0] for j in range(n - spec.k, n))
     else:
-        prod = 1.0
         for j in range(n + 1, n + spec.k + 1):
             prod *= spec.impulse.factor(j)
-        expo = math.fsum(intervals.total(j, "Q_n direct") for j in range(n, n + spec.k))
-    scale, weight = intervals.weight(n, "Q_n direct")
+        expo = math.fsum(intervals[j][0] for j in range(n, n + spec.k))
+    _, scale, weight = intervals[n]
     return _scaled(expo + scale, prod * weight, n, "Q_n direct")
 
 

@@ -685,6 +685,17 @@ class TestInvariantsCanFail:
         assert ("FAIL discrete_to_continuous_transfer: discrete Oscillatory, "
                 "continuous EventuallyPositive") in captured.out
 
+    def test_residual_that_is_not_finite_fails(self, capsys, tmp_path):
+        # z stays finite, but y = alpha z overflows, so from n = 63 on the
+        # reduced-form residuals are NaN; a max over them would keep 4e-16
+        doc = {"a": "-5", "b": "0.01", "direction": "advanced", "k": 2, "impulse": "none",
+               "initial_window": [1, 2, 3], "horizon": 130}
+        code, captured = self.check(capsys, write_problem(tmp_path, doc))
+        assert code == 1
+        assert ("FAIL reduced_form_residual: relative residual at index 63 is nan"
+                in captured.out)
+        assert captured.out.count("FAIL") == 1
+
 
 # The probes of ROADMAP item 2: horizon 60, no impulses, window all ones.
 # Each run must end, with exit 0 or 3, within PROBE_BUDGET evaluations of

@@ -125,7 +125,7 @@ class TestKernelContract:
     def test_same_bits_as_the_interval_kernel(self, n):
         # example 2's a = 1/t and a battery-style exponential coefficient
         for fa in (lambda t: 1.0 / (t + 1.0), lambda t: -1.3 * math.exp(0.8 * (t / 61) / 2) / 5):
-            kernel = IntervalKernel(fa, lambda t: 1.0, n, "a_n")
+            kernel = IntervalKernel(fa, lambda t: 1.0, n)
             assert integrate(fa, n, n + 1, 1e-10).value == kernel.total
             assert integrate(fa, n + 1, n, 1e-10).value == -kernel.total
 
@@ -202,12 +202,6 @@ class TestKernelContract:
 class TestIntervalKernel:
     """A(t) = int_n^t a and G(t) = int_n^t exp(-A(s)) b(s) ds = exp(scale) W(t)."""
 
-    @staticmethod
-    def kernel(a, b, n, stage="a_n"):
-        k = IntervalKernel(a, b, n, stage)
-        k.weight(stage)
-        return k
-
     # constant a and b: int_lo^hi exp(alpha (T - s)) beta ds
     #                   = beta (exp(alpha (T - lo)) - exp(alpha (T - hi))) / alpha
     # on [lo, hi] = [2, 3]; the weight aimed at T is exp(I(2, T)) G(3), and
@@ -218,13 +212,13 @@ class TestIntervalKernel:
         alpha, beta, lo, hi = 0.7, -0.4, 2.0, 3.0
         expected = beta * (math.exp(alpha * (target - lo))
                            - math.exp(alpha * (target - hi))) / alpha
-        scale, weight = IntervalKernel(lambda s: alpha, lambda s: beta, 2, "b_n").weight("b_n")
-        value = math.exp(alpha * (target - lo) + scale) * weight
+        k = IntervalKernel(lambda s: alpha, lambda s: beta, 2)
+        value = math.exp(alpha * (target - lo) + k.scale) * k.weight
         assert value == pytest.approx(expected, rel=1e-13)
 
     def test_running_integrals_inside_the_interval(self):
         alpha, beta = 0.7, -0.4
-        k = self.kernel(lambda s: alpha, lambda s: beta, 2)
+        k = IntervalKernel(lambda s: alpha, lambda s: beta, 2)
         for t in (2.125, 2.5, 2.9):
             expo, w = k.at(t)
             assert expo == pytest.approx(alpha * (t - 2.0), rel=1e-14)
@@ -234,15 +228,14 @@ class TestIntervalKernel:
     def test_reciprocal_closed_form(self):
         # example 2's a = b = 1/t: T_n = ln((n+1)/n), G_n = 1/(n+1)
         for n in (1, 7, 400):
-            k = self.kernel(lambda t: 1.0 / t, lambda t: 1.0 / t, n)
+            k = IntervalKernel(lambda t: 1.0 / t, lambda t: 1.0 / t, n)
             assert k.total == pytest.approx(math.log((n + 1) / n), rel=1e-14)
-            scale, weight = k.weight("b_n")
-            assert math.exp(scale) * weight == pytest.approx(1.0 / (n + 1), rel=1e-14)
+            assert math.exp(k.scale) * k.weight == pytest.approx(1.0 / (n + 1), rel=1e-14)
 
     def test_constant_integrands_are_exact(self):
-        k = self.kernel(lambda t: 0.0, lambda t: 1.0, 4)
-        assert (k.total, k.weight("b_n")) == (0.0, (0.0, 1.0))
-        assert self.kernel(lambda t: -1.0, lambda t: 0.0, 4).total == -1.0
+        k = IntervalKernel(lambda t: 0.0, lambda t: 1.0, 4)
+        assert (k.total, k.scale, k.weight) == (0.0, 0.0, 1.0)
+        assert IntervalKernel(lambda t: -1.0, lambda t: 0.0, 4).total == -1.0
 
     def test_resolved_constant_costs_one_degree_16_piece(self):
         calls = []
@@ -251,16 +244,15 @@ class TestIntervalKernel:
             calls.append(t)
             return -2.5
 
-        IntervalKernel(a, lambda t: 1.0, 0, "a_n")
+        IntervalKernel(a, lambda t: 1.0, 0)
         assert len(calls) == 17
         assert calls[0] == 1.0 and calls[8] == 0.5 and calls[-1] == 0.0
 
     def test_weight_is_scaled_below_overflow(self):
         # exp(-A(s)) = exp(800 (s - n)) overflows, exp(-A(s) - 800) does not
-        k = self.kernel(lambda t: -800.0, lambda t: -1.0 / 3.0, 0)
-        scale, weight = k.weight("b_n")
-        assert scale == 800.0
-        assert weight == pytest.approx(-1.0 / 2400.0, rel=1e-13)
+        k = IntervalKernel(lambda t: -800.0, lambda t: -1.0 / 3.0, 0)
+        assert k.scale == 800.0
+        assert k.weight == pytest.approx(-1.0 / 2400.0, rel=1e-13)
 
     @pytest.mark.parametrize("a,closed", [
         # an infinite slope at the left end, and a kink inside the interval
@@ -272,22 +264,21 @@ class TestIntervalKernel:
         (lambda t: abs(t - 0.3), 0.29),
     ], ids=["sqrt", "kink-0.5", "kink-0.3"])
     def test_non_smooth_integrand_is_bisected(self, a, closed):
-        k = IntervalKernel(a, lambda t: 1.0, 0, "a_n")
+        k = IntervalKernel(a, lambda t: 1.0, 0)
         assert k.total == pytest.approx(closed, rel=1e-13)
         assert len(k._a.pieces) > 1
 
     def test_nonfinite_a_names_stage_interval_and_integrand(self):
         with pytest.raises(NumericFailure) as exc:
-            IntervalKernel(lambda t: 1.0 / t if t else math.inf, lambda t: 1.0, 0, "a_n")
+            IntervalKernel(lambda t: 1.0 / t if t else math.inf, lambda t: 1.0, 0)
         assert str(exc.value) == "a_n on [0, 1]: a is not finite at t = 0.0"
         assert (exc.value.index, exc.value.stage) == (0, "a_n")
 
     def test_nonfinite_weight_names_the_weight(self):
-        k = IntervalKernel(lambda t: 0.0, lambda t: math.nan if t == 3.5 else 1.0, 3, "a_n")
         with pytest.raises(NumericFailure) as exc:
-            k.weight("b_n")
+            IntervalKernel(lambda t: 0.0, lambda t: math.nan if t == 3.5 else 1.0, 3)
         assert str(exc.value) == "b_n on [3, 4]: the weight is not finite at t = 3.5"
-        assert exc.value.index == 3
+        assert (exc.value.index, exc.value.stage) == (3, "b_n")
 
     def test_piece_budget(self):
         # sin(5000 t) needs more than MAX_PIECES pieces of degree 64; every
@@ -299,7 +290,7 @@ class TestIntervalKernel:
             return math.sin(5000.0 * t)
 
         with pytest.raises(NumericFailure) as exc:
-            IntervalKernel(a, lambda t: 1.0, 2, "a_n")
+            IntervalKernel(a, lambda t: 1.0, 2)
         assert str(exc.value) == f"a_n on [2, 3]: a not resolved within {MAX_PIECES} pieces"
         assert exc.value.index == 2
         assert len(calls) <= (2 * MAX_PIECES - 1) * 65

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from idepca import reduction
+from idepca import reduction, trajectory
 from idepca.cli import load_problem, main
 from idepca.diffeq import continue_window
 from idepca.exprlang import parse
@@ -313,14 +313,27 @@ class TestStageFailures:
         assert str(exc.value) == "a_n on [0, 1]: a is not finite at t = 0.0"
         assert (exc.value.index, exc.value.stage) == (0, "a_n")
 
-    def test_b_n_nonfinite_weight(self):
-        # 0.5 is the middle Chebyshev point of [0, 1]
-        spec = make_spec(a="0", b="1/(t - 0.5)", factor=None)
-        assert compute_an(spec, 0) == 1.0
+    # 3.5 is the middle Chebyshev point of [3, 4].  The stage names the
+    # integrand that failed, not the coefficient that asked for the interval:
+    # the spec is fresh, so each trigger is the first to integrate [3, 4]
+    @pytest.mark.parametrize("trigger", ["compute_an", "compute_bn", "compute_qn_direct",
+                                         "reconstruct"])
+    @pytest.mark.parametrize("a,b,stage,integrand", [
+        ("1/(t - 3.5)", "1", "a_n", "a"),
+        ("0", "1/(t - 3.5)", "b_n", "the weight"),
+    ], ids=["a", "weight"])
+    def test_failure_is_labelled_by_its_integrand(self, a, b, stage, integrand, trigger):
+        smooth = make_spec(a="0", b="1", k=1, factor=None, horizon=8)
+        ds = build_discrete_system(smooth)
+        sol = continue_window(ds, smooth.initial_window)
+        spec = dataclasses.replace(smooth, a=parse(a, "t"), b=parse(b, "t"))
         with pytest.raises(NumericFailure) as exc:
-            compute_bn(spec, 0)
-        assert str(exc.value) == "b_n on [0, 1]: the weight is not finite at t = 0.5"
-        assert exc.value.index == 0
+            if trigger == "reconstruct":
+                reconstruct(spec, ds, sol, 8)
+            else:
+                getattr(reduction, trigger)(spec, 3)
+        assert str(exc.value) == f"{stage} on [3, 4]: {integrand} is not finite at t = 3.5"
+        assert (exc.value.index, exc.value.stage) == (3, stage)
 
     def test_b_n_overflow(self):
         # a_0 = e^700 is finite, b_0 = 1e10 (e^700 - 1) / 700 is not
@@ -346,6 +359,32 @@ class TestStageFailures:
                                  r"exp\(900\.0\) \* .* overflowed$") as exc:
             compute_qn_direct(spec, 0)
         assert (exc.value.index, exc.value.stage) == (0, "Q_n direct")
+
+
+class TestOneKernelPerInterval:
+    """The reduction, its Q audit included, integrates each interval once, and
+    the reconstruction once more."""
+
+    def test_kernel_count(self, monkeypatch):
+        built = []
+
+        class Counting(reduction.IntervalKernel):
+            def __init__(self, *args):
+                built.append(args[2])
+                super().__init__(*args)
+
+        monkeypatch.setattr(reduction, "IntervalKernel", Counting)
+        monkeypatch.setattr(trajectory, "IntervalKernel", Counting)
+        spec = load_problem(EXAMPLES / "example2.json").spec
+        ds = build_discrete_system(spec)
+        assert sorted(built) == list(range(spec.n0, spec.horizon))
+        built.clear()
+        for n in ds.q_indices():
+            compute_qn_direct(spec, n)
+        assert built == []
+        sol = continue_window(ds, spec.initial_window)
+        reconstruct(spec, ds, sol, 4)
+        assert built == list(sol.relation_indices())
 
 
 class TestNonSmoothCoefficients:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -7,7 +6,6 @@ from _audits import max_node_discontinuity
 from idepca.diffeq import (TooShort, Verdict, continue_window, discrete_oscillation_check,
                            solve)
 from idepca.exprlang import parse
-from idepca.quad import NumericFailure
 from idepca.reduction import (
     Direction,
     ImpulseSpec,
@@ -87,15 +85,6 @@ class TestReconstruction:
         assert max(abs(rec.z_right) for rec in traj.nodes) < 1.0
         worst = max(abs(rec.z_left - rec.z_right) / abs(rec.z_right) for rec in traj.nodes)
         assert worst <= 1e-14
-
-    def test_kernel_failure_names_reconstruct(self):
-        spec, ds, sol, _ = make_pipeline()
-        # 3.5 is the middle Chebyshev point of [3, 4]
-        singular = dataclasses.replace(spec, a=parse("1/(t - 3.5)", "t"))
-        with pytest.raises(NumericFailure) as exc:
-            reconstruct(singular, ds, sol, 8)
-        assert str(exc.value) == "reconstruct on [3, 4]: a is not finite at t = 3.5"
-        assert (exc.value.index, exc.value.stage) == (3, "reconstruct")
 
     def test_node_values_match_discrete_solution(self):
         _, _, sol, traj = make_pipeline()

@@ -55,7 +55,6 @@ _REQUIRED_KEYS = {"a", "b", "direction", "k", "impulse", "initial_window", "hori
 @dataclass
 class ProblemFile:
     spec: ProblemSpec
-    tol: float
     tail_fraction: float
 
 
@@ -130,8 +129,8 @@ def validate_problem(doc: dict) -> ProblemFile:
         raise SchemaError(f"initial_window must be a list of {k + 1} numbers")
     window = [_require_number("initial_window", v) for v in window]
 
-    tol = _require_number("tol", doc.get("tol", 1e-10))
-    if tol <= 0.0:
+    # tol is validated but read by nothing: the Q audit is relative only
+    if _require_number("tol", doc.get("tol", 1.0)) <= 0.0:
         raise SchemaError("tol must be positive")
     tail_fraction = _require_number("tail_fraction", doc.get("tail_fraction", 0.5))
     if not 0.0 < tail_fraction <= 1.0:
@@ -148,7 +147,7 @@ def validate_problem(doc: dict) -> ProblemFile:
         )
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
-    return ProblemFile(spec, tol, tail_fraction)
+    return ProblemFile(spec, tail_fraction)
 
 
 def load_problem(path, overrides: Optional[dict] = None) -> ProblemFile:
@@ -204,7 +203,7 @@ def _write_files(files: dict) -> None:
 # -- subcommands --------------------------------------------------------------
 
 def cmd_coeffs(pf: ProblemFile, out: Optional[str]) -> int:
-    ds = build_discrete_system(pf.spec, pf.tol)
+    ds = build_discrete_system(pf.spec)
     rows = ([n, _fmt(ds.a(n)), _fmt(ds.b(n)), _fmt(ds.alpha(n)),
              _fmt(ds.q(n)) if n in ds.q_indices() else ""]
             for n in range(ds.n0, ds.horizon))
@@ -217,7 +216,7 @@ def _stats_dict(r: crit.CriterionReport) -> dict:
 
 
 def cmd_analyze(pf: ProblemFile, out: Optional[str]) -> int:
-    ds = build_discrete_system(pf.spec, pf.tol)
+    ds = build_discrete_system(pf.spec)
     reports = crit.evaluate_all(ds, pf.tail_fraction)
     doc = {
         "direction": pf.spec.direction.value,
@@ -235,7 +234,7 @@ def _verdict_dict(v: diffeq.OscillationVerdict) -> dict:
 
 
 def cmd_simulate(pf: ProblemFile, prefix: str, samples: int) -> int:
-    ds = build_discrete_system(pf.spec, pf.tol)
+    ds = build_discrete_system(pf.spec)
     sol = diffeq.continue_window(ds, pf.spec.initial_window)
     traj = trajectory.reconstruct(pf.spec, ds, sol, samples)
     discrete = diffeq.discrete_oscillation_check(sol, pf.tail_fraction)
@@ -272,7 +271,7 @@ def _check_instance(pf: ProblemFile, samples: int):
     """Run every per-instance invariant; yields (name, ok, detail)."""
     spec = pf.spec
     try:
-        ds = build_discrete_system(spec, pf.tol)
+        ds = build_discrete_system(spec)
         yield ("dual_route_q_audit", True, f"{len(ds.q_seq)} indices compared")
     except DiagnosticMismatch as exc:
         yield ("dual_route_q_audit", False, str(exc))
@@ -342,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("problem", help="path to a JSON problem file")
         p.add_argument("--out", help="output path (coeffs/analyze) or prefix (simulate)")
-        p.add_argument("--tol", type=float, help="override the Q audit's tolerance")
         p.add_argument("--tail", type=float, help="override tail fraction")
         p.add_argument("--samples", type=int, default=32,
                        help="trajectory samples per unit interval")
@@ -352,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    flags = {"tol": args.tol, "tail_fraction": args.tail, "horizon": args.horizon}
+    flags = {"tail_fraction": args.tail, "horizon": args.horizon}
     try:
         pf = load_problem(args.problem, {k: v for k, v in flags.items() if v is not None})
         if args.samples < 1:

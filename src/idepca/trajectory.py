@@ -7,8 +7,9 @@ On each unit interval [n, n+1) the solution is
 
 where z_dev is the solution value at the deviated node n -+ k and I is the
 running integral of the coefficient a.  This is the interval solution
-formula with the exponential weight factored out so E and G can be built
-incrementally across the interval's sample points.
+formula with the exponential weight factored out.  At each sample point
+the interval's kernel gives I(n, t) and the scaled weight W(t)
+(IntervalKernel.at), and G(t) = exp(scale) W(t).
 
 Sample rows store the right-continuous value at node times; the left limit
 at each node lives in the node table, together with the jump factor that

@@ -27,7 +27,6 @@ from idepca.reduction import (
 SEED = int(os.environ.get("OSC_SEED", "20250822"))
 SIZE = 100
 HORIZON = 61
-TOL = 1e-10
 T_SCALE = HORIZON
 
 # Basis functions are damped by 1/5; the drawn coefficients themselves range
@@ -77,7 +76,7 @@ def _make_instance(rng: random.Random, index: int) -> Instance:
         initial_window=window,
         horizon=HORIZON,
     )
-    ds = build_discrete_system(spec, TOL)
+    ds = build_discrete_system(spec)
     sol = solve(ds, spec.initial_window)
     return Instance(index, source_a, source_b, spec, ds, sol)
 

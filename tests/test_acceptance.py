@@ -13,7 +13,6 @@ import time
 from pathlib import Path
 
 from _audits import max_node_discontinuity, sign_change
-from _battery import TOL as BATTERY_TOL
 from _battery import get_battery
 from idepca import criteria as crit
 from idepca.cli import load_problem
@@ -100,7 +99,7 @@ def test_02_first_example_oscillation_verdict(tmp_path):
                   and by_id.get("ErbeZhang", {}).get("verdict") == "Fires")
 
     pf = load_problem(EXAMPLE1)
-    ds = build_discrete_system(pf.spec, pf.tol)
+    ds = build_discrete_system(pf.spec)
     q_star_exact = (8.0 / 3.0) * E ** 3 * (E - 1.0)
     q_err = max(abs(-ds.q(n) - q_star_exact) / q_star_exact
                 for n in ds.q_indices())
@@ -140,7 +139,7 @@ def test_03_second_example_coefficients_and_positivity(tmp_path):
                   and by_id.get("OcalanAkinNonOsc", {}).get("verdict") == "Fires")
 
     pf = load_problem(EXAMPLE2)
-    ds = build_discrete_system(with_horizon(pf.spec, 505), pf.tol)
+    ds = build_discrete_system(with_horizon(pf.spec, 505))
     sol = solve(ds, pf.spec.initial_window)
     changes = [n for n in range(sol.n_lo, min(sol.n_hi, 500))
                if sign_change(sol.value(n), sol.value(n + 1))]
@@ -207,7 +206,7 @@ def test_06_continuity_without_impulses():
             impulse=ImpulseSpec.none(), initial_window=s.initial_window,
             horizon=12, n0=0,
         )
-        ds = build_discrete_system(variant, BATTERY_TOL)
+        ds = build_discrete_system(variant)
         sol = solve(ds, variant.initial_window)
         traj = reconstruct(variant, ds, sol, 2)
         worst = max(worst, max_node_discontinuity(traj))

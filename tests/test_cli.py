@@ -1,7 +1,9 @@
+import argparse
 import csv
 import functools
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -321,24 +323,18 @@ class TestSchemaErrors:
         assert res.returncode == 2
         assert res.stderr.startswith("error: invalid JSON: ")
 
-    def test_bad_tol_flag(self):
-        res = run_cli("coeffs", EXAMPLE1, "--tol", 0)
-        assert res.returncode == 2
-        assert "tol" in res.stderr
-
     def test_bad_tail_flag(self):
         res = run_cli("analyze", EXAMPLE1, "--tail", 1.5)
         assert res.returncode == 2
         assert "tail_fraction" in res.stderr
 
-    def test_infinite_tol_flag(self):
-        # an infinite tolerance would make the dual-route audit unfailable
-        assert run_cli("coeffs", EXAMPLE1, "--tol", "inf").returncode == 2
-
-    def test_nan_tol_flag(self):
-        res = run_cli("coeffs", EXAMPLE1, "--tol", "nan")
+    def test_tol_key_is_checked_and_ignored(self, tmp_path):
+        res = run_cli("coeffs", write_problem(tmp_path, {**BASE_DOC, "tol": 0}))
         assert res.returncode == 2
         assert "tol" in res.stderr
+        tables = [run_cli("coeffs", write_problem(tmp_path, {**BASE_DOC, "tol": tol})).stdout
+                  for tol in (1e-10, 0.5)]
+        assert tables[0] == tables[1] != ""
 
     def test_infinite_tol_in_file(self, tmp_path):
         path = write_problem(tmp_path, {**BASE_DOC, "tol": math.inf})
@@ -369,6 +365,19 @@ class TestSchemaErrors:
         assert list(tmp_path.iterdir()) == []
 
 
+def test_readme_common_flags_match_parser():
+    """Every subcommand takes exactly the flags the README lists as common."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    start = text.index("and common flags")
+    documented = set(re.findall(r"`(--[a-z]+)`", text[start:text.index("\n\n", start)]))
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in commands.choices.items():
+        options = {opt for action in sub._actions for opt in action.option_strings
+                   if opt.startswith("--")}
+        assert options - {"--help"} == documented, name
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize("command", ["coeffs", "analyze", "simulate"])
     def test_missing_directory(self, tmp_path, command):
@@ -389,13 +398,12 @@ class TestUnwritableOutput:
 
 
 class TestFlagOverrides:
-    """--tol, --tail and --horizon are validated like the keys they replace."""
+    """--tail and --horizon are validated like the keys they replace."""
 
     @pytest.mark.parametrize("key,bad,flags", [
-        ("tol", 0, ["--tol", 1e-9]),
         ("tail_fraction", 0, ["--tail", 0.5]),
         ("horizon", 3, ["--horizon", 20]),
-    ], ids=["tol", "tail_fraction", "horizon"])
+    ], ids=["tail_fraction", "horizon"])
     def test_flag_replaces_faulty_key(self, tmp_path, key, bad, flags):
         path = write_problem(tmp_path, {**BASE_DOC, key: bad})
         assert run_cli("analyze", path).returncode == 2
@@ -507,7 +515,8 @@ class TestNumericErrors:
     def test_check_failure_report_is_whole(self, monkeypatch, capsys):
         # a left limit off by one part in a million fails node consistency
         # (exit 1); every line is still printed, in order, after the failing
-        # one.  The fault is injected because no tol degrades the kernel.
+        # one.  The fault is injected: the kernel has no setting that
+        # degrades it.
         rebuild = trajectory.reconstruct
 
         def wrong(*args):
@@ -591,7 +600,7 @@ class TestInvariantsCanFail:
         self.off_by_one_part_in_a_million(monkeypatch, 10)
         pf = cli.load_problem(EXAMPLE1)
         with pytest.raises(DiagnosticMismatch) as exc:
-            reduction.build_discrete_system(pf.spec, pf.tol)
+            reduction.build_discrete_system(pf.spec)
         assert exc.value.index == 10
 
     def test_q_audit_coeffs_exit_3(self, monkeypatch, capsys):
@@ -611,8 +620,8 @@ class TestInvariantsCanFail:
         build = cli.build_discrete_system
         for index in (5, 55):   # near the start and in the tail
 
-            def wrong(spec, tol):
-                ds = build(spec, tol)
+            def wrong(spec):
+                ds = build(spec)
                 ds.alpha_seq[index] = perturbed(ds.alpha_seq[index])
                 return ds
 

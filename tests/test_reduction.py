@@ -1,16 +1,19 @@
 import dataclasses
+import functools
 import json
 import math
 from pathlib import Path
 
 import pytest
 
+from _battery import get_battery
 from idepca import reduction, trajectory
 from idepca.cli import load_problem, main
 from idepca.diffeq import continue_window
 from idepca.exprlang import parse
 from idepca.quad import NumericFailure
 from idepca.reduction import (
+    DiagnosticMismatch,
     Direction,
     ImpulseSpec,
     IndexOutOfRange,
@@ -114,7 +117,7 @@ class TestProblemSpecValidation:
                            direction=Direction.ADVANCED, k=2,
                            impulse=ImpulseSpec.formula(parse("1 + 1/(n + 1)", "n")),
                            initial_window=(1.0, 1.0, 1.0), horizon=12)
-        ds = build_discrete_system(spec, 1e-10)
+        ds = build_discrete_system(spec)
         reconstruct(spec, ds, continue_window(ds, spec.initial_window), 4)
         assert [id(e) for e in compiled] == [id(spec.impulse.expr), id(spec.a), id(spec.b)]
 
@@ -172,33 +175,33 @@ class TestCoefficients:
 class TestAlpha:
     def test_unit_sequence(self):
         # a = 0 without impulses gives a_n = 1
-        ds = build_discrete_system(make_spec(a="0", factor=None, horizon=5), 1e-10)
+        ds = build_discrete_system(make_spec(a="0", factor=None, horizon=5))
         assert ds.alpha(3) == 1.0
 
     def test_constant_two(self):
-        ds = build_discrete_system(make_spec(a="0", factor=2.0, horizon=5), 1e-10)
+        ds = build_discrete_system(make_spec(a="0", factor=2.0, horizon=5))
         assert ds.alpha(3) == pytest.approx(0.125)
 
     def test_start_value_is_one(self):
-        ds = build_discrete_system(make_spec(a="1/t", n0=7, horizon=12), 1e-10)
+        ds = build_discrete_system(make_spec(a="1/t", n0=7, horizon=12))
         assert ds.alpha(7) == 1.0
 
     def test_zero_entry_rejected(self):
         # exp(-800) underflows, so a_0 is exactly 0
         with pytest.raises(NumericFailure,
                            match=r"^a_0 = 0; alpha is undefined past index 0$") as exc:
-            build_discrete_system(make_spec(a="-800", horizon=5), 1e-10)
+            build_discrete_system(make_spec(a="-800", horizon=5))
         assert exc.value.index == 0
 
     def test_out_of_range(self):
-        ds = build_discrete_system(make_spec(horizon=5), 1e-10)
+        ds = build_discrete_system(make_spec(horizon=5))
         with pytest.raises(IndexOutOfRange):
             ds.alpha(7)
 
 
 class TestBuildDelayed:
     def test_example_constant_sequences(self):
-        ds = build_discrete_system(make_spec(horizon=30), 1e-10)
+        ds = build_discrete_system(make_spec(horizon=30))
         for n in range(30):
             assert ds.a(n) == pytest.approx(1.0 / (2.0 * E), abs=1e-11)
             assert ds.b(n) == pytest.approx((1.0 - E) / (6.0 * E), abs=1e-10)
@@ -206,17 +209,17 @@ class TestBuildDelayed:
     def test_q_constant_closed_form(self):
         # with a = -1, b = -1/3, factor 1/2, k = 3 the reduced coefficient
         # collapses to -(8/3) e^3 (e - 1) at every index
-        ds = build_discrete_system(make_spec(horizon=30), 1e-10)
+        ds = build_discrete_system(make_spec(horizon=30))
         expected = -(8.0 / 3.0) * E ** 3 * (E - 1.0)
         for n in ds.q_indices():
             assert ds.q(n) == pytest.approx(expected, rel=1e-9)
 
     def test_q_range_starts_at_k(self):
-        ds = build_discrete_system(make_spec(horizon=12), 1e-10)
+        ds = build_discrete_system(make_spec(horizon=12))
         assert ds.q_indices() == range(3, 12)
 
     def test_alpha_telescoping(self):
-        ds = build_discrete_system(make_spec(horizon=25), 1e-10)
+        ds = build_discrete_system(make_spec(horizon=25))
         prod = 1.0
         for n in range(ds.n0, ds.horizon):
             prod *= ds.a(n)
@@ -225,12 +228,12 @@ class TestBuildDelayed:
     def test_trivial_q_for_flat_system(self):
         # a = 0 and no impulses make every exponential weight 1, so Q_n = b
         ds = build_discrete_system(
-            make_spec(a="0", b="0.25", factor=None, horizon=12), 1e-10)
+            make_spec(a="0", b="0.25", factor=None, horizon=12))
         for n in ds.q_indices():
             assert ds.q(n) == pytest.approx(0.25, abs=1e-10)
 
     def test_zero_b_gives_zero_q(self):
-        ds = build_discrete_system(make_spec(b="0", horizon=12), 1e-10)
+        ds = build_discrete_system(make_spec(b="0", horizon=12))
         assert all(q == 0.0 for q in ds.q_seq)
 
 
@@ -238,7 +241,7 @@ class TestBuildAdvanced:
     def test_example_sequences(self):
         spec = make_spec(a="1/t", b="1/t", direction=Direction.ADVANCED, k=5,
                          window=(1.0,) * 6, n0=1, horizon=30)
-        ds = build_discrete_system(spec, 1e-10)
+        ds = build_discrete_system(spec)
         for n in range(1, 30):
             assert ds.a(n) == pytest.approx((n + 1) / (2.0 * n), abs=1e-10)
             assert ds.b(n) == pytest.approx(1.0 / (2.0 * n), abs=1e-10)
@@ -246,7 +249,7 @@ class TestBuildAdvanced:
     def test_q_closed_form(self):
         spec = make_spec(a="1/t", b="1/t", direction=Direction.ADVANCED, k=5,
                          window=(1.0,) * 6, n0=1, horizon=30)
-        ds = build_discrete_system(spec, 1e-10)
+        ds = build_discrete_system(spec)
         for n in ds.q_indices():
             expected = (n + 5) / (32.0 * n * (n + 1))
             assert ds.q(n) == pytest.approx(expected, rel=1e-8)
@@ -255,41 +258,67 @@ class TestBuildAdvanced:
     def test_q_range(self):
         spec = make_spec(a="1/t", b="1/t", direction=Direction.ADVANCED, k=5,
                          window=(1.0,) * 6, n0=1, horizon=30)
-        ds = build_discrete_system(spec, 1e-10)
+        ds = build_discrete_system(spec)
         assert ds.q_indices() == range(1, 26)
 
     def test_deviated_node(self):
         spec = make_spec(a="1/t", b="1/t", direction=Direction.ADVANCED, k=5,
                          window=(1.0,) * 6, n0=1, horizon=30)
-        assert build_discrete_system(spec, 1e-10).dev(7) == 12
-        assert build_discrete_system(make_spec(horizon=12), 1e-10).dev(7) == 4
+        assert build_discrete_system(spec).dev(7) == 12
+        assert build_discrete_system(make_spec(horizon=12)).dev(7) == 4
+
+
+def _varying_coefficients(direction, k):
+    spec = make_spec(a="0.3 - t/50", b="sin(t)/4", direction=direction, k=k,
+                     factor=1.25, window=(1.0,) * (k + 1), horizon=16)
+    return [(spec, build_discrete_system(spec))]
+
+
+def _battery_systems():
+    return [(inst.spec, inst.ds) for inst in get_battery()]
 
 
 class TestDualRoutes:
-    @pytest.mark.parametrize("direction,k", [
-        (Direction.DELAYED, 2),
-        (Direction.ADVANCED, 3),
+    # both routes read the same interval records, so they differ by
+    # rounding only: at most 8.4e-16 relative on the battery
+    @pytest.mark.parametrize("systems", [
+        pytest.param(functools.partial(_varying_coefficients, Direction.DELAYED, 2),
+                     id="Direction.DELAYED-2"),
+        pytest.param(functools.partial(_varying_coefficients, Direction.ADVANCED, 3),
+                     id="Direction.ADVANCED-3"),
+        pytest.param(_battery_systems, id="battery"),
     ])
-    def test_routes_agree_for_varying_coefficients(self, direction, k):
-        spec = make_spec(a="0.3 - t/50", b="sin(t)/4", direction=direction, k=k,
-                         factor=1.25, window=(1.0,) * (k + 1), horizon=16)
-        ds = build_discrete_system(spec, 1e-10)
-        for n in ds.q_indices():
-            ratio = compute_qn(ds, n)
-            direct = compute_qn_direct(spec, n)
-            assert ratio == pytest.approx(direct, rel=1e-8, abs=1e-12)
+    def test_routes_agree_for_varying_coefficients(self, systems):
+        for spec, ds in systems():
+            for n in ds.q_indices():
+                ratio = compute_qn(ds, n)
+                direct = compute_qn_direct(spec, n)
+                assert abs(ratio - direct) <= 1e-12 * max(abs(ratio), abs(direct))
 
     @pytest.mark.parametrize("ratio,direct", [
         (math.inf, math.inf), (-math.inf, -1.0), (1.0, math.nan),
     ])
     def test_nonfinite_route_never_agrees(self, ratio, direct):
         # inf <= 1e-8 * inf would otherwise pass the relative test
-        assert not _q_routes_agree(ratio, direct, 1e-10, 1.0)
+        assert not _q_routes_agree(ratio, direct)
+
+    @pytest.mark.parametrize("wrong", [lambda q: 0.0, lambda q: 2.0 * q],
+                             ids=["zero", "double"])
+    def test_tiny_q_mismatch_is_caught(self, monkeypatch, wrong):
+        # Q_n is about 1e-11 here; an absolute floor on the audit would let
+        # a direct route that is off by 100% pass
+        direct = reduction.compute_qn_direct
+        monkeypatch.setattr(reduction, "compute_qn_direct", lambda spec, n: (
+            wrong(direct(spec, n)) if n == 6 else direct(spec, n)))
+        spec = make_spec(b="1e-12", k=1, horizon=12)
+        with pytest.raises(DiagnosticMismatch) as exc:
+            build_discrete_system(spec)
+        assert exc.value.index == 6
 
 
 class TestAccessors:
     def test_out_of_range_raises(self):
-        ds = build_discrete_system(make_spec(horizon=10), 1e-10)
+        ds = build_discrete_system(make_spec(horizon=10))
         with pytest.raises(IndexOutOfRange):
             ds.a(10)
         with pytest.raises(IndexOutOfRange):
@@ -298,7 +327,7 @@ class TestAccessors:
             ds.alpha(-1)
 
     def test_horizon_property(self):
-        ds = build_discrete_system(make_spec(horizon=10), 1e-10)
+        ds = build_discrete_system(make_spec(horizon=10))
         assert ds.horizon == 10
         assert len(ds.alpha_seq) == 11
 
@@ -422,7 +451,7 @@ class TestClosedFormAccuracy:
 
     def test_example2(self):
         pf = load_problem(EXAMPLES / "example2.json", {"horizon": 505})
-        ds = build_discrete_system(pf.spec, pf.tol)
+        ds = build_discrete_system(pf.spec)
         for n in range(1, 505):
             assert ds.a(n) == pytest.approx((n + 1) / (2 * n), rel=1e-13)
             assert ds.b(n) == pytest.approx(1.0 / (2 * n), rel=1e-13)

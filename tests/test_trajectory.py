@@ -19,8 +19,6 @@ from idepca.trajectory import (
     reconstruct,
 )
 
-TOL = 1e-10
-
 
 def make_pipeline(a="-1", b="-1/3", direction=Direction.DELAYED, k=3,
                   factor=0.5, window=None, horizon=12, n0=0, samples=8):
@@ -30,7 +28,7 @@ def make_pipeline(a="-1", b="-1/3", direction=Direction.DELAYED, k=3,
     spec = ProblemSpec(a=parse(a, "t"), b=parse(b, "t"), direction=direction,
                        k=k, impulse=impulse, initial_window=tuple(window),
                        horizon=horizon, n0=n0)
-    ds = build_discrete_system(spec, TOL)
+    ds = build_discrete_system(spec)
     sol = continue_window(ds, spec.initial_window)   # what simulate reconstructs
     traj = reconstruct(spec, ds, sol, samples)
     return spec, ds, sol, traj

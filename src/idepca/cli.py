@@ -8,21 +8,21 @@ Subcommands:
 
 Exit codes: 0 success, 1 invariant failure, 2 input/schema error,
 3 numeric failure.
+
+Every command loads exprlang, quad and reduction to read its problem file;
+the modules that only some commands run (diffeq, criteria, trajectory, csv)
+are imported inside the functions that use them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from . import criteria as crit
-from . import diffeq, trajectory
 from .exprlang import Expr, ParseError, parse
 from .quad import NumericFailure
 from .reduction import (
@@ -52,8 +52,7 @@ _ALLOWED_KEYS = {
 _REQUIRED_KEYS = {"a", "b", "direction", "k", "impulse", "initial_window", "horizon"}
 
 
-@dataclass
-class ProblemFile:
+class ProblemFile(NamedTuple):
     spec: ProblemSpec
     tail_fraction: float
 
@@ -171,6 +170,8 @@ def _fmt(x: float) -> str:
 
 def _csv(header: list, rows):
     def write(stream):
+        import csv
+
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -211,11 +212,13 @@ def cmd_coeffs(pf: ProblemFile, out: Optional[str]) -> int:
     return EXIT_OK
 
 
-def _stats_dict(r: crit.CriterionReport) -> dict:
-    return {**asdict(r), "kind": r.kind.value, "verdict": r.verdict.value}
+def _stats_dict(r) -> dict:
+    return {**r._asdict(), "kind": r.kind.value, "verdict": r.verdict.value}
 
 
 def cmd_analyze(pf: ProblemFile, out: Optional[str]) -> int:
+    from . import criteria as crit
+
     ds = build_discrete_system(pf.spec)
     reports = crit.evaluate_all(ds, pf.tail_fraction)
     doc = {
@@ -229,11 +232,13 @@ def cmd_analyze(pf: ProblemFile, out: Optional[str]) -> int:
     return EXIT_OK
 
 
-def _verdict_dict(v: diffeq.OscillationVerdict) -> dict:
-    return {**asdict(v), "verdict": v.verdict.value}
+def _verdict_dict(v) -> dict:
+    return {**v._asdict(), "verdict": v.verdict.value}
 
 
 def cmd_simulate(pf: ProblemFile, prefix: str, samples: int) -> int:
+    from . import diffeq, trajectory
+
     ds = build_discrete_system(pf.spec)
     sol = diffeq.continue_window(ds, pf.spec.initial_window)
     traj = trajectory.reconstruct(pf.spec, ds, sol, samples)
@@ -269,6 +274,8 @@ def _invariant(name: str, bound: float, what: str, residuals):
 
 def _check_instance(pf: ProblemFile, samples: int):
     """Run every per-instance invariant; yields (name, ok, detail)."""
+    from . import diffeq, trajectory
+
     spec = pf.spec
     try:
         ds = build_discrete_system(spec)

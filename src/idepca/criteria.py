@@ -17,9 +17,8 @@ throughout the examined tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from .diffeq import TooShort, tail_start
 from .quad import NumericFailure
@@ -58,8 +57,7 @@ class CriterionVerdict(Enum):
 _CONVERGENCE_RTOL = 1e-3
 
 
-@dataclass(frozen=True)
-class TailStats:
+class TailStats(NamedTuple):
     statistic: float
     kind: TailKind
     window: Tuple[int, int]  # inclusive index range the extremum was taken over
@@ -109,8 +107,7 @@ def advanced_pointwise_threshold(l: int) -> float:
     return (l - 1) ** (l - 1) / l ** l
 
 
-@dataclass
-class CriterionReport:
+class CriterionReport(NamedTuple):
     """One criterion's evaluation; its fields are the keys of its analyze entry."""
 
     criterion_id: str
@@ -124,8 +121,7 @@ class CriterionReport:
     verdict: CriterionVerdict
 
 
-@dataclass(frozen=True)
-class Criterion:
+class Criterion(NamedTuple):
     """One published hypothesis on the reduced coefficients, as a table row.
 
     terms(k) gives the offsets (lo, hi): the row's entry at index n is the

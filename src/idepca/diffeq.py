@@ -35,10 +35,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .quad import NumericFailure
 from .reduction import Direction, DiscreteSystem
@@ -70,8 +69,7 @@ class TooShort(NumericFailure):
     """Not enough points for the requested tail analysis."""
 
 
-@dataclass
-class DiscreteSolution:
+class DiscreteSolution(NamedTuple):
     n_lo: int
     values: List[float]
     direction: Direction
@@ -226,8 +224,7 @@ def tail_start(m: int, fraction: float) -> int:
     return m - max(1, int(round(m * fraction)))
 
 
-@dataclass
-class OscillationVerdict:
+class OscillationVerdict(NamedTuple):
     verdict: Verdict
     tail_window: Tuple[int, int]        # first and last block index examined
     longest_run_start: Optional[int]    # None when no tail block has one sign

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 __all__ = [
     "Expr",
@@ -43,24 +42,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(NamedTuple):
     op: str  # "neg" | "exp" | "ln" | "sin" | "cos" | "sqrt" | "abs"
     child: "Expr"
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(NamedTuple):
     op: str  # "add" | "sub" | "mul" | "div" | "pow"
     left: "Expr"
     right: "Expr"
@@ -70,10 +65,12 @@ Expr = Union[Constant, Variable, Unary, Binary]
 
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt", "abs")
 
-# Deepest operator nesting parse accepts.  It guards the recursive dataclass
-# ==, hash and repr of an AST, which tests and library callers use: they
-# take up to three interpreter frames per level, so a tree at the limit
-# stays inside Python's default recursion limit of 1000.
+# Deepest operator nesting parse accepts.  Parsing and compile_expr are
+# iterative, but ==, hash and repr of an AST, which tests and library
+# callers use, recurse through the named tuples: repr takes two interpreter
+# frames per level and == one (hash recurses in C), so repr fails past 497
+# levels under Python's default recursion limit of 1000, and a tree at the
+# limit leaves room for the caller's own frames.
 MAX_NESTING = 300
 
 

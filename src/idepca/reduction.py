@@ -31,7 +31,6 @@ rounding, and a relative bound is enough even where Q_n is tiny.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -86,7 +85,6 @@ class IndexOutOfRange(Exception):
         super().__init__(f"index {n}: {message}")
 
 
-@dataclass(frozen=True)
 class ImpulseSpec:
     """Jump factors r_n = 1 + c_n applied at integer nodes.
 
@@ -94,9 +92,11 @@ class ImpulseSpec:
     entry i of values applies at node i, and every other node takes default.
     """
 
-    values: Tuple[float, ...] = ()
-    default: float = 1.0
-    expr: Optional[Expr] = None
+    def __init__(self, values: Sequence[float] = (), default: float = 1.0,
+                 expr: Optional[Expr] = None):
+        self.values = tuple(values)
+        self.default = default
+        self.expr = expr
 
     @classmethod
     def none(cls) -> "ImpulseSpec":
@@ -112,7 +112,7 @@ class ImpulseSpec:
 
     @classmethod
     def table(cls, values: Sequence[float], default: float = 1.0) -> "ImpulseSpec":
-        return cls(values=tuple(values), default=default)
+        return cls(values=values, default=default)
 
     @cached_property
     def fr(self) -> Callable[[float], float]:
@@ -130,34 +130,36 @@ class ImpulseSpec:
         return r
 
 
-@dataclass(frozen=True)
 class ProblemSpec:
     """One problem instance: coefficients, deviation, impulses, window.
 
-    Construction, dataclasses.replace included, raises ValueError on a bad
-    k, horizon or window, and ZeroImpulseFactor (a ValueError) on a jump
-    factor r_n on [n0, horizon] that is zero or not finite.
+    Construction, replace included, raises ValueError on a bad k, horizon
+    or window, and ZeroImpulseFactor (a ValueError) on a jump factor r_n
+    on [n0, horizon] that is zero or not finite.
     """
 
-    a: Expr
-    b: Expr
-    direction: Direction
-    k: int
-    impulse: ImpulseSpec
-    initial_window: Tuple[float, ...]
-    horizon: int
-    n0: int = 0
+    _FIELDS = ("a", "b", "direction", "k", "impulse", "initial_window", "horizon", "n0")
 
-    def __post_init__(self):
-        object.__setattr__(self, "initial_window", tuple(self.initial_window))
-        if self.k < 1:
+    def __init__(self, a: Expr, b: Expr, direction: Direction, k: int,
+                 impulse: ImpulseSpec, initial_window: Sequence[float], horizon: int,
+                 n0: int = 0):
+        self.a, self.b, self.direction, self.k = a, b, direction, k
+        self.impulse = impulse
+        self.initial_window = tuple(initial_window)
+        self.horizon, self.n0 = horizon, n0
+        if k < 1:
             raise ValueError("k must be a positive integer")
-        if self.horizon <= self.n0 + self.k:
+        if horizon <= n0 + k:
             raise ValueError("horizon must exceed n0 + k")
-        if len(self.initial_window) != self.k + 1:
-            raise ValueError(f"initial_window must have exactly {self.k + 1} entries")
-        for n in range(self.n0, self.horizon + 1):
-            self.impulse.factor(n)
+        if len(self.initial_window) != k + 1:
+            raise ValueError(f"initial_window must have exactly {k + 1} entries")
+        for n in range(n0, horizon + 1):
+            impulse.factor(n)
+
+    def replace(self, **changes) -> "ProblemSpec":
+        """A new spec with the given fields changed, validated as a new one is."""
+        return ProblemSpec(**{**{name: getattr(self, name) for name in self._FIELDS},
+                              **changes})
 
     @cached_property
     def fa(self) -> Callable[[float], float]:
@@ -215,18 +217,18 @@ def compute_bn(spec: ProblemSpec, n: int) -> float:
     return _scaled(total + scale, spec.impulse.factor(n + 1) * weight, n, "b_n")
 
 
-@dataclass
 class DiscreteSystem:
     """Computed coefficient sequences over [n0, horizon]."""
 
-    n0: int
-    direction: Direction
-    k: int
-    a_seq: List[float]       # a_n for n in [n0, horizon)
-    b_seq: List[float]       # b_n for n in [n0, horizon)
-    alpha_seq: List[float]   # alpha_n for n in [n0, horizon]
-    q_seq: List[float]       # Q_n for n in [q_start, q_start + len)
-    q_start: int
+    def __init__(self, n0: int, direction: Direction, k: int, a_seq: List[float],
+                 b_seq: List[float], alpha_seq: List[float], q_seq: List[float],
+                 q_start: int):
+        self.n0, self.direction, self.k = n0, direction, k
+        self.a_seq = a_seq          # a_n for n in [n0, horizon)
+        self.b_seq = b_seq          # b_n for n in [n0, horizon)
+        self.alpha_seq = alpha_seq  # alpha_n for n in [n0, horizon]
+        self.q_seq = q_seq          # Q_n for n in [q_start, q_start + len)
+        self.q_start = q_start
 
     @property
     def horizon(self) -> int:
@@ -264,10 +266,12 @@ class DiscreteSystem:
 def compute_qn(ds: DiscreteSystem, n: int) -> float:
     """Q_n from the alpha-ratio definition; signed (Q*_n is just -Q_n)."""
     dev = ds.dev(n)
-    # an alpha that underflowed has no digits left for the ratio route
+    # an alpha that underflowed or overflowed has no digits left for the ratio route
     for j in (dev, n + 1):
         if ds.alpha(j) == 0.0:
             raise NumericFailure(f"at index {n}: alpha_{j} underflowed to 0", n)
+        if math.isinf(ds.alpha(j)):
+            raise NumericFailure(f"at index {n}: alpha_{j} overflowed", n)
     q = ds.alpha(n + 1) * ds.b(n) / ds.alpha(dev)
     if not math.isfinite(q):
         raise NumericFailure(f"at index {n}: Q_n = alpha_{n + 1} b_n / alpha_{dev} is {q!r}",

@@ -18,8 +18,7 @@ relates the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .diffeq import (DiscreteSolution, OscillationVerdict, TooShort, block_verdict,
                      default_window)
@@ -35,16 +34,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NodeRecord:
+class NodeRecord(NamedTuple):
     n: int
     z_left: float
     z_right: float
     jump_factor: float
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     k: int
     samples: List[Tuple[float, float]]       # strictly increasing in t
     nodes: List[NodeRecord]

@@ -42,7 +42,8 @@ def _plain(a, b, **keys) -> dict:
     return doc
 
 
-# numeric failures of each stage, and a problem whose reduced form overflows
+# numeric failures of each stage, a problem whose reduced form overflows, and
+# one whose alpha overflows
 FAILING = {
     "a-singular": _plain("1/t", "1"),
     "weight-singular": _plain("0", "1/(t - 0.5)"),
@@ -54,6 +55,8 @@ FAILING = {
     "a-unresolved": _plain("sin(5000*t)", "1"),
     "y-overflow": _plain("-5", "0.01", direction="advanced", k=2,
                          initial_window=[1, 2, 3], horizon=130),
+    "alpha-overflow": _plain("-5", "0.01", direction="advanced", k=2,
+                             initial_window=[1, 2, 3], horizon=143),
 }
 
 

@@ -4,7 +4,6 @@ measured quantity and its tolerance; run with -s to see all of them.
 """
 
 import csv
-import dataclasses
 import json
 import math
 import subprocess
@@ -67,7 +66,7 @@ def read_rows(path):
 
 
 def with_horizon(spec, horizon):
-    return dataclasses.replace(spec, horizon=horizon)
+    return spec.replace(horizon=horizon)
 
 
 def test_01_first_example_coefficient_table(tmp_path):

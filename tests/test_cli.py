@@ -485,6 +485,17 @@ class TestNumericErrors:
         assert "at index 10" in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["coeffs", "check"])
+    def test_alpha_overflow_at_the_deviated_node(self, tmp_path, command):
+        # alpha_142 overflows to inf, which made the ratio route's Q_140 0.0:
+        # coeffs reported a route mismatch and check a failed audit
+        doc = {**BASE_DOC, "a": "-5", "b": "0.01", "direction": "advanced", "k": 2,
+               "impulse": "none", "initial_window": [1, 2, 3], "horizon": 143}
+        res = run_cli(command, write_problem(tmp_path, doc))
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert res.stderr == "numeric failure: at index 140: alpha_142 overflowed\n"
+
     # every Q_n is about 2.5e307, finite, but a sum of 8 of them is not
     @pytest.mark.parametrize("sign,direction,index", [
         ("-", "delayed", 8),

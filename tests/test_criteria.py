@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from pathlib import Path
 
@@ -274,7 +273,7 @@ class TestSynthesis:
         reports = evaluate_all(system_with_q([-0.2] * 30, k=3))
         fired = [r for r in reports if r.criterion_id == "ErbeZhang"]
         nonosc = [r for r in reports if r.criterion_id == "GyoriLadasNonOsc"]
-        nonosc[0].verdict = fired[0].verdict  # force both families firing
+        nonosc[0] = nonosc[0]._replace(verdict=fired[0].verdict)  # force both families firing
         assert synthesize_verdict(fired + nonosc) == "ConflictDetected"
 
     def test_id_partition(self):
@@ -305,4 +304,4 @@ class TestTable:
         section = text[text.index("with these keys:"):text.index("The criteria are one table")]
         keys = [line[3:line.index("`", 3)] for line in section.splitlines()
                 if line.startswith("- `")]
-        assert keys == [f.name for f in dataclasses.fields(CriterionReport)]
+        assert keys == list(CriterionReport._fields)

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 import math
@@ -99,9 +98,9 @@ class TestProblemSpecValidation:
                            direction=Direction.DELAYED, k=1,
                            impulse=ImpulseSpec.formula(parse("1 - 1/(26 - n)", "n")),
                            initial_window=(1.0, 1.0), horizon=20)
-        assert dataclasses.replace(spec, horizon=24).horizon == 24
+        assert spec.replace(horizon=24).horizon == 24
         with pytest.raises(ZeroImpulseFactor) as exc:
-            dataclasses.replace(spec, horizon=30)
+            spec.replace(horizon=30)
         assert exc.value.index == 25
 
     def test_each_expression_compiled_once(self, monkeypatch):
@@ -197,6 +196,21 @@ class TestAlpha:
         ds = build_discrete_system(make_spec(horizon=5))
         with pytest.raises(IndexOutOfRange):
             ds.alpha(7)
+
+    # an alpha outside double range leaves the ratio route no digits, so the
+    # build names it instead of reporting a route mismatch
+    @pytest.mark.parametrize("spec,index,message", [
+        # r = 1e30 underflows alpha to 0 from n = 11 on
+        (dict(a="0", factor=1e30, k=1, horizon=14), 10, "alpha_11 underflowed to 0"),
+        # a_n = exp(-5) overflows alpha from n = 142 on; the ratio route gave
+        # Q_140 = 0.0 against a direct 1.34e-05
+        (dict(a="-5", b="0.01", direction=Direction.ADVANCED, k=2, factor=None,
+              window=(1.0, 2.0, 3.0), horizon=143), 140, "alpha_142 overflowed"),
+    ], ids=["underflow", "overflow"])
+    def test_out_of_double_range_is_named(self, spec, index, message):
+        with pytest.raises(NumericFailure, match=rf"^at index {index}: {message}$") as exc:
+            build_discrete_system(make_spec(**spec))
+        assert exc.value.index == index
 
 
 class TestBuildDelayed:
@@ -355,7 +369,7 @@ class TestStageFailures:
         smooth = make_spec(a="0", b="1", k=1, factor=None, horizon=8)
         ds = build_discrete_system(smooth)
         sol = continue_window(ds, smooth.initial_window)
-        spec = dataclasses.replace(smooth, a=parse(a, "t"), b=parse(b, "t"))
+        spec = smooth.replace(a=parse(a, "t"), b=parse(b, "t"))
         with pytest.raises(NumericFailure) as exc:
             if trigger == "reconstruct":
                 reconstruct(spec, ds, sol, 8)

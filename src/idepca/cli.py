@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from enum import Enum
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -212,8 +213,10 @@ def cmd_coeffs(pf: ProblemFile, out: Optional[str]) -> int:
     return EXIT_OK
 
 
-def _stats_dict(r) -> dict:
-    return {**r._asdict(), "kind": r.kind.value, "verdict": r.verdict.value}
+def _record_dict(r) -> dict:
+    """A named tuple as a JSON object; its enum fields become their values."""
+    return {key: value.value if isinstance(value, Enum) else value
+            for key, value in r._asdict().items()}
 
 
 def cmd_analyze(pf: ProblemFile, out: Optional[str]) -> int:
@@ -225,15 +228,11 @@ def cmd_analyze(pf: ProblemFile, out: Optional[str]) -> int:
         "direction": pf.spec.direction.value,
         "k": pf.spec.k,
         "tail_fraction": pf.tail_fraction,
-        "criteria": [_stats_dict(r) for r in reports],
+        "criteria": [_record_dict(r) for r in reports],
         "overall_verdict": crit.synthesize_verdict(reports),
     }
     _write_files({out or "-": _json(doc)})
     return EXIT_OK
-
-
-def _verdict_dict(v) -> dict:
-    return {**v._asdict(), "verdict": v.verdict.value}
 
 
 def cmd_simulate(pf: ProblemFile, prefix: str, samples: int) -> int:
@@ -245,13 +244,13 @@ def cmd_simulate(pf: ProblemFile, prefix: str, samples: int) -> int:
     discrete = diffeq.discrete_oscillation_check(sol, pf.tail_fraction)
     continuous = trajectory.continuous_oscillation_check(traj, discrete.tail_window[0])
     doc = {
-        "discrete": _verdict_dict(discrete),
-        "continuous": _verdict_dict(continuous),
+        "discrete": _record_dict(discrete),
+        "continuous": _record_dict(continuous),
         "solution_truncated_at": sol.truncated_at,
     }
     _write_files({
         f"{prefix}.trajectory.csv": _csv(
-            ["t", "z"], ([_fmt(t), _fmt(z)] for t, z in traj.samples)),
+            ["t", "z"], ([_fmt(t), _fmt(z)] for t, z in traj.points())),
         f"{prefix}.nodes.csv": _csv(
             ["n", "z_left", "z_right", "jump_factor"],
             ([rec.n, _fmt(rec.z_left), _fmt(rec.z_right), _fmt(rec.jump_factor)]

@@ -11,14 +11,14 @@ formula with the exponential weight factored out.  At each sample point
 the interval's kernel gives I(n, t) and the scaled weight W(t)
 (IntervalKernel.at), and G(t) = exp(scale) W(t).
 
-Sample rows store the right-continuous value at node times; the left limit
-at each node lives in the node table, together with the jump factor that
-relates the two.
+Samples are z alone at t = n + i/m, i < m, and Trajectory.points() adds t.
+The one at a node time is the right-continuous value; the left limit at
+each node lives in the node table, with the jump factor that relates the two.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 from .diffeq import (DiscreteSolution, OscillationVerdict, TooShort, block_verdict,
                      default_window)
@@ -43,9 +43,17 @@ class NodeRecord(NamedTuple):
 
 class Trajectory(NamedTuple):
     k: int
-    samples: List[Tuple[float, float]]       # strictly increasing in t
+    samples: List[float]                     # z at n + i/m, interval by interval
     nodes: List[NodeRecord]
     interval_start: int
+    samples_per_interval: int
+
+    def points(self) -> Iterator[Tuple[float, float]]:
+        """(t, z) of every sample, t = n + i/m as reconstruct computes it."""
+        m = self.samples_per_interval
+        for j, z in enumerate(self.samples):
+            n, i = divmod(j, m)
+            yield self.interval_start + n + i / m, z
 
 
 def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,
@@ -59,7 +67,7 @@ def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,
     if samples_per_interval < 1:
         raise ValueError("samples_per_interval must be >= 1")
     intervals = sol.relation_indices()
-    samples: List[Tuple[float, float]] = []
+    samples: List[float] = []
     nodes: List[NodeRecord] = []
     m = samples_per_interval
     for n in intervals:
@@ -67,15 +75,14 @@ def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,
         z_dev = sol.value(ds.dev(n))
         kernel = IntervalKernel(spec.fa, spec.fb, n)
         scale = kernel.scale
-        samples.append((float(n), z_n))
+        samples.append(z_n)
         for i in range(1, m):
-            t = n + i / m
-            expo, w = kernel.at(t)
-            samples.append((t, _safe_exp(expo) * z_n + z_dev * (_safe_exp(expo + scale) * w)))
+            expo, w = kernel.at(n + i / m)
+            samples.append(_safe_exp(expo) * z_n + z_dev * (_safe_exp(expo + scale) * w))
         expo = kernel.total
         z_left = _safe_exp(expo) * z_n + z_dev * (_safe_exp(expo + scale) * kernel.weight)
         nodes.append(NodeRecord(n + 1, z_left, sol.value(n + 1), spec.impulse.factor(n + 1)))
-    return Trajectory(spec.k, samples, nodes, intervals.start)
+    return Trajectory(spec.k, samples, nodes, intervals.start, m)
 
 
 def continuous_oscillation_check(traj: Trajectory, first: int) -> OscillationVerdict:
@@ -86,13 +93,11 @@ def continuous_oscillation_check(traj: Trajectory, first: int) -> OscillationVer
     tail_window[0], so both verdicts judge one tail.
     """
     window = default_window(traj.k)
-    per = len(traj.samples) // max(1, len(traj.nodes))
-    blocks = [[z for _, z in traj.samples[i * per:(i + 1) * per]] + [rec.z_left]
+    m = traj.samples_per_interval
+    blocks = [traj.samples[i * m:(i + 1) * m] + [rec.z_left]
               for i, rec in enumerate(traj.nodes)]
-    m = len(blocks)
     i0 = max(0, first - traj.interval_start)
-    if m - i0 < 2 * window:
-        raise TooShort(
-            f"trajectory tail spans {m - i0} intervals; need {2 * window}"
-        )
+    if len(blocks) - i0 < 2 * window:
+        raise TooShort(f"trajectory tail spans {len(blocks) - i0} intervals; "
+                       f"need {2 * window}")
     return block_verdict(blocks, traj.interval_start, i0, window)

@@ -11,7 +11,8 @@ on these cases when the `diff` of their digests is empty:
 The cases are the shipped examples, example 2 at horizon 505 and example 1
 at horizon 420, the tests' battery draw (OSC_SEED selects it), and problems
 that exit 3 or fail a check.  Every case runs coeffs, analyze, simulate
---samples 4 and check, in process, in a temporary directory.  pytest does
+--samples 4, simulate --samples 1 (one sample per interval, the grid's
+edge case) and check, in process, in a temporary directory.  pytest does
 not collect this file.
 """
 
@@ -32,7 +33,8 @@ from _battery import get_battery  # noqa: E402
 from idepca.cli import main  # noqa: E402
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
-COMMANDS = (["coeffs"], ["analyze"], ["simulate", "--samples", "4"], ["check"])
+COMMANDS = (["coeffs"], ["analyze"], ["simulate", "--samples", "4"],
+            ["simulate", "--samples", "1"], ["check"])
 
 
 def _plain(a, b, **keys) -> dict:

@@ -694,7 +694,7 @@ class TestInvariantsCanFail:
 
         def one_signed(*args):
             traj = rebuild(*args)
-            traj.samples[:] = [(t, abs(z)) for t, z in traj.samples]
+            traj.samples[:] = [abs(z) for z in traj.samples]
             traj.nodes[:] = [type(rec)(rec.n, abs(rec.z_left), rec.z_right, rec.jump_factor)
                              for rec in traj.nodes]
             return traj

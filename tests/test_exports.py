@@ -60,3 +60,18 @@ def test_tracer_counts_the_integrand_calls():
     t = tracer.Tracer()
     t.counter(getattr(importlib.import_module(f"idepca.{mod}"), fn))(integrand, 0.0, 1.0, 1e-10)
     assert t.outside[tracer.CALLS:tracer.EVALS + 1] == [1, len(calls)]
+
+
+def test_tracer_reconstruct_size_counts_samples():
+    # trajectory.reconstruct.size is samples per interval times intervals,
+    # whatever form the trajectory stores its samples in
+    from idepca.cli import load_problem
+    from idepca.diffeq import continue_window
+    from idepca.reduction import build_discrete_system
+    from idepca.trajectory import reconstruct
+
+    size = load_tracer().SPANNED[("trajectory", "reconstruct")]
+    pf = load_problem(Path(__file__).resolve().parent.parent / "problems" / "example1.json")
+    ds = build_discrete_system(pf.spec)
+    traj = reconstruct(pf.spec, ds, continue_window(ds, pf.spec.initial_window), 4)
+    assert size(traj) == 4 * len(traj.nodes) == 4 * 60

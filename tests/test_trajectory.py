@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from _audits import max_node_discontinuity
+from idepca.cli import load_problem
 from idepca.diffeq import (TooShort, Verdict, continue_window, discrete_oscillation_check,
                            solve)
 from idepca.exprlang import parse
@@ -18,6 +21,8 @@ from idepca.trajectory import (
     continuous_oscillation_check,
     reconstruct,
 )
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def make_pipeline(a="-1", b="-1/3", direction=Direction.DELAYED, k=3,
@@ -44,23 +49,52 @@ class TestReconstruction:
         # b = 0 and no impulses leave the plain ODE x' = x, so z(t) = e^t
         _, _, _, traj = make_pipeline(a="1", b="0", k=1, factor=None,
                                       window=(1.0, 1.0), horizon=5)
-        for t, z in traj.samples:
+        for t, z in traj.points():
             assert z == pytest.approx(math.exp(t), rel=1e-9)
-        mid = [z for t, z in traj.samples if t == 0.5]
+        mid = [z for t, z in traj.points() if t == 0.5]
         assert mid[0] == pytest.approx(1.6487212, abs=1e-6)
 
     def test_samples_strictly_increasing(self):
-        _, _, _, traj = make_pipeline()
-        times = [t for t, _ in traj.samples]
-        assert all(u < v for u, v in zip(times, times[1:]))
+        # m samples per interval at t = n + i/m, the first at float(n); at
+        # m = 1 that leaves each continuous block [z_n, z_left]
+        for m in (8, 1, 4):
+            _, _, sol, traj = make_pipeline(samples=m)
+            assert traj.samples_per_interval == m
+            assert len(traj.samples) == m * len(traj.nodes)
+            points = list(traj.points())
+            assert [z for _, z in points] == traj.samples
+            for j, (t, z) in enumerate(points):
+                n, i = traj.interval_start + j // m, j % m
+                assert t == n + i / m
+                if i == 0:
+                    assert type(t) is float and t == float(n)
+                    assert z == sol.value(n)
+            times = [t for t, _ in points]
+            assert all(u < v for u, v in zip(times, times[1:]))
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_samples_hold_one_number_each(self, name):
+        # what a dense reconstruction keeps: a float and its list slot per
+        # sample (about 33 bytes), not a (t, z) tuple of two (about 113)
+        pf = load_problem(REPO / "problems" / f"{name}.json")
+        ds = build_discrete_system(pf.spec)
+        sol = continue_window(ds, pf.spec.initial_window)
+        tracemalloc.start()
+        try:
+            traj = reconstruct(pf.spec, ds, sol, 128)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj.samples) == 128 * len(traj.nodes)
+        assert retained / len(traj.samples) <= 48
 
     def test_interval_blocks_include_left_limit(self):
         # every sample is positive and every left limit negative, so only
         # the left limits can put a sign change in each block
         spec, _, _, _ = make_pipeline(k=1, window=(1.0, 1.0), samples=4)
-        samples = [(n + i / 4, 1.0) for n in range(16) for i in range(4)]
+        samples = [1.0] * (16 * 4)
         nodes = [NodeRecord(n + 1, -1.0, 1.0, 0.5) for n in range(16)]
-        traj = Trajectory(spec.k, samples, nodes, 0)
+        traj = Trajectory(spec.k, samples, nodes, 0, 4)
         assert continuous_oscillation_check(traj, 8).verdict is Verdict.OSCILLATORY
 
     def test_jump_factor_relates_node_values(self):
@@ -146,10 +180,10 @@ class TestContinuousCheck:
         # negative left limit: a run of window = 4 intervals that a tiling
         # of the tail from 20 into 20..23, 24..27, ... would split in two
         spec, _, _, _ = make_pipeline(k=1, window=(1.0, 1.0), samples=4)
-        samples = [(n + i / 4, 1.0) for n in range(40) for i in range(4)]
+        samples = [1.0] * (40 * 4)
         nodes = [NodeRecord(n + 1, 1.0 if 22 <= n <= 25 else -1.0, 1.0, 0.5)
                  for n in range(40)]
-        res = continuous_oscillation_check(Trajectory(spec.k, samples, nodes, 0), 20)
+        res = continuous_oscillation_check(Trajectory(spec.k, samples, nodes, 0, 4), 20)
         assert res.tail_window == (20, 39)
         assert res.verdict is Verdict.INCONCLUSIVE
         assert (res.longest_run_start, res.longest_run_length) == (22, 4)
@@ -158,7 +192,7 @@ class TestContinuousCheck:
     def test_empty_trajectory_too_short(self):
         spec, _, _, _ = make_pipeline()
         with pytest.raises(TooShort):
-            continuous_oscillation_check(Trajectory(spec.k, [], [], 0), 0)
+            continuous_oscillation_check(Trajectory(spec.k, [], [], 0, 8), 0)
 
     def test_discrete_oscillatory_transfers(self):
         _, _, sol, traj = make_pipeline(horizon=40)

@@ -10,8 +10,9 @@ Exit codes: 0 success, 1 invariant failure, 2 input/schema error,
 3 numeric failure.
 
 Every command loads exprlang, quad and reduction to read its problem file;
-the modules that only some commands run (diffeq, criteria, trajectory, csv)
-are imported inside the functions that use them.
+the modules that only some commands run (diffeq, criteria, trajectory) are
+imported inside the functions that use them.  CSV rows are formatted lines
+(every number at 10 significant digits, ``.10g``) streamed to the file.
 """
 
 from __future__ import annotations
@@ -165,17 +166,12 @@ def load_problem(path, overrides: Optional[dict] = None) -> ProblemFile:
     return validate_problem(doc)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
-
-
-def _csv(header: list, rows):
+def _csv(header: list, lines):
+    """A writer of the header's names, then of each line of lines: rows
+    formatted and ending in "\n", streamed so they are never held at once."""
     def write(stream):
-        import csv
-
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        stream.write(",".join(header) + "\n")
+        stream.writelines(lines)
     return write
 
 
@@ -206,10 +202,13 @@ def _write_files(files: dict) -> None:
 
 def cmd_coeffs(pf: ProblemFile, out: Optional[str]) -> int:
     ds = build_discrete_system(pf.spec)
-    rows = ([n, _fmt(ds.a(n)), _fmt(ds.b(n)), _fmt(ds.alpha(n)),
-             _fmt(ds.q(n)) if n in ds.q_indices() else ""]
-            for n in range(ds.n0, ds.horizon))
-    _write_files({out or "-": _csv(["n", "a_n", "b_n", "alpha_n", "q_n"], rows)})
+
+    def lines():
+        for n in range(ds.n0, ds.horizon):
+            a, b, alpha = ds.a(n), ds.b(n), ds.alpha(n)
+            q = f"{ds.q(n):.10g}" if n in ds.q_indices() else ""
+            yield f"{n},{a:.10g},{b:.10g},{alpha:.10g},{q}\n"
+    _write_files({out or "-": _csv(["n", "a_n", "b_n", "alpha_n", "q_n"], lines())})
     return EXIT_OK
 
 
@@ -250,10 +249,10 @@ def cmd_simulate(pf: ProblemFile, prefix: str, samples: int) -> int:
     }
     _write_files({
         f"{prefix}.trajectory.csv": _csv(
-            ["t", "z"], ([_fmt(t), _fmt(z)] for t, z in traj.points())),
+            ["t", "z"], (f"{t:.10g},{z:.10g}\n" for t, z in traj.points())),
         f"{prefix}.nodes.csv": _csv(
             ["n", "z_left", "z_right", "jump_factor"],
-            ([rec.n, _fmt(rec.z_left), _fmt(rec.z_right), _fmt(rec.jump_factor)]
+            (f"{rec.n},{rec.z_left:.10g},{rec.z_right:.10g},{rec.jump_factor:.10g}\n"
              for rec in traj.nodes)),
         f"{prefix}.verdicts.json": _json(doc),
     })

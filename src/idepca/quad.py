@@ -18,6 +18,11 @@ length, since that is what the piece contributes to the integral.  The
 rule has no tolerance parameter: it resolves to machine precision.  A
 non-finite sample stops it at once, naming its abscissa.
 
+The running integrals are read from each piece's cumulative series on a
+whole list of abscissae at once (``IntervalKernel.at(ts)``): one pass per
+piece runs the Clenshaw recurrence at each of that piece's points.  The
+weight's integrand takes A this way for a whole sampling round.
+
 :func:`integrate` is the same rule over any finite [lo, hi].  Its error
 estimate is the sum of the accepted pieces' dropped Chebyshev tails, each
 weighted by its piece's length; ``tol`` is the absolute error it accepts.
@@ -27,9 +32,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import groupby, repeat
 from math import isfinite, log, log10, pi, sin
 from operator import mul
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from .exprlang import _safe_exp
 
@@ -150,14 +156,6 @@ def _cumulative(coeffs: List[float], half: float) -> List[float]:
     return [half * bj for bj in b]
 
 
-def _clenshaw(c: List[float], x: float) -> float:
-    b1 = b2 = 0.0
-    x2 = 2.0 * x
-    for ck in reversed(c[1:]):
-        b1, b2 = ck + x2 * b1 - b2, b1
-    return c[0] + x * b1 - b2
-
-
 class _Running:
     """F(t) = int_lo^t f as pieces: F = offset + a cumulative series in x.
 
@@ -175,14 +173,39 @@ class _Running:
         self.evaluations = evaluations
         self.error = error
 
-    def __call__(self, t: float) -> float:
-        lo, hi, offset, series = self.pieces[max(0, bisect_right(self.los, t) - 1)]
-        return offset + _clenshaw(series, (2.0 * t - lo - hi) / (hi - lo))
+    def __call__(self, ts: List[float]) -> List[float]:
+        """F at each t of ts, in order.  A t on a piece's edge belongs to the
+        piece on its right.  Each run of consecutive ts in one piece is
+        evaluated in one pass that looks the piece up once, so monotone ts,
+        as every caller passes, take one pass per piece.  The Clenshaw
+        recurrence runs point by point inside the pass: one list
+        comprehension per coefficient over all the points was measured
+        slower (CPython 3.11)."""
+        out: List[float] = []
+        start = 0
+        for right, run in groupby(map(bisect_right, repeat(self.los), ts)):
+            stop = start + len(list(run))
+            lo, hi, offset, series = self.pieces[max(0, right - 1)]
+            c0, rest = series[0], series[:0:-1]
+            for t in ts[start:stop]:
+                x = (2.0 * t - lo - hi) / (hi - lo)
+                x2 = 2.0 * x
+                b1 = b2 = 0.0
+                for ck in rest:
+                    b1, b2 = ck + x2 * b1 - b2, b1
+                out.append(offset + (c0 + x * b1 - b2))
+            start = stop
+        return out
 
 
-def _running_integral(f: Callable[[float], float], lo: float, hi: float, name: str,
-                      n: Optional[int] = None, stage: Optional[str] = None) -> _Running:
-    """Resolve f piece by piece, left to right, and integrate it."""
+def _running_integral(f: Callable[[List[float]], Iterable[float]], lo: float, hi: float,
+                      name: str, n: Optional[int] = None,
+                      stage: Optional[str] = None) -> _Running:
+    """Resolve f piece by piece, left to right, and integrate it.
+
+    f maps a sampling round's abscissae to the integrand's values there,
+    yielded one at a time: the round stops at the first non-finite one.
+    """
     length = hi - lo
     scale = 0.0          # the interval's scale: the largest |f| sampled
     pieces = []
@@ -228,10 +251,9 @@ def _running_integral(f: Callable[[float], float], lo: float, hi: float, name: s
 
 
 def _sample(f, mid, half, points, name, n, stage) -> List[float]:
+    ts = [mid + half * x for x in points]
     values = []
-    for x in points:
-        t = mid + half * x
-        v = f(t)
+    for t, v in zip(ts, f(ts)):
         if not isfinite(v):
             raise NumericFailure(f"{name} is not finite at t = {t!r}", n, stage)
         values.append(v)
@@ -251,19 +273,22 @@ class IntervalKernel:
     """
 
     def __init__(self, fa: Callable[[float], float], fb: Callable[[float], float], n: int):
-        self._a = A = _running_integral(fa, float(n), float(n + 1), "a", n, "a_n")
+        self._a = A = _running_integral(lambda ts: map(fa, ts), float(n), float(n + 1),
+                                        "a", n, "a_n")
         self.total = A.total
         self.scale = scale = max(0.0, -self.total)
 
-        def w(s):
-            return _safe_exp(-A(s) - scale) * fb(s)
+        def w(ts):
+            # A at the whole round in one pass; b lazily, point by point,
+            # so no sample of b follows a non-finite weight
+            return (_safe_exp(-a - scale) * fb(s) for s, a in zip(ts, A(ts)))
 
         self._w = _running_integral(w, float(n), float(n + 1), "the weight", n, "b_n")
         self.weight = self._w.total
 
-    def at(self, t: float) -> Tuple[float, float]:
-        """(A(t), W(t)) for t in [n, n+1]."""
-        return self._a(t), self._w(t)
+    def at(self, ts: List[float]) -> Tuple[List[float], List[float]]:
+        """([A(t) for t in ts], [W(t) for t in ts]) for ts in [n, n+1]."""
+        return self._a(ts), self._w(ts)
 
 
 # -- the rule over any interval ------------------------------------------------
@@ -278,7 +303,8 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
         raise ValueError("integration bounds must be finite")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    run = _running_integral(f, min(lo, hi), max(lo, hi), "the integrand")
+    run = _running_integral(lambda ts: map(f, ts), min(lo, hi), max(lo, hi),
+                            "the integrand")
     if run.error > tol:
         raise NumericFailure(f"error estimate {run.error:.3g} on [{lo!r}, {hi!r}] "
                              f"exceeds tol = {tol!r}")

@@ -7,9 +7,9 @@ On each unit interval [n, n+1) the solution is
 
 where z_dev is the solution value at the deviated node n -+ k and I is the
 running integral of the coefficient a.  This is the interval solution
-formula with the exponential weight factored out.  At each sample point
-the interval's kernel gives I(n, t) and the scaled weight W(t)
-(IntervalKernel.at), and G(t) = exp(scale) W(t).
+formula with the exponential weight factored out.  The interval's kernel
+gives I(n, t) and the scaled weight W(t) at all of the interval's sample
+points in one call (IntervalKernel.at), and G(t) = exp(scale) W(t).
 
 Samples are z alone at t = n + i/m, i < m, and Trajectory.points() adds t.
 The one at a node time is the right-continuous value; the left limit at
@@ -75,10 +75,10 @@ def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,
         z_dev = sol.value(ds.dev(n))
         kernel = IntervalKernel(spec.fa, spec.fb, n)
         scale = kernel.scale
+        expos, ws = kernel.at([n + i / m for i in range(1, m)])
         samples.append(z_n)
-        for i in range(1, m):
-            expo, w = kernel.at(n + i / m)
-            samples.append(_safe_exp(expo) * z_n + z_dev * (_safe_exp(expo + scale) * w))
+        samples += [_safe_exp(expo) * z_n + z_dev * (_safe_exp(expo + scale) * w)
+                    for expo, w in zip(expos, ws)]
         expo = kernel.total
         z_left = _safe_exp(expo) * z_n + z_dev * (_safe_exp(expo + scale) * kernel.weight)
         nodes.append(NodeRecord(n + 1, z_left, sol.value(n + 1), spec.impulse.factor(n + 1)))

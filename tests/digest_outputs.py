@@ -12,8 +12,10 @@ The cases are the shipped examples, example 2 at horizon 505 and example 1
 at horizon 420, the tests' battery draw (OSC_SEED selects it), and problems
 that exit 3 or fail a check.  Every case runs coeffs, analyze, simulate
 --samples 4, simulate --samples 1 (one sample per interval, the grid's
-edge case) and check, in process, in a temporary directory.  pytest does
-not collect this file.
+edge case) and check, in process, in a temporary directory.  Last come the
+benchmark's simulate-dense operations, simulate --samples 128 on example 1
+at horizon 240 and on example 2 at horizon 505, with its flags.  pytest
+does not collect this file.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from idepca.cli import main  # noqa: E402
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 COMMANDS = (["coeffs"], ["analyze"], ["simulate", "--samples", "4"],
             ["simulate", "--samples", "1"], ["check"])
+DENSE = (("example1", ["simulate", "--horizon", "240", "--samples", "128"]),
+         ("example2", ["simulate", "--horizon", "505", "--samples", "128"]))
 
 
 def _plain(a, b, **keys) -> dict:
@@ -62,13 +66,15 @@ FAILING = {
 }
 
 
+def _shipped(name: str) -> dict:
+    return json.loads((PROBLEMS / f"{name}.json").read_text())
+
+
 def cases():
     for name in ("example1", "example2"):
-        yield name, json.loads((PROBLEMS / f"{name}.json").read_text())
-    yield "example2-h505", {**json.loads((PROBLEMS / "example2.json").read_text()),
-                            "horizon": 505}
-    yield "example1-h420", {**json.loads((PROBLEMS / "example1.json").read_text()),
-                            "horizon": 420}
+        yield name, _shipped(name)
+    yield "example2-h505", {**_shipped("example2"), "horizon": 505}
+    yield "example1-h420", {**_shipped("example1"), "horizon": 420}
     for inst in get_battery():
         spec = inst.spec
         yield f"battery-{inst.index:03d}", {
@@ -109,6 +115,9 @@ def run() -> None:
             for command in COMMANDS:
                 code, sha = digest(doc, command, Path(tmp))
                 print(f"{name} {' '.join(command)} {code} {sha}", flush=True)
+        for name, command in DENSE:
+            code, sha = digest(_shipped(name), command, Path(tmp))
+            print(f"{name} {' '.join(command)} {code} {sha}", flush=True)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import pytest
 
@@ -199,6 +200,18 @@ class TestKernelContract:
             res.value = 2.0
 
 
+def _scalar_running(run, t):
+    """The running integral at one t: offset + the Clenshaw recurrence, on
+    the piece that bisect_right picks."""
+    lo, hi, offset, series = run.pieces[bisect_right(run.los, t) - 1]
+    x = (2.0 * t - lo - hi) / (hi - lo)
+    x2 = 2.0 * x
+    b1 = b2 = 0.0
+    for ck in reversed(series[1:]):
+        b1, b2 = ck + x2 * b1 - b2, b1
+    return offset + (series[0] + x * b1 - b2)
+
+
 class TestIntervalKernel:
     """A(t) = int_n^t a and G(t) = int_n^t exp(-A(s)) b(s) ds = exp(scale) W(t)."""
 
@@ -220,10 +233,22 @@ class TestIntervalKernel:
         alpha, beta = 0.7, -0.4
         k = IntervalKernel(lambda s: alpha, lambda s: beta, 2)
         for t in (2.125, 2.5, 2.9):
-            expo, w = k.at(t)
+            (expo,), (w,) = k.at([t])
             assert expo == pytest.approx(alpha * (t - 2.0), rel=1e-14)
             expected = beta * (1.0 - math.exp(-alpha * (t - 2.0))) / alpha
             assert math.exp(k.scale) * w == pytest.approx(expected, rel=1e-13)
+
+    # with b = t the weight's two pieces disagree in the last bit at 2.5,
+    # and at 2.625 the offset added last differs from it added first
+    @pytest.mark.parametrize("b", [lambda t: 1.0, lambda t: t], ids=["b=1", "b=t"])
+    def test_list_evaluation_is_the_scalar_recurrence(self, b):
+        # the kink at 2.5 is where [2, 3] is bisected; 2.5 itself belongs to
+        # the piece on its right
+        k = IntervalKernel(lambda t: abs(t - 2.5), b, 2)
+        assert [p[:2] for p in k._a.pieces] == [(2.0, 2.5), (2.5, 3.0)]
+        ts = [2.25, 2.5, 2.625, 2.75]
+        for run, values in zip((k._a, k._w), k.at(ts)):
+            assert values == [_scalar_running(run, t) for t in ts]
 
     def test_reciprocal_closed_form(self):
         # example 2's a = b = 1/t: T_n = ln((n+1)/n), G_n = 1/(n+1)
@@ -275,10 +300,19 @@ class TestIntervalKernel:
         assert (exc.value.index, exc.value.stage) == (0, "a_n")
 
     def test_nonfinite_weight_names_the_weight(self):
+        # A is taken for the whole sampling round, b point by point: no
+        # sample of b follows the non-finite one, at the round's midpoint
+        xs = []
+
+        def b(t):
+            xs.append(t)
+            return math.nan if t == 3.5 else 1.0
+
         with pytest.raises(NumericFailure) as exc:
-            IntervalKernel(lambda t: 0.0, lambda t: math.nan if t == 3.5 else 1.0, 3)
+            IntervalKernel(lambda t: 0.0, b, 3)
         assert str(exc.value) == "b_n on [3, 4]: the weight is not finite at t = 3.5"
         assert (exc.value.index, exc.value.stage) == (3, "b_n")
+        assert len(xs) == 9 and xs[-1] == 3.5
 
     def test_piece_budget(self):
         # sin(5000 t) needs more than MAX_PIECES pieces of degree 64; every

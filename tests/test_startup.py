@@ -4,7 +4,7 @@ Most of an ``idepca`` process is interpreter start-up and imports, so the
 package keeps ``dataclasses`` (and the inspect, ast, dis and tokenize it
 pulls in) off its import path, ``import idepca`` resolves its exports on
 first access, and ``cli`` imports the modules a command runs inside that
-command.
+command.  No command loads ``csv``: rows are written as formatted lines.
 """
 
 import ast
@@ -29,13 +29,16 @@ LOADED = {
     "check": READ | {"diffeq", "trajectory"},
 }
 
-# prints the idepca submodules loaded, as a JSON list on the last line
+# prints the modules loaded, as a JSON list on the last line
 PROBE = """
 import json, sys
 {body}
-print(json.dumps(sorted(name.partition(".")[2] for name in sys.modules
-                        if name.startswith("idepca."))))
+print(json.dumps(sorted(sys.modules)))
 """
+
+
+def submodules(loaded: set) -> set:
+    return {name.partition(".")[2] for name in loaded if name.startswith("idepca.")}
 
 
 def loaded_after(body: str, cwd: Path) -> set:
@@ -61,11 +64,13 @@ def test_no_module_imports_dataclasses():
 
 
 def test_import_alone_loads_no_submodule(tmp_path):
-    assert loaded_after("import idepca", tmp_path) == set()
+    assert submodules(loaded_after("import idepca", tmp_path)) == set()
 
 
 @pytest.mark.parametrize("command", sorted(LOADED))
 def test_command_loads_only_what_it_runs(tmp_path, command):
     body = (f"from idepca import cli\n"
             f"assert cli.main([{command!r}, {str(EXAMPLE1)!r}, '--out', 'out']) == 0")
-    assert loaded_after(body, tmp_path) == LOADED[command]
+    loaded = loaded_after(body, tmp_path)
+    assert submodules(loaded) == LOADED[command]
+    assert "csv" not in loaded

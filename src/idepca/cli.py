@@ -23,17 +23,11 @@ import math
 import sys
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .exprlang import Expr, ParseError, parse
+from .exprlang import Expr, ParseError, compile_expr, parse
 from .quad import NumericFailure
-from .reduction import (
-    DiagnosticMismatch,
-    Direction,
-    ImpulseSpec,
-    ProblemSpec,
-    build_discrete_system,
-)
+from .reduction import DiagnosticMismatch, Direction, ProblemSpec, build_discrete_system
 
 __all__ = ["main", "load_problem", "SchemaError"]
 
@@ -80,23 +74,27 @@ def _parse_expr(source, variable, key) -> Expr:
         raise SchemaError(f"key {key!r}: {exc}") from exc
 
 
-def _parse_impulse(value) -> ImpulseSpec:
+def _parse_impulse(value) -> Callable[[int], float]:
+    """n -> r_n from the problem file's impulse key: "none" (r_n = 1), a
+    constant factor, a formula in n, or a table whose entry i applies at
+    node i, with default (1 if absent) at every other node."""
     if value == "none":
-        return ImpulseSpec.none()
+        return lambda n: 1.0
     if not isinstance(value, dict):
         raise SchemaError('impulse must be "none" or an object')
     keys = set(value)
     if keys == {"factor"}:
-        return ImpulseSpec.constant(_require_number("impulse.factor", value["factor"]))
+        r = _require_number("impulse.factor", value["factor"])
+        return lambda n: r
     if keys == {"formula"}:
-        return ImpulseSpec.formula(_parse_expr(value["formula"], "n", "impulse.formula"))
+        return compile_expr(_parse_expr(value["formula"], "n", "impulse.formula"))
     if keys in ({"table"}, {"table", "default"}):
         table = value["table"]
         if not isinstance(table, list) or not table:
             raise SchemaError("impulse.table must be a nonempty list of numbers")
         entries = [_require_number("impulse.table", v) for v in table]
         default = _require_number("impulse.default", value.get("default", 1.0))
-        return ImpulseSpec.table(entries, default=default)
+        return lambda n: entries[n] if 0 <= n < len(entries) else default
     raise SchemaError(f"unrecognized impulse object with keys {sorted(keys)}")
 
 

@@ -21,7 +21,8 @@ nonpositive number, sqrt of a negative number and overflow all produce a
 non-finite float that the caller is expected to detect.  compile_expr turns
 an AST into one generated Python function of straight-line code, one
 assignment per operator node, in the tree's own evaluation order, anew on
-every call: a caller keeps the function, as ProblemSpec.fa and .fb do.
+every call: a caller keeps the function, as ProblemSpec.fa and .fb and
+the impulse formula that cli compiles once per problem file do.
 """
 
 from __future__ import annotations

@@ -33,14 +33,13 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from enum import Enum
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .exprlang import Expr, compile_expr, _safe_exp
 from .quad import IntervalKernel, NumericFailure
 
 __all__ = [
     "Direction",
-    "ImpulseSpec",
     "ProblemSpec",
     "DiscreteSystem",
     "ZeroImpulseFactor",
@@ -85,64 +84,18 @@ class IndexOutOfRange(Exception):
         super().__init__(f"index {n}: {message}")
 
 
-class ImpulseSpec:
-    """Jump factors r_n = 1 + c_n applied at integer nodes.
-
-    When expr is set, r_n is that formula in the node index n.  Otherwise
-    entry i of values applies at node i, and every other node takes default.
-    """
-
-    def __init__(self, values: Sequence[float] = (), default: float = 1.0,
-                 expr: Optional[Expr] = None):
-        self.values = tuple(values)
-        self.default = default
-        self.expr = expr
-
-    @classmethod
-    def none(cls) -> "ImpulseSpec":
-        return cls()
-
-    @classmethod
-    def constant(cls, r: float) -> "ImpulseSpec":
-        return cls(default=r)
-
-    @classmethod
-    def formula(cls, expr: Expr) -> "ImpulseSpec":
-        return cls(expr=expr)
-
-    @classmethod
-    def table(cls, values: Sequence[float], default: float = 1.0) -> "ImpulseSpec":
-        return cls(values=values, default=default)
-
-    @cached_property
-    def fr(self) -> Callable[[float], float]:
-        """The compiled formula for r_n (only when expr is set)."""
-        return compile_expr(self.expr)
-
-    def factor(self, n: int) -> float:
-        """The realized jump factor 1 + c_n; never zero."""
-        if self.expr is not None:
-            r = self.fr(float(n))
-        else:
-            r = self.values[n] if 0 <= n < len(self.values) else self.default
-        if not math.isfinite(r) or r == 0.0:
-            raise ZeroImpulseFactor(n, r)
-        return r
-
-
 class ProblemSpec:
     """One problem instance: coefficients, deviation, impulses, window.
 
-    Construction, replace included, raises ValueError on a bad k, horizon
-    or window, and ZeroImpulseFactor (a ValueError) on a jump factor r_n
-    on [n0, horizon] that is zero or not finite.
+    impulse maps a node n to its jump factor r_n = 1 + c_n.  Construction
+    raises ValueError on a bad k, horizon or window, and ZeroImpulseFactor
+    (a ValueError) on a jump factor r_n on [n0, horizon] that is zero or not
+    finite; every node the reduction and the reconstruction read lies there.
     """
 
-    _FIELDS = ("a", "b", "direction", "k", "impulse", "initial_window", "horizon", "n0")
-
     def __init__(self, a: Expr, b: Expr, direction: Direction, k: int,
-                 impulse: ImpulseSpec, initial_window: Sequence[float], horizon: int,
-                 n0: int = 0):
+                 impulse: Callable[[int], float], initial_window: Sequence[float],
+                 horizon: int, n0: int = 0):
         self.a, self.b, self.direction, self.k = a, b, direction, k
         self.impulse = impulse
         self.initial_window = tuple(initial_window)
@@ -154,12 +107,9 @@ class ProblemSpec:
         if len(self.initial_window) != k + 1:
             raise ValueError(f"initial_window must have exactly {k + 1} entries")
         for n in range(n0, horizon + 1):
-            impulse.factor(n)
-
-    def replace(self, **changes) -> "ProblemSpec":
-        """A new spec with the given fields changed, validated as a new one is."""
-        return ProblemSpec(**{**{name: getattr(self, name) for name in self._FIELDS},
-                              **changes})
+            r = impulse(n)
+            if not math.isfinite(r) or r == 0.0:
+                raise ZeroImpulseFactor(n, r)
 
     @cached_property
     def fa(self) -> Callable[[float], float]:
@@ -205,7 +155,7 @@ def _scaled(expo: float, value: float, n: int, stage: str) -> float:
 def compute_an(spec: ProblemSpec, n: int) -> float:
     """a_n = r_{n+1} * exp(T_n), T_n the integral of a over [n, n+1]."""
     total = spec.intervals[n][0]
-    value = spec.impulse.factor(n + 1) * _safe_exp(total)
+    value = spec.impulse(n + 1) * _safe_exp(total)
     if not math.isfinite(value):
         raise NumericFailure(f"exp(T_n) overflowed (T_n = {total!r})", n, "a_n")
     return value
@@ -214,7 +164,7 @@ def compute_an(spec: ProblemSpec, n: int) -> float:
 def compute_bn(spec: ProblemSpec, n: int) -> float:
     """b_n = r_{n+1} * int_n^{n+1} exp(I(s, n+1)) b(s) ds = r_{n+1} exp(T_n) G_n."""
     total, scale, weight = spec.intervals[n]
-    return _scaled(total + scale, spec.impulse.factor(n + 1) * weight, n, "b_n")
+    return _scaled(total + scale, spec.impulse(n + 1) * weight, n, "b_n")
 
 
 class DiscreteSystem:
@@ -292,11 +242,11 @@ def compute_qn_direct(spec: ProblemSpec, n: int) -> float:
     prod = 1.0
     if spec.direction is Direction.DELAYED:
         for j in range(n - spec.k + 1, n + 1):
-            prod /= spec.impulse.factor(j)
+            prod /= spec.impulse(j)
         expo = -math.fsum(intervals[j][0] for j in range(n - spec.k, n))
     else:
         for j in range(n + 1, n + spec.k + 1):
-            prod *= spec.impulse.factor(j)
+            prod *= spec.impulse(j)
         expo = math.fsum(intervals[j][0] for j in range(n, n + spec.k))
     _, scale, weight = intervals[n]
     return _scaled(expo + scale, prod * weight, n, "Q_n direct")

@@ -81,7 +81,7 @@ def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,
                     for expo, w in zip(expos, ws)]
         expo = kernel.total
         z_left = _safe_exp(expo) * z_n + z_dev * (_safe_exp(expo + scale) * kernel.weight)
-        nodes.append(NodeRecord(n + 1, z_left, sol.value(n + 1), spec.impulse.factor(n + 1)))
+        nodes.append(NodeRecord(n + 1, z_left, sol.value(n + 1), spec.impulse(n + 1)))
     return Trajectory(spec.k, samples, nodes, intervals.start, m)
 
 

@@ -1,11 +1,19 @@
-"""Reference checks that several test modules share; the package has no use
-for them."""
+"""Reference checks and helpers that several test modules share; the
+package has no use for them."""
 
 from __future__ import annotations
 
 import math
 
+from idepca.reduction import ProblemSpec
 from idepca.trajectory import Trajectory
+
+SPEC_FIELDS = ("a", "b", "direction", "k", "impulse", "initial_window", "horizon", "n0")
+
+
+def respec(spec: ProblemSpec, **changes) -> ProblemSpec:
+    """A new spec with the given fields changed, validated as a new one is."""
+    return ProblemSpec(**{**{name: getattr(spec, name) for name in SPEC_FIELDS}, **changes})
 
 
 def sign_change(u: float, v: float) -> bool:

@@ -13,13 +13,13 @@ import functools
 import os
 import random
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Tuple
 
 from idepca.diffeq import DiscreteSolution, solve
 from idepca.exprlang import parse
 from idepca.reduction import (
     Direction,
     DiscreteSystem,
-    ImpulseSpec,
     ProblemSpec,
     build_discrete_system,
 )
@@ -38,11 +38,23 @@ T_SCALE = HORIZON
 # battery.
 
 
+class Draw(NamedTuple):
+    """One instance's drawn data; a problem file can be written from it alone."""
+    index: int
+    k: int
+    direction: Direction
+    source_a: str
+    source_b: str
+    factor: float
+    window: Tuple[float, ...]
+
+
 @dataclass(frozen=True)
 class Instance:
     index: int
     source_a: str
     source_b: str
+    factor: float
     spec: ProblemSpec
     ds: DiscreteSystem
     sol: DiscreteSolution
@@ -60,28 +72,38 @@ def _exponential(rng: random.Random) -> str:
     return f"{c0:.17g}*exp({c1:.17g}*(t/{T_SCALE})/2)/5"
 
 
-def _make_instance(rng: random.Random, index: int) -> Instance:
+def _draw(rng: random.Random, index: int) -> Draw:
     k = rng.randint(1, 5)
     direction = rng.choice((Direction.DELAYED, Direction.ADVANCED))
     source_a = _poly(rng) if rng.random() < 0.5 else _exponential(rng)
     source_b = _poly(rng) if rng.random() < 0.5 else _exponential(rng)
     factor = rng.uniform(0.25, 2.0)
     window = tuple(rng.uniform(0.5, 1.5) for _ in range(k + 1))
+    return Draw(index, k, direction, source_a, source_b, factor, window)
+
+
+def draws() -> Iterator[Draw]:
+    """The battery's drawn data, instance by instance, with nothing built."""
+    rng = random.Random(SEED)
+    return (_draw(rng, i) for i in range(SIZE))
+
+
+def _make_instance(d: Draw) -> Instance:
+    factor = d.factor
     spec = ProblemSpec(
-        a=parse(source_a, "t"),
-        b=parse(source_b, "t"),
-        direction=direction,
-        k=k,
-        impulse=ImpulseSpec.constant(factor),
-        initial_window=window,
+        a=parse(d.source_a, "t"),
+        b=parse(d.source_b, "t"),
+        direction=d.direction,
+        k=d.k,
+        impulse=lambda n: factor,
+        initial_window=d.window,
         horizon=HORIZON,
     )
     ds = build_discrete_system(spec)
     sol = solve(ds, spec.initial_window)
-    return Instance(index, source_a, source_b, spec, ds, sol)
+    return Instance(d.index, d.source_a, d.source_b, factor, spec, ds, sol)
 
 
 @functools.lru_cache(maxsize=1)
 def get_battery() -> tuple:
-    rng = random.Random(SEED)
-    return tuple(_make_instance(rng, i) for i in range(SIZE))
+    return tuple(_make_instance(d) for d in draws())

@@ -9,13 +9,15 @@ on these cases when the `diff` of their digests is empty:
     diff before.txt after.txt
 
 The cases are the shipped examples, example 2 at horizon 505 and example 1
-at horizon 420, the tests' battery draw (OSC_SEED selects it), and problems
-that exit 3 or fail a check.  Every case runs coeffs, analyze, simulate
+at horizon 420, the tests' battery draw (OSC_SEED selects it), problems
+that exit 3 or fail a check, and both examples under each impulse shape
+(formula, table, table with default, and two that exit 2).  Every case runs coeffs, analyze, simulate
 --samples 4, simulate --samples 1 (one sample per interval, the grid's
 edge case) and check, in process, in a temporary directory.  Last come the
 benchmark's simulate-dense operations, simulate --samples 128 on example 1
-at horizon 240 and on example 2 at horizon 505, with its flags.  pytest
-does not collect this file.
+at horizon 240 and on example 2 at horizon 505, with its flags.  The
+battery enters as its drawn data, not as built specs, so the script runs
+against another checkout's src as well.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _battery import get_battery  # noqa: E402
+from _battery import HORIZON, draws  # noqa: E402
 from idepca.cli import main  # noqa: E402
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -66,6 +68,17 @@ FAILING = {
 }
 
 
+# each impulse shape on a delayed (example 1) and an advanced (example 2)
+# problem; a zero table entry and a formula infinite at node 7 exit 2
+IMPULSES = {
+    "formula": {"formula": "0.5 + 0.25*sin(n)"},
+    "table": {"table": [0.5, 2, 0.75, 1.25]},
+    "table-default": {"table": [2, 0.5, 1.5], "default": 0.5},
+    "table-zero": {"table": [0.5, 0.5, 0.5, 0.0]},
+    "formula-nonfinite": {"formula": "1/(n - 7)"},
+}
+
+
 def _shipped(name: str) -> dict:
     return json.loads((PROBLEMS / f"{name}.json").read_text())
 
@@ -75,15 +88,16 @@ def cases():
         yield name, _shipped(name)
     yield "example2-h505", {**_shipped("example2"), "horizon": 505}
     yield "example1-h420", {**_shipped("example1"), "horizon": 420}
-    for inst in get_battery():
-        spec = inst.spec
-        yield f"battery-{inst.index:03d}", {
-            "a": inst.source_a, "b": inst.source_b, "direction": spec.direction.value,
-            "k": spec.k, "impulse": {"factor": spec.impulse.default},
-            "initial_window": list(spec.initial_window), "n0": spec.n0,
-            "horizon": spec.horizon, "tol": 1e-10,
+    for d in draws():
+        yield f"battery-{d.index:03d}", {
+            "a": d.source_a, "b": d.source_b, "direction": d.direction.value,
+            "k": d.k, "impulse": {"factor": d.factor},
+            "initial_window": list(d.window), "n0": 0, "horizon": HORIZON, "tol": 1e-10,
         }
     yield from FAILING.items()
+    for name in ("example1", "example2"):
+        for shape, impulse in IMPULSES.items():
+            yield f"{name}-{shape}", {**_shipped(name), "impulse": impulse}
 
 
 def digest(doc: dict, command: list, directory: Path) -> tuple:

@@ -11,7 +11,7 @@ import sys
 import time
 from pathlib import Path
 
-from _audits import max_node_discontinuity, sign_change
+from _audits import max_node_discontinuity, respec, sign_change
 from _battery import get_battery
 from idepca import criteria as crit
 from idepca.cli import load_problem
@@ -32,7 +32,6 @@ from idepca.diffeq import (
 from idepca.quad import integrate
 from idepca.reduction import (
     Direction,
-    ImpulseSpec,
     ProblemSpec,
     build_discrete_system,
     compute_qn_direct,
@@ -66,7 +65,7 @@ def read_rows(path):
 
 
 def with_horizon(spec, horizon):
-    return spec.replace(horizon=horizon)
+    return respec(spec, horizon=horizon)
 
 
 def test_01_first_example_coefficient_table(tmp_path):
@@ -202,7 +201,7 @@ def test_06_continuity_without_impulses():
         s = inst.spec
         variant = ProblemSpec(
             a=s.a, b=s.b, direction=s.direction, k=s.k,
-            impulse=ImpulseSpec.none(), initial_window=s.initial_window,
+            impulse=lambda n: 1.0, initial_window=s.initial_window,
             horizon=12, n0=0,
         )
         ds = build_discrete_system(variant)

@@ -135,6 +135,17 @@ class TestCoeffs:
                        "--horizon", 10).returncode == 0
         assert len(read_csv(out)) == 11  # header + rows 0..9
 
+    def test_impulse_shapes_of_one_constant_agree(self, tmp_path, capsys):
+        # the three shapes reach the reduction as the same n -> r_n
+        outputs = []
+        for impulse in ({"factor": 0.5}, {"formula": "0.5"}, {"table": [0.5], "default": 0.5}):
+            path = str(write_problem(tmp_path, {**BASE_DOC, "impulse": impulse}))
+            codes = [cli.main(["coeffs", path]), cli.main(["check", path])]
+            outputs.append((codes, capsys.readouterr()))
+        assert outputs[0][0] == [0, 0]
+        assert outputs[0][1].out.count("PASS") >= 5
+        assert outputs[0] == outputs[1] == outputs[2]
+
 
 class TestAnalyze:
     def test_example1_oscillatory(self, tmp_path):

@@ -1,10 +1,13 @@
-"""Every exported name resolves, so removals cannot leave dangling exports.
+"""Every exported name resolves, so removals cannot leave dangling exports,
+and is used by the package itself or by the benchmark's tracer, so src/
+keeps no helper that only tests use.
 
 The benchmark's tracer (perfbench/tracer.py) reaches the layer functions by
 module and name, and a name it cannot find only blanks that layer's metrics;
 so its targets are checked here too.
 """
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -24,13 +27,6 @@ def test_module_all_resolves(name):
     assert missing == []
 
 
-def test_package_reexports_resolve():
-    assert idepca._EXPORTS
-    for name, module in idepca._EXPORTS.items():
-        source = importlib.import_module(f"idepca.{module}")
-        assert getattr(idepca, name) is getattr(source, name)
-
-
 def load_tracer():
     """perfbench/tracer.py as a module, without installing its wrappers."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -46,6 +42,24 @@ def test_tracer_targets_resolve():
     missing = [f"{mod}.{fn}" for mod, fn in targets
                if not callable(getattr(importlib.import_module(f"idepca.{mod}"), fn, None))]
     assert missing == []
+
+
+def test_every_export_is_used_by_the_package_or_the_tracer():
+    # a name is used when package code reads it, bare or as an attribute;
+    # its definition and its __all__ entry do not count
+    used = set()
+    for path in Path(idepca.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    tracer = load_tracer()
+    targets = {f"{mod}.{fn}" for mod, fn in [*tracer.SPANNED, tracer.COUNTED]}
+    unused = [f"{name}.{attr}" for name in MODULES
+              for attr in importlib.import_module(f"idepca.{name}").__all__
+              if attr not in used and f"{name}.{attr}" not in targets]
+    assert unused == []
 
 
 def test_tracer_counts_the_integrand_calls():

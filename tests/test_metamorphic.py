@@ -10,9 +10,10 @@ the initial window by c > 0 scales every z by c and keeps every verdict.
 
 import pytest
 
+from _audits import respec
 from _battery import get_battery
 from idepca.diffeq import continue_window, discrete_oscillation_check, solve
-from idepca.reduction import Direction, ImpulseSpec, build_discrete_system
+from idepca.reduction import Direction, build_discrete_system
 
 # the largest relative gap over battery seeds 1-6 is 8.9e-16 for Q_n and
 # 3.3e-16 for b_n; a_n agrees exactly
@@ -30,8 +31,8 @@ def close(x, y, rel):
 def test_jump_factor_rescales_the_reduced_coefficients():
     for inst in get_battery():
         spec, ds = inst.spec, inst.ds
-        r = spec.impulse.default
-        plain = build_discrete_system(spec.replace(impulse=ImpulseSpec.none()))
+        r = inst.factor
+        plain = build_discrete_system(respec(spec, impulse=lambda n: 1.0))
         for n in range(ds.n0, ds.horizon):
             assert close(ds.a(n), r * plain.a(n), COEFFICIENT_REL), (inst.index, n)
             assert close(ds.b(n), r * plain.b(n), COEFFICIENT_REL), (inst.index, n)

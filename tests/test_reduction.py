@@ -5,16 +5,16 @@ from pathlib import Path
 
 import pytest
 
+from _audits import respec
 from _battery import get_battery
-from idepca import reduction, trajectory
-from idepca.cli import load_problem, main
+from idepca import cli, reduction, trajectory
+from idepca.cli import _parse_impulse, load_problem, main, validate_problem
 from idepca.diffeq import continue_window
 from idepca.exprlang import parse
 from idepca.quad import NumericFailure
 from idepca.reduction import (
     DiagnosticMismatch,
     Direction,
-    ImpulseSpec,
     IndexOutOfRange,
     ProblemSpec,
     ZeroImpulseFactor,
@@ -35,39 +35,47 @@ def make_spec(a="-1", b="-1/3", direction=Direction.DELAYED, k=3, factor=0.5,
               window=None, horizon=20, n0=0):
     if window is None:
         window = (1.0,) * (k + 1)
-    impulse = ImpulseSpec.none() if factor is None else ImpulseSpec.constant(factor)
+    impulse = (lambda n: 1.0) if factor is None else (lambda n: factor)
     return ProblemSpec(
         a=parse(a, "t"), b=parse(b, "t"), direction=direction, k=k,
         impulse=impulse, initial_window=tuple(window), horizon=horizon, n0=n0,
     )
 
 
+def impulse_spec(impulse, n0=0, horizon=10):
+    """A delayed k = 1 spec whose jump factors are the file's impulse value."""
+    return ProblemSpec(a=parse("-1", "t"), b=parse("-1/3", "t"),
+                       direction=Direction.DELAYED, k=1, impulse=_parse_impulse(impulse),
+                       initial_window=(1.0, 1.0), horizon=horizon, n0=n0)
+
+
 class TestImpulseSpec:
+    """The problem file's impulse key: the function n -> r_n that
+    cli._parse_impulse makes of each shape, and ProblemSpec's check of it."""
+
     def test_none_factor(self):
-        assert ImpulseSpec.none().factor(7) == 1.0
+        assert _parse_impulse("none")(7) == 1.0
 
     def test_constant_factor(self):
-        assert ImpulseSpec.constant(0.5).factor(3) == 0.5
+        assert _parse_impulse({"factor": 0.5})(3) == 0.5
 
     def test_formula_factor(self):
-        imp = ImpulseSpec.formula(parse("1 + 1/n", "n"))
-        assert imp.factor(4) == pytest.approx(1.25)
+        assert _parse_impulse({"formula": "1 + 1/n"})(4) == pytest.approx(1.25)
 
     def test_table_with_default(self):
-        imp = ImpulseSpec.table([2.0, 3.0], default=1.5)
-        assert imp.factor(0) == 2.0
-        assert imp.factor(1) == 3.0
-        assert imp.factor(9) == 1.5
+        r = _parse_impulse({"table": [2.0, 3.0], "default": 1.5})
+        assert (r(0), r(1), r(9)) == (2.0, 3.0, 1.5)
+        assert _parse_impulse({"table": [2.0, 3.0]})(9) == 1.0
 
     def test_zero_factor_rejected(self):
         with pytest.raises(ZeroImpulseFactor) as exc:
-            ImpulseSpec.constant(0.0).factor(3)
+            impulse_spec({"factor": 0.0}, n0=3)
         assert exc.value.index == 3
 
     def test_nonfinite_formula_factor_rejected(self):
-        imp = ImpulseSpec.formula(parse("1/n", "n"))
-        with pytest.raises(ZeroImpulseFactor):
-            imp.factor(0)
+        with pytest.raises(ZeroImpulseFactor) as exc:
+            impulse_spec({"formula": "1/n"})
+        assert exc.value.index == 0
 
 
 class TestProblemSpecValidation:
@@ -85,22 +93,16 @@ class TestProblemSpecValidation:
 
     def test_zero_jump_factor_names_its_node(self):
         with pytest.raises(ZeroImpulseFactor, match="jump factor at node 2 is 0.0") as exc:
-            ProblemSpec(a=parse("-1", "t"), b=parse("-1/3", "t"),
-                        direction=Direction.DELAYED, k=1,
-                        impulse=ImpulseSpec.table([1.0, 1.0, 0.0]),
-                        initial_window=(1.0, 1.0), horizon=10)
+            impulse_spec({"table": [1.0, 1.0, 0.0]})
         assert exc.value.index == 2
         assert isinstance(exc.value, ValueError)
 
     def test_replace_checks_the_longer_horizon(self):
         # the zero at node 25 lies past horizon 20, so only the longer run fails
-        spec = ProblemSpec(a=parse("-1", "t"), b=parse("-1/3", "t"),
-                           direction=Direction.DELAYED, k=1,
-                           impulse=ImpulseSpec.formula(parse("1 - 1/(26 - n)", "n")),
-                           initial_window=(1.0, 1.0), horizon=20)
-        assert spec.replace(horizon=24).horizon == 24
+        spec = impulse_spec({"formula": "1 - 1/(26 - n)"}, horizon=20)
+        assert respec(spec, horizon=24).horizon == 24
         with pytest.raises(ZeroImpulseFactor) as exc:
-            spec.replace(horizon=30)
+            respec(spec, horizon=30)
         assert exc.value.index == 25
 
     def test_each_expression_compiled_once(self, monkeypatch):
@@ -111,14 +113,16 @@ class TestProblemSpecValidation:
             compiled.append(expr)
             return compile_expr(expr)
 
+        # the impulse formula is compiled where the problem file is read
+        monkeypatch.setattr(cli, "compile_expr", counting)
         monkeypatch.setattr(reduction, "compile_expr", counting)
-        spec = ProblemSpec(a=parse("-1 + t/50", "t"), b=parse("sin(t)/3", "t"),
-                           direction=Direction.ADVANCED, k=2,
-                           impulse=ImpulseSpec.formula(parse("1 + 1/(n + 1)", "n")),
-                           initial_window=(1.0, 1.0, 1.0), horizon=12)
+        spec = validate_problem({"a": "-1 + t/50", "b": "sin(t)/3", "direction": "advanced",
+                                 "k": 2, "impulse": {"formula": "1 + 1/(n + 1)"},
+                                 "initial_window": [1, 1, 1], "horizon": 12}).spec
         ds = build_discrete_system(spec)
         reconstruct(spec, ds, continue_window(ds, spec.initial_window), 4)
-        assert [id(e) for e in compiled] == [id(spec.impulse.expr), id(spec.a), id(spec.b)]
+        assert compiled == [parse("1 + 1/(n + 1)", "n"), spec.a, spec.b]
+        assert [id(e) for e in compiled[1:]] == [id(spec.a), id(spec.b)]
 
 
 class TestCoefficients:
@@ -369,7 +373,7 @@ class TestStageFailures:
         smooth = make_spec(a="0", b="1", k=1, factor=None, horizon=8)
         ds = build_discrete_system(smooth)
         sol = continue_window(ds, smooth.initial_window)
-        spec = smooth.replace(a=parse(a, "t"), b=parse(b, "t"))
+        spec = respec(smooth, a=parse(a, "t"), b=parse(b, "t"))
         with pytest.raises(NumericFailure) as exc:
             if trigger == "reconstruct":
                 reconstruct(spec, ds, sol, 8)

@@ -2,9 +2,9 @@
 
 Most of an ``idepca`` process is interpreter start-up and imports, so the
 package keeps ``dataclasses`` (and the inspect, ast, dis and tokenize it
-pulls in) off its import path, ``import idepca`` resolves its exports on
-first access, and ``cli`` imports the modules a command runs inside that
-command.  No command loads ``csv``: rows are written as formatted lines.
+pulls in) off its import path, ``import idepca`` re-exports nothing and so
+loads no submodule, and ``cli`` imports the modules a command runs inside
+that command.  No command loads ``csv``: rows are written as formatted lines.
 """
 
 import ast

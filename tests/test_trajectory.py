@@ -11,7 +11,6 @@ from idepca.diffeq import (TooShort, Verdict, continue_window, discrete_oscillat
 from idepca.exprlang import parse
 from idepca.reduction import (
     Direction,
-    ImpulseSpec,
     ProblemSpec,
     build_discrete_system,
 )
@@ -29,7 +28,7 @@ def make_pipeline(a="-1", b="-1/3", direction=Direction.DELAYED, k=3,
                   factor=0.5, window=None, horizon=12, n0=0, samples=8):
     if window is None:
         window = (1.0,) * (k + 1)
-    impulse = ImpulseSpec.none() if factor is None else ImpulseSpec.constant(factor)
+    impulse = (lambda n: 1.0) if factor is None else (lambda n: factor)
     spec = ProblemSpec(a=parse(a, "t"), b=parse(b, "t"), direction=direction,
                        k=k, impulse=impulse, initial_window=tuple(window),
                        horizon=horizon, n0=n0)

@@ -11,21 +11,19 @@ with
 
 where I(s, T) is the integral of the continuous coefficient a over [s, T]
 and r_n is the jump factor applied when crossing node n (r_n = 1 for the
-non-impulsive case).  From a_n the cumulative weights alpha_n and the
-reduced-form coefficients Q_n are derived.
+non-impulsive case).  From a_n the cumulative weights alpha_n are
+derived, and the reduced-form coefficients Q_n from the same integrals.
 
 Every integral comes from one record per interval, built by the interval's
 kernel (quad.IntervalKernel) at the first coefficient that needs it:
 T_n = I(n, n+1) and G_n = int_n^{n+1} exp(-I(n, s)) b(s) ds = exp(scale) W_n,
 since I(s, target) = I(n, target) - I(n, s).  So b_n = r_{n+1} exp(T_n) G_n.
 
-Q_n is computed by two independent routes -- the alpha-ratio definition and
-a direct route that aims the weight at the deviated node, sums the T_j
-itself and multiplies the jump factors in -- and the build aborts if they
-disagree.  That audit is the main defense against index and sign bugs in
-this file.  Both routes read the same (T_n, scale, W_n), so the quadrature
-error is common to them and cancels; what is left between them is
-rounding, and a relative bound is enough even where Q_n is tiny.
+Q_n = alpha_{n+1} b_n / alpha_{n -+ k} is computed once, without alpha:
+the weight is aimed at the deviated node, the T_j between n and it are
+summed and the jump factors multiplied in, so no intermediate leaves
+double range where Q_n does not.  `check` compares it with the product
+spelling of a_n and b_n.
 """
 
 from __future__ import annotations
@@ -43,11 +41,9 @@ __all__ = [
     "ProblemSpec",
     "DiscreteSystem",
     "ZeroImpulseFactor",
-    "DiagnosticMismatch",
     "IndexOutOfRange",
     "compute_an",
     "compute_bn",
-    "compute_qn",
     "compute_qn_direct",
     "build_discrete_system",
 ]
@@ -65,17 +61,6 @@ class ZeroImpulseFactor(ValueError):
         self.index = n
         self.value = value
         super().__init__(f"jump factor at node {n} is {value!r}; must be finite and nonzero")
-
-
-class DiagnosticMismatch(NumericFailure):
-    """The alpha-ratio and direct routes for Q_n disagree."""
-
-    def __init__(self, n: int, ratio_value: float, direct_value: float):
-        self.ratio_value = ratio_value
-        self.direct_value = direct_value
-        super().__init__(
-            f"Q_{n} mismatch: alpha-ratio {ratio_value!r} vs direct {direct_value!r}", n
-        )
 
 
 class IndexOutOfRange(Exception):
@@ -213,26 +198,10 @@ class DiscreteSystem:
         return i
 
 
-def compute_qn(ds: DiscreteSystem, n: int) -> float:
-    """Q_n from the alpha-ratio definition; signed (Q*_n is just -Q_n)."""
-    dev = ds.dev(n)
-    # an alpha that underflowed or overflowed has no digits left for the ratio route
-    for j in (dev, n + 1):
-        if ds.alpha(j) == 0.0:
-            raise NumericFailure(f"at index {n}: alpha_{j} underflowed to 0", n)
-        if math.isinf(ds.alpha(j)):
-            raise NumericFailure(f"at index {n}: alpha_{j} overflowed", n)
-    q = ds.alpha(n + 1) * ds.b(n) / ds.alpha(dev)
-    if not math.isfinite(q):
-        raise NumericFailure(f"at index {n}: Q_n = alpha_{n + 1} b_n / alpha_{dev} is {q!r}",
-                             n)
-    return q
-
-
 def compute_qn_direct(spec: ProblemSpec, n: int) -> float:
     """Q_n from the weight aimed at the deviated node, with the jump-factor product.
 
-    Independent of the alpha route: the exponential weight targets the
+    Q_n is signed (Q*_n is just -Q_n).  The exponential weight targets the
     deviated node n -+ k directly, I(s, n -+ k) = I(n, n -+ k) - I(n, s),
     with I(n, n -+ k) summed here from the interval totals T_j, and the
     jump factors enter as an explicit product over the nodes between n and
@@ -252,17 +221,8 @@ def compute_qn_direct(spec: ProblemSpec, n: int) -> float:
     return _scaled(expo + scale, prod * weight, n, "Q_n direct")
 
 
-_Q_AUDIT_REL = 1e-8
-
-
-def _q_routes_agree(q_ratio: float, q_direct: float) -> bool:
-    if not (math.isfinite(q_ratio) and math.isfinite(q_direct)):
-        return False
-    return abs(q_ratio - q_direct) <= _Q_AUDIT_REL * max(abs(q_ratio), abs(q_direct))
-
-
 def build_discrete_system(spec: ProblemSpec) -> DiscreteSystem:
-    """Compute a_n, b_n, alpha_n, Q_n over [n0, horizon] with the dual audit."""
+    """Compute a_n, b_n, alpha_n and Q_n over [n0, horizon]."""
     n0, horizon, k = spec.n0, spec.horizon, spec.k
     a_seq: List[float] = []
     b_seq: List[float] = []
@@ -277,18 +237,13 @@ def build_discrete_system(spec: ProblemSpec) -> DiscreteSystem:
             raise NumericFailure(f"a_{j} = 0; alpha is undefined past index {j}", j)
         alpha_seq.append(alpha_seq[-1] / aj)
 
-    ds = DiscreteSystem(
+    # Q_n exists where the deviated node lies in [n0, horizon]
+    if spec.direction is Direction.DELAYED:
+        q_range = range(n0 + k, horizon)
+    else:
+        q_range = range(n0, horizon - k + 1)
+    return DiscreteSystem(
         n0=n0, direction=spec.direction, k=k,
         a_seq=a_seq, b_seq=b_seq, alpha_seq=alpha_seq,
-        q_seq=[], q_start=n0,
+        q_seq=[compute_qn_direct(spec, n) for n in q_range], q_start=q_range[0],
     )
-    # Q_n exists where alpha exists at the deviated node
-    q_range = [n for n in range(n0, horizon) if n0 <= ds.dev(n) <= horizon]
-    ds.q_start = q_range[0]
-    for n in q_range:
-        q_ratio = compute_qn(ds, n)
-        q_direct = compute_qn_direct(spec, n)
-        if not _q_routes_agree(q_ratio, q_direct):
-            raise DiagnosticMismatch(n, q_ratio, q_direct)
-        ds.q_seq.append(q_ratio)
-    return ds

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 
-from idepca.reduction import ProblemSpec
+from idepca.reduction import DiscreteSystem, ProblemSpec
 from idepca.trajectory import Trajectory
 
 SPEC_FIELDS = ("a", "b", "direction", "k", "impulse", "initial_window", "horizon", "n0")
@@ -14,6 +14,13 @@ SPEC_FIELDS = ("a", "b", "direction", "k", "impulse", "initial_window", "horizon
 def respec(spec: ProblemSpec, **changes) -> ProblemSpec:
     """A new spec with the given fields changed, validated as a new one is."""
     return ProblemSpec(**{**{name: getattr(spec, name) for name in SPEC_FIELDS}, **changes})
+
+
+def q_by_alpha_ratio(ds: DiscreteSystem, n: int) -> float:
+    """The reference spelling of Q_n, alpha_{n+1} b_n / alpha_dev(n), from
+    the definition of the reduced form; it has digits only while alpha is
+    in double range."""
+    return ds.alpha(n + 1) * ds.b(n) / ds.alpha(ds.dev(n))
 
 
 def sign_change(u: float, v: float) -> bool:

@@ -8,16 +8,19 @@ on these cases when the `diff` of their digests is empty:
     PYTHONPATH=<other checkout>/src python tests/digest_outputs.py > before.txt
     diff before.txt after.txt
 
-The cases are the shipped examples, example 2 at horizon 505 and example 1
-at horizon 420, the tests' battery draw (OSC_SEED selects it), problems
-that exit 3 or fail a check, and both examples under each impulse shape
-(formula, table, table with default, and two that exit 2).  Every case runs coeffs, analyze, simulate
---samples 4, simulate --samples 1 (one sample per interval, the grid's
-edge case) and check, in process, in a temporary directory.  Last come the
-benchmark's simulate-dense operations, simulate --samples 128 on example 1
-at horizon 240 and on example 2 at horizon 505, with its flags.  The
-battery enters as its drawn data, not as built specs, so the script runs
-against another checkout's src as well.  pytest does not collect this file.
+The cases are the shipped examples, example 2 at horizon 505, example 1
+at horizons 420 and 505, the tests' battery draw (OSC_SEED selects it),
+problems that exit 3 or fail a check, a=-2, b=-1, delayed, k=1 at horizon
+1000, and both examples under each impulse shape (formula, table, table
+with default, and two that exit 2).  Example 1 from horizon 420 on and the
+a=-2 case run past the range of alpha, which Q_n does not read.  Every
+case runs coeffs, analyze, simulate --samples 4, simulate --samples 1 (one
+sample per interval, the grid's edge case) and check, in process, in a
+temporary directory.  Last come the benchmark's simulate-dense operations,
+simulate --samples 128 on example 1 at horizon 240 and on example 2 at
+horizon 505, with its flags.  The battery enters as its drawn data, not as
+built specs, so the script runs against another checkout's src as well.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ def _plain(a, b, **keys) -> dict:
     return doc
 
 
-# numeric failures of each stage, a problem whose reduced form overflows, and
-# one whose alpha overflows
+# numeric failures of each stage, and problems whose y-form or alpha leaves
+# double range
 FAILING = {
     "a-singular": _plain("1/t", "1"),
     "weight-singular": _plain("0", "1/(t - 0.5)"),
@@ -88,6 +91,7 @@ def cases():
         yield name, _shipped(name)
     yield "example2-h505", {**_shipped("example2"), "horizon": 505}
     yield "example1-h420", {**_shipped("example1"), "horizon": 420}
+    yield "example1-h505", {**_shipped("example1"), "horizon": 505}
     for d in draws():
         yield f"battery-{d.index:03d}", {
             "a": d.source_a, "b": d.source_b, "direction": d.direction.value,
@@ -95,6 +99,7 @@ def cases():
             "initial_window": list(d.window), "n0": 0, "horizon": HORIZON, "tol": 1e-10,
         }
     yield from FAILING.items()
+    yield "alpha-past-range-h1000", _plain("-2", "-1", horizon=1000)
     for name in ("example1", "example2"):
         for shape, impulse in IMPULSES.items():
             yield f"{name}-{shape}", {**_shipped(name), "impulse": impulse}

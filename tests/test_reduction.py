@@ -1,11 +1,12 @@
 import functools
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
-from _audits import respec
+from _audits import q_by_alpha_ratio, respec
 from _battery import get_battery
 from idepca import cli, reduction, trajectory
 from idepca.cli import _parse_impulse, load_problem, main, validate_problem
@@ -13,16 +14,14 @@ from idepca.diffeq import continue_window
 from idepca.exprlang import parse
 from idepca.quad import NumericFailure
 from idepca.reduction import (
-    DiagnosticMismatch,
     Direction,
+    DiscreteSystem,
     IndexOutOfRange,
     ProblemSpec,
     ZeroImpulseFactor,
-    _q_routes_agree,
     build_discrete_system,
     compute_an,
     compute_bn,
-    compute_qn,
     compute_qn_direct,
 )
 from idepca.trajectory import reconstruct
@@ -201,20 +200,33 @@ class TestAlpha:
         with pytest.raises(IndexOutOfRange):
             ds.alpha(7)
 
-    # an alpha outside double range leaves the ratio route no digits, so the
-    # build names it instead of reporting a route mismatch
-    @pytest.mark.parametrize("spec,index,message", [
-        # r = 1e30 underflows alpha to 0 from n = 11 on
-        (dict(a="0", factor=1e30, k=1, horizon=14), 10, "alpha_11 underflowed to 0"),
+    # Q_n does not read alpha, so an alpha outside double range leaves it
+    # as it is; the build stores the 0 or inf and coeffs writes it blank
+    @pytest.mark.parametrize("spec,index,alpha,q", [
+        # r = 1e30 underflows alpha to 0 from n = 11 on; Q_n = b_n / (a_{n-1} a_n)
+        # = b / r
+        (dict(a="0", factor=1e30, k=1, horizon=14), 11, 0.0, -1e-30 / 3.0),
         # a_n = exp(-5) overflows alpha from n = 142 on; the ratio route gave
-        # Q_140 = 0.0 against a direct 1.34e-05
+        # Q_140 = 0.0 there, and Q_n = b_n a_{n+1} = 0.002 (1 - e^-5) e^-5
         (dict(a="-5", b="0.01", direction=Direction.ADVANCED, k=2, factor=None,
-              window=(1.0, 2.0, 3.0), horizon=143), 140, "alpha_142 overflowed"),
+              window=(1.0, 2.0, 3.0), horizon=143), 142, math.inf,
+         0.002 * (1.0 - math.exp(-5.0)) * math.exp(-5.0)),
     ], ids=["underflow", "overflow"])
-    def test_out_of_double_range_is_named(self, spec, index, message):
-        with pytest.raises(NumericFailure, match=rf"^at index {index}: {message}$") as exc:
-            build_discrete_system(make_spec(**spec))
-        assert exc.value.index == index
+    def test_out_of_double_range_leaves_q(self, spec, index, alpha, q):
+        ds = build_discrete_system(make_spec(**spec))
+        assert ds.alpha(index) == alpha
+        assert math.isfinite(ds.alpha(index - 1)) and ds.alpha(index - 1) != 0.0
+        for n in ds.q_indices():
+            assert ds.q(n) == pytest.approx(q, rel=1e-13)
+
+    def test_battery_instance_79_at_horizon_244(self):
+        # advanced, k = 1: alpha_242 is subnormal here, which left the ratio
+        # route too few digits to agree with the direct one at Q_241
+        spec = respec(get_battery()[79].spec, horizon=244)
+        ds = build_discrete_system(spec)
+        assert 0.0 < abs(ds.alpha(242)) < sys.float_info.min
+        assert ds.q_indices() == range(0, 244)
+        assert cli._q_audit(ds) == ("dual_route_q_audit", True, "244 indices compared")
 
 
 class TestBuildDelayed:
@@ -286,10 +298,20 @@ class TestBuildAdvanced:
         assert build_discrete_system(make_spec(horizon=12)).dev(7) == 4
 
 
+# every shape of the problem file's impulse key; the tables vary over the
+# nodes that n0 = 0 and n0 = 3 read
+IMPULSE_SHAPES = ("none", {"factor": 1.25}, {"formula": "1 + sin(n)/2"},
+                  {"table": [0.5, 2, 0.75, 1.25, 1.5, 0.8, 2.5, 0.6]},
+                  {"table": [2, 0.5, 1.5, 0.8, 1.25], "default": 0.75})
+
+
 def _varying_coefficients(direction, k):
-    spec = make_spec(a="0.3 - t/50", b="sin(t)/4", direction=direction, k=k,
-                     factor=1.25, window=(1.0,) * (k + 1), horizon=16)
-    return [(spec, build_discrete_system(spec))]
+    for n0 in (0, 3):
+        for impulse in IMPULSE_SHAPES:
+            spec = ProblemSpec(a=parse("0.3 - t/50", "t"), b=parse("sin(t)/4", "t"),
+                               direction=direction, k=k, impulse=_parse_impulse(impulse),
+                               initial_window=(1.0,) * (k + 1), horizon=n0 + 16, n0=n0)
+            yield spec, build_discrete_system(spec)
 
 
 def _battery_systems():
@@ -297,41 +319,56 @@ def _battery_systems():
 
 
 class TestDualRoutes:
-    # both routes read the same interval records, so they differ by
-    # rounding only: at most 8.4e-16 relative on the battery
+    """compute_qn_direct, the one spelling of Q_n the package keeps, against
+    the reference alpha ratio of tests/_audits.py, and check's audit of it
+    against the product spelling of a_n and b_n.
+
+    An index or sign slip in a spelling depends on the direction, k, n0 and
+    how the jump factors vary, not on the coefficients, so the cases cover
+    those.  Both spellings read the same interval records, so they differ
+    by rounding only: at most 8.4e-16 relative on the battery.
+    """
+
     @pytest.mark.parametrize("systems", [
-        pytest.param(functools.partial(_varying_coefficients, Direction.DELAYED, 2),
-                     id="Direction.DELAYED-2"),
-        pytest.param(functools.partial(_varying_coefficients, Direction.ADVANCED, 3),
-                     id="Direction.ADVANCED-3"),
+        *[pytest.param(functools.partial(_varying_coefficients, direction, k),
+                       id=f"{direction}-{k}")
+          for direction in Direction for k in range(1, 7)],
         pytest.param(_battery_systems, id="battery"),
     ])
     def test_routes_agree_for_varying_coefficients(self, systems):
         for spec, ds in systems():
             for n in ds.q_indices():
-                ratio = compute_qn(ds, n)
+                ratio = q_by_alpha_ratio(ds, n)
                 direct = compute_qn_direct(spec, n)
+                assert ds.q(n) == direct
                 assert abs(ratio - direct) <= 1e-12 * max(abs(ratio), abs(direct))
+            assert cli._q_audit(ds) == ("dual_route_q_audit", True,
+                                        f"{len(ds.q_seq)} indices compared")
 
-    @pytest.mark.parametrize("ratio,direct", [
+    @pytest.mark.parametrize("q,product", [
         (math.inf, math.inf), (-math.inf, -1.0), (1.0, math.nan),
     ])
-    def test_nonfinite_route_never_agrees(self, ratio, direct):
+    def test_nonfinite_route_never_agrees(self, q, product):
+        # advanced with k = 1 the product spelling of Q_1 is b_1 alone;
         # inf <= 1e-8 * inf would otherwise pass the relative test
-        assert not _q_routes_agree(ratio, direct)
+        ds = DiscreteSystem(n0=0, direction=Direction.ADVANCED, k=1, a_seq=[1.0] * 3,
+                            b_seq=[1.0, product, 1.0], alpha_seq=[1.0] * 4,
+                            q_seq=[1.0, q, 1.0], q_start=0)
+        assert cli._q_audit(ds) == ("dual_route_q_audit", False,
+                                    f"Q_1 mismatch: direct {q!r} vs product {product!r}")
 
     @pytest.mark.parametrize("wrong", [lambda q: 0.0, lambda q: 2.0 * q],
                              ids=["zero", "double"])
     def test_tiny_q_mismatch_is_caught(self, monkeypatch, wrong):
-        # Q_n is about 1e-11 here; an absolute floor on the audit would let
-        # a direct route that is off by 100% pass
+        # Q_n is about 1e-11 here; an absolute floor on check's audit would
+        # let a route that is off by 100% pass
         direct = reduction.compute_qn_direct
         monkeypatch.setattr(reduction, "compute_qn_direct", lambda spec, n: (
             wrong(direct(spec, n)) if n == 6 else direct(spec, n)))
-        spec = make_spec(b="1e-12", k=1, horizon=12)
-        with pytest.raises(DiagnosticMismatch) as exc:
-            build_discrete_system(spec)
-        assert exc.value.index == 6
+        ds = build_discrete_system(make_spec(b="1e-12", k=1, horizon=12))
+        name, ok, detail = cli._q_audit(ds)
+        assert (name, ok) == ("dual_route_q_audit", False)
+        assert detail.startswith("Q_6 mismatch: direct ")
 
 
 class TestAccessors:
@@ -458,14 +495,19 @@ class TestClosedFormAccuracy:
     """The shipped examples at horizon 505, to 1e-13 relative."""
 
     def test_example1(self):
-        # a = -1, b = -1/3, r = 1/2; alpha overflows past about n = 420, so
-        # the coefficients are computed one by one rather than built
-        spec = load_problem(EXAMPLES / "example1.json", {"horizon": 505}).spec
+        # a = -1, b = -1/3, r = 1/2, k = 3: alpha_n = (2e)^n overflows from
+        # n = 420 on, and Q_n, computed without alpha, is -(8/3) e^3 (e - 1)
+        # at every index
+        ds = build_discrete_system(
+            load_problem(EXAMPLES / "example1.json", {"horizon": 505}).spec)
         a, b, r = -1.0, -1.0 / 3.0, 0.5
         for n in range(505):
-            assert compute_an(spec, n) == pytest.approx(r * math.exp(a), rel=1e-13)
-            assert compute_bn(spec, n) == pytest.approx(r * b * (math.exp(a) - 1.0) / a,
-                                                        rel=1e-13)
+            assert ds.a(n) == pytest.approx(r * math.exp(a), rel=1e-13)
+            assert ds.b(n) == pytest.approx(r * b * (math.exp(a) - 1.0) / a, rel=1e-13)
+        assert math.isinf(ds.alpha(420))
+        assert ds.q_indices() == range(3, 505)
+        for n in ds.q_indices():
+            assert ds.q(n) == pytest.approx(-(8.0 / 3.0) * E ** 3 * (E - 1.0), rel=1e-13)
 
     def test_example2(self):
         pf = load_problem(EXAMPLES / "example2.json", {"horizon": 505})

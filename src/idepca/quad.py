@@ -30,6 +30,7 @@ weighted by its piece's length; ``tol`` is the absolute error it accepts.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import groupby, repeat
@@ -156,55 +157,47 @@ def _cumulative(coeffs: List[float], half: float) -> List[float]:
     return [half * bj for bj in b]
 
 
-class _Running:
-    """F(t) = int_lo^t f as pieces: F = offset + a cumulative series in x.
-
-    ``evaluations`` counts the samples of f, and ``error`` sums the accepted
-    pieces' dropped Chebyshev tails, each weighted by its piece's length.
-    """
-
-    __slots__ = ("los", "pieces", "total", "evaluations", "error")
-
-    def __init__(self, pieces, evaluations: int, error: float):
-        self.pieces = pieces              # (lo, hi, offset, series), left to right
-        self.los = [p[0] for p in pieces]
-        lo, hi, offset, series = pieces[-1]
-        self.total = offset + sum(series)   # the series at x = 1
-        self.evaluations = evaluations
-        self.error = error
-
-    def __call__(self, ts: List[float]) -> List[float]:
-        """F at each t of ts, in order.  A t on a piece's edge belongs to the
-        piece on its right.  Each run of consecutive ts in one piece is
-        evaluated in one pass that looks the piece up once, so monotone ts,
-        as every caller passes, take one pass per piece.  The Clenshaw
-        recurrence runs point by point inside the pass: one list
-        comprehension per coefficient over all the points was measured
-        slower (CPython 3.11)."""
-        out: List[float] = []
-        start = 0
-        for right, run in groupby(map(bisect_right, repeat(self.los), ts)):
-            stop = start + len(list(run))
-            lo, hi, offset, series = self.pieces[max(0, right - 1)]
-            c0, rest = series[0], series[:0:-1]
-            for t in ts[start:stop]:
-                x = (2.0 * t - lo - hi) / (hi - lo)
-                x2 = 2.0 * x
-                b1 = b2 = 0.0
-                for ck in rest:
-                    b1, b2 = ck + x2 * b1 - b2, b1
-                out.append(offset + (c0 + x * b1 - b2))
-            start = stop
-        return out
+def _evaluate(pieces: Tuple[array, ...], ts: List[float]) -> List[float]:
+    """The running integral at each t of ts, in order.  A t on a piece's edge
+    belongs to the piece on its right.  Each run of consecutive ts in one
+    piece is evaluated in one pass that looks the piece up once and unboxes
+    its reversed series once, so monotone ts, as every caller passes, take
+    one pass per piece.  The Clenshaw recurrence runs point by point inside
+    the pass: one list comprehension per coefficient over all the points was
+    measured slower, and so was iterating the array itself (CPython 3.11)."""
+    los = [p[0] for p in pieces]
+    out: List[float] = []
+    start = 0
+    for right, run in groupby(map(bisect_right, repeat(los), ts)):
+        stop = start + len(list(run))
+        piece = pieces[max(0, right - 1)]
+        lo, hi, offset, c0 = piece[:4]
+        rest = piece[:3:-1].tolist()
+        for t in ts[start:stop]:
+            x = (2.0 * t - lo - hi) / (hi - lo)
+            x2 = 2.0 * x
+            b1 = b2 = 0.0
+            for ck in rest:
+                b1, b2 = ck + x2 * b1 - b2, b1
+            out.append(offset + (c0 + x * b1 - b2))
+        start = stop
+    return out
 
 
 def _running_integral(f: Callable[[List[float]], Iterable[float]], lo: float, hi: float,
                       name: str, n: Optional[int] = None,
-                      stage: Optional[str] = None) -> _Running:
+                      stage: Optional[str] = None
+                      ) -> Tuple[Tuple[array, ...], float, int, float]:
     """Resolve f piece by piece, left to right, and integrate it.
 
     f maps a sampling round's abscissae to the integrand's values there,
     yielded one at a time: the round stops at the first non-finite one.
+    Returns the running integral F(t) = int_lo^t f as its pieces, F(hi), the
+    number of samples of f, and the error estimate: the sum of the accepted
+    pieces' dropped Chebyshev tails, each weighted by its piece's length.
+    Each piece is one array('d') holding [lo, hi, offset, *series], and on
+    it F = offset + the cumulative series in x, so pieces kept for every
+    interval stay small.
     """
     length = hi - lo
     scale = 0.0          # the interval's scale: the largest |f| sampled
@@ -245,9 +238,9 @@ def _running_integral(f: Callable[[List[float]], Iterable[float]], lo: float, hi
             continue
         error += (b - a) * sum(map(abs, coeffs[keep:]))
         series = _cumulative(coeffs[:keep], half)
-        pieces.append((a, b, offset, series))
+        pieces.append(array("d", [a, b, offset, *series]))
         offset += sum(series)
-    return _Running(pieces, evaluations, error)
+    return tuple(pieces), offset, evaluations, error
 
 
 def _sample(f, mid, half, points, name, n, stage) -> List[float]:
@@ -270,25 +263,29 @@ class IntervalKernel:
     both ends of the interval, so the weight overflows only where the
     coefficient built from it does.  A failure of A is stage ``a_n`` and a
     failure of the weight stage ``b_n``, whichever coefficient is asked for.
+    The kernel keeps only the pieces of A and W (``_a``, ``_w``), not their
+    sample counts or error estimates.
     """
 
+    __slots__ = ("_a", "_w", "total", "scale", "weight")
+
     def __init__(self, fa: Callable[[float], float], fb: Callable[[float], float], n: int):
-        self._a = A = _running_integral(lambda ts: map(fa, ts), float(n), float(n + 1),
-                                        "a", n, "a_n")
-        self.total = A.total
+        self._a, self.total, _, _ = _running_integral(
+            lambda ts: map(fa, ts), float(n), float(n + 1), "a", n, "a_n")
+        A = self._a
         self.scale = scale = max(0.0, -self.total)
 
         def w(ts):
             # A at the whole round in one pass; b lazily, point by point,
             # so no sample of b follows a non-finite weight
-            return (_safe_exp(-a - scale) * fb(s) for s, a in zip(ts, A(ts)))
+            return (_safe_exp(-a - scale) * fb(s) for s, a in zip(ts, _evaluate(A, ts)))
 
-        self._w = _running_integral(w, float(n), float(n + 1), "the weight", n, "b_n")
-        self.weight = self._w.total
+        self._w, self.weight, _, _ = _running_integral(
+            w, float(n), float(n + 1), "the weight", n, "b_n")
 
     def at(self, ts: List[float]) -> Tuple[List[float], List[float]]:
         """([A(t) for t in ts], [W(t) for t in ts]) for ts in [n, n+1]."""
-        return self._a(ts), self._w(ts)
+        return _evaluate(self._a, ts), _evaluate(self._w, ts)
 
 
 # -- the rule over any interval ------------------------------------------------
@@ -303,9 +300,9 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
         raise ValueError("integration bounds must be finite")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    run = _running_integral(lambda ts: map(f, ts), min(lo, hi), max(lo, hi),
-                            "the integrand")
-    if run.error > tol:
-        raise NumericFailure(f"error estimate {run.error:.3g} on [{lo!r}, {hi!r}] "
+    _, total, evaluations, error = _running_integral(lambda ts: map(f, ts), min(lo, hi),
+                                                     max(lo, hi), "the integrand")
+    if error > tol:
+        raise NumericFailure(f"error estimate {error:.3g} on [{lo!r}, {hi!r}] "
                              f"exceeds tol = {tol!r}")
-    return QuadResult(run.total if lo <= hi else -run.total, run.error, run.evaluations)
+    return QuadResult(total if lo <= hi else -total, error, evaluations)

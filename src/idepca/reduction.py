@@ -14,10 +14,13 @@ and r_n is the jump factor applied when crossing node n (r_n = 1 for the
 non-impulsive case).  From a_n the cumulative weights alpha_n are
 derived, and the reduced-form coefficients Q_n from the same integrals.
 
-Every integral comes from one record per interval, built by the interval's
-kernel (quad.IntervalKernel) at the first coefficient that needs it:
-T_n = I(n, n+1) and G_n = int_n^{n+1} exp(-I(n, s)) b(s) ds = exp(scale) W_n,
-since I(s, target) = I(n, target) - I(n, s).  So b_n = r_{n+1} exp(T_n) G_n.
+Every integral comes from one kernel per interval (quad.IntervalKernel),
+built at the first coefficient that needs the interval and kept with the
+spec: T_n = I(n, n+1) is its ``total`` and
+G_n = int_n^{n+1} exp(-I(n, s)) b(s) ds = exp(scale) W_n its ``scale`` and
+``weight``, since I(s, target) = I(n, target) - I(n, s).  So
+b_n = r_{n+1} exp(T_n) G_n.  The reconstruction samples the same kernels
+inside each interval, so every command integrates an interval once.
 
 Q_n = alpha_{n+1} b_n / alpha_{n -+ k} is computed once, without alpha:
 the weight is aimed at the deviated node, the T_j between n and it are
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from enum import Enum
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 from .exprlang import Expr, compile_expr, _safe_exp
 from .quad import IntervalKernel, NumericFailure
@@ -108,24 +111,28 @@ class ProblemSpec:
 
     @cached_property
     def intervals(self) -> "_Intervals":
-        """n -> (T_n, scale, W_n), the interval integrals the coefficients are built from."""
+        """n -> the kernel of [n, n+1], which the coefficients and the
+        reconstruction read."""
         return _Intervals(self)
 
 
 class _Intervals(dict):
-    """n -> (T_n, scale, W_n) of one spec, each entry from one interval kernel.
+    """n -> the IntervalKernel of [n, n+1] of one spec, built on first use.
 
-    a_n reads T_n, b_n all three, and Q_n direct T_j over the deviation span
-    and the weight of n, so every interval is integrated once.
+    a_n reads its total T_n, b_n the total, scale and weight, Q_n direct the
+    totals T_j over the deviation span and the weight of n, and
+    trajectory.reconstruct the running integrals inside the interval, so
+    every interval is integrated once.  Each kernel stores its pieces as
+    flat arrays of doubles, so keeping all of them costs well under a
+    kilobyte per interval.
     """
 
     def __init__(self, spec: ProblemSpec):
         super().__init__()
         self._fa, self._fb = spec.fa, spec.fb
 
-    def __missing__(self, n: int) -> Tuple[float, float, float]:
-        k = IntervalKernel(self._fa, self._fb, n)
-        return self.setdefault(n, (k.total, k.scale, k.weight))
+    def __missing__(self, n: int) -> IntervalKernel:
+        return self.setdefault(n, IntervalKernel(self._fa, self._fb, n))
 
 
 def _scaled(expo: float, value: float, n: int, stage: str) -> float:
@@ -139,7 +146,7 @@ def _scaled(expo: float, value: float, n: int, stage: str) -> float:
 
 def compute_an(spec: ProblemSpec, n: int) -> float:
     """a_n = r_{n+1} * exp(T_n), T_n the integral of a over [n, n+1]."""
-    total = spec.intervals[n][0]
+    total = spec.intervals[n].total
     value = spec.impulse(n + 1) * _safe_exp(total)
     if not math.isfinite(value):
         raise NumericFailure(f"exp(T_n) overflowed (T_n = {total!r})", n, "a_n")
@@ -148,8 +155,9 @@ def compute_an(spec: ProblemSpec, n: int) -> float:
 
 def compute_bn(spec: ProblemSpec, n: int) -> float:
     """b_n = r_{n+1} * int_n^{n+1} exp(I(s, n+1)) b(s) ds = r_{n+1} exp(T_n) G_n."""
-    total, scale, weight = spec.intervals[n]
-    return _scaled(total + scale, spec.impulse(n + 1) * weight, n, "b_n")
+    kernel = spec.intervals[n]
+    return _scaled(kernel.total + kernel.scale, spec.impulse(n + 1) * kernel.weight,
+                   n, "b_n")
 
 
 class DiscreteSystem:
@@ -212,13 +220,13 @@ def compute_qn_direct(spec: ProblemSpec, n: int) -> float:
     if spec.direction is Direction.DELAYED:
         for j in range(n - spec.k + 1, n + 1):
             prod /= spec.impulse(j)
-        expo = -math.fsum(intervals[j][0] for j in range(n - spec.k, n))
+        expo = -math.fsum(intervals[j].total for j in range(n - spec.k, n))
     else:
         for j in range(n + 1, n + spec.k + 1):
             prod *= spec.impulse(j)
-        expo = math.fsum(intervals[j][0] for j in range(n, n + spec.k))
-    _, scale, weight = intervals[n]
-    return _scaled(expo + scale, prod * weight, n, "Q_n direct")
+        expo = math.fsum(intervals[j].total for j in range(n, n + spec.k))
+    kernel = intervals[n]
+    return _scaled(expo + kernel.scale, prod * kernel.weight, n, "Q_n direct")
 
 
 def build_discrete_system(spec: ProblemSpec) -> DiscreteSystem:

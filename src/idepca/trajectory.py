@@ -7,9 +7,14 @@ On each unit interval [n, n+1) the solution is
 
 where z_dev is the solution value at the deviated node n -+ k and I is the
 running integral of the coefficient a.  This is the interval solution
-formula with the exponential weight factored out.  The interval's kernel
-gives I(n, t) and the scaled weight W(t) at all of the interval's sample
-points in one call (IntervalKernel.at), and G(t) = exp(scale) W(t).
+formula with the exponential weight factored out.  The kernel the reduction
+built for the interval (spec.intervals[n]) gives I(n, t) and the scaled
+weight W(t) at all of the interval's sample points in one call
+(IntervalKernel.at), and G(t) = exp(scale) W(t).  Where an exponential
+leaves double range among an interval's samples, or at its left limit,
+those values are formed as E(t) * (z_n + z_dev exp(scale) W(t)), so where
+E(t) is inf the value is +-inf with the bracket's sign rather than
+inf - inf.
 
 Samples are z alone at t = n + i/m, i < m, and Trajectory.points() adds t.
 The one at a node time is the right-continuous value; the left limit at
@@ -18,12 +23,12 @@ each node lives in the node table, with the jump factor that relates the two.
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Tuple
+from math import exp
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .diffeq import (DiscreteSolution, OscillationVerdict, TooShort, block_verdict,
                      default_window)
 from .exprlang import _safe_exp
-from .quad import IntervalKernel
 from .reduction import DiscreteSystem, ProblemSpec
 
 __all__ = [
@@ -51,19 +56,15 @@ class Trajectory(NamedTuple):
     def points(self) -> Iterator[Tuple[float, float]]:
         """(t, z) of every sample, t = n + i/m as reconstruct computes it."""
         m = self.samples_per_interval
-        for j, z in enumerate(self.samples):
-            n, i = divmod(j, m)
-            yield self.interval_start + n + i / m, z
+        for n, first in enumerate(range(0, len(self.samples), m)):
+            for i, z in enumerate(self.samples[first:first + m]):
+                yield self.interval_start + n + i / m, z
 
 
 def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,
                 samples_per_interval: int = 32) -> Trajectory:
-    """Sample the continuous solution on every interval the skeleton covers.
-
-    Each interval's kernel is built anew here rather than kept from the
-    reduction, so only one interval's series is held at a time (keeping
-    them all raised peak memory by about 5% on example 2 at horizon 505).
-    """
+    """Sample the continuous solution on every interval the skeleton covers,
+    from the kernels the reduction built."""
     if samples_per_interval < 1:
         raise ValueError("samples_per_interval must be >= 1")
     intervals = sol.relation_indices()
@@ -73,16 +74,27 @@ def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,
     for n in intervals:
         z_n = sol.value(n)
         z_dev = sol.value(ds.dev(n))
-        kernel = IntervalKernel(spec.fa, spec.fb, n)
+        kernel = spec.intervals[n]
         scale = kernel.scale
         expos, ws = kernel.at([n + i / m for i in range(1, m)])
         samples.append(z_n)
-        samples += [_safe_exp(expo) * z_n + z_dev * (_safe_exp(expo + scale) * w)
-                    for expo, w in zip(expos, ws)]
-        expo = kernel.total
-        z_left = _safe_exp(expo) * z_n + z_dev * (_safe_exp(expo + scale) * kernel.weight)
+        samples += _values(expos, ws, scale, z_n, z_dev)
+        (z_left,) = _values((kernel.total,), (kernel.weight,), scale, z_n, z_dev)
         nodes.append(NodeRecord(n + 1, z_left, sol.value(n + 1), spec.impulse(n + 1)))
     return Trajectory(spec.k, samples, nodes, intervals.start, m)
+
+
+def _values(expos: Sequence[float], ws: Sequence[float], scale: float, z_n: float,
+            z_dev: float) -> List[float]:
+    """z = E z_n + z_dev exp(I + scale) W at each (I, W), E = exp(I).  If any
+    exp overflows, every z is E (z_n + z_dev exp(scale) W) instead, which is
+    +-inf, not nan, where E is inf."""
+    try:
+        return [exp(expo) * z_n + z_dev * (exp(expo + scale) * w)
+                for expo, w in zip(expos, ws)]
+    except OverflowError:
+        g = _safe_exp(scale)
+        return [_safe_exp(expo) * (z_n + z_dev * (g * w)) for expo, w in zip(expos, ws)]
 
 
 def continuous_oscillation_check(traj: Trajectory, first: int) -> OscillationVerdict:

@@ -8,14 +8,15 @@ on these cases when the `diff` of their digests is empty:
     PYTHONPATH=<other checkout>/src python tests/digest_outputs.py > before.txt
     diff before.txt after.txt
 
-The cases are the shipped examples, example 2 at horizon 505, example 1
-at horizons 420 and 505, the tests' battery draw (OSC_SEED selects it),
+The cases are the shipped examples, example 2 at horizon 505, example 1 at
+horizons 420 and 505, the tests' battery draw (OSC_SEED selects it),
 problems that exit 3 or fail a check, a=-2, b=-1, delayed, k=1 at horizon
-1000, and both examples under each impulse shape (formula, table, table
-with default, and two that exit 2).  Example 1 from horizon 420 on and the
-a=-2 case run past the range of alpha, which Q_n does not read.  Every
-case runs coeffs, analyze, simulate --samples 4, simulate --samples 1 (one
-sample per interval, the grid's edge case) and check, in process, in a
+1000, a problem whose E(t) overflows inside every interval while the
+skeleton stays finite, and both examples under each impulse shape (formula,
+table, table with default, and two that exit 2).  Example 1 from horizon 420
+on and the a=-2 case run past the range of alpha, which Q_n does not read.
+Every case runs coeffs, analyze, simulate --samples 4, simulate --samples 1
+(one sample per interval, the grid's edge case) and check, in process, in a
 temporary directory.  Last come the benchmark's simulate-dense operations,
 simulate --samples 128 on example 1 at horizon 240 and on example 2 at
 horizon 505, with its flags.  The battery enters as its drawn data, not as
@@ -100,6 +101,9 @@ def cases():
         }
     yield from FAILING.items()
     yield "alpha-past-range-h1000", _plain("-2", "-1", horizon=1000)
+    # A(t) = 800 sin^2(pi t) with every T_n = 0
+    yield "exp-overflow-inside", _plain("2513.2741228718345*sin(6.283185307179586*t)",
+                                        "-0.1", horizon=30)
     for name in ("example1", "example2"):
         for shape, impulse in IMPULSES.items():
             yield f"{name}-{shape}", {**_shipped(name), "impulse": impulse}

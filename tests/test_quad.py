@@ -203,7 +203,8 @@ class TestKernelContract:
 def _scalar_running(run, t):
     """The running integral at one t: offset + the Clenshaw recurrence, on
     the piece that bisect_right picks."""
-    lo, hi, offset, series = run.pieces[bisect_right(run.los, t) - 1]
+    piece = run[bisect_right([p[0] for p in run], t) - 1]
+    lo, hi, offset, series = piece[0], piece[1], piece[2], piece[3:]
     x = (2.0 * t - lo - hi) / (hi - lo)
     x2 = 2.0 * x
     b1 = b2 = 0.0
@@ -245,7 +246,7 @@ class TestIntervalKernel:
         # the kink at 2.5 is where [2, 3] is bisected; 2.5 itself belongs to
         # the piece on its right
         k = IntervalKernel(lambda t: abs(t - 2.5), b, 2)
-        assert [p[:2] for p in k._a.pieces] == [(2.0, 2.5), (2.5, 3.0)]
+        assert [tuple(p[:2]) for p in k._a] == [(2.0, 2.5), (2.5, 3.0)]
         ts = [2.25, 2.5, 2.625, 2.75]
         for run, values in zip((k._a, k._w), k.at(ts)):
             assert values == [_scalar_running(run, t) for t in ts]
@@ -291,7 +292,7 @@ class TestIntervalKernel:
     def test_non_smooth_integrand_is_bisected(self, a, closed):
         k = IntervalKernel(a, lambda t: 1.0, 0)
         assert k.total == pytest.approx(closed, rel=1e-13)
-        assert len(k._a.pieces) > 1
+        assert len(k._a) > 1
 
     def test_nonfinite_a_names_stage_interval_and_integrand(self):
         with pytest.raises(NumericFailure) as exc:

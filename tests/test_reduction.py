@@ -2,17 +2,18 @@ import functools
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from _audits import q_by_alpha_ratio, respec
 from _battery import get_battery
-from idepca import cli, reduction, trajectory
+from idepca import cli, reduction
 from idepca.cli import _parse_impulse, load_problem, main, validate_problem
 from idepca.diffeq import continue_window
 from idepca.exprlang import parse
-from idepca.quad import NumericFailure
+from idepca.quad import IntervalKernel, NumericFailure
 from idepca.reduction import (
     Direction,
     DiscreteSystem,
@@ -446,29 +447,57 @@ class TestStageFailures:
 
 
 class TestOneKernelPerInterval:
-    """The reduction, its Q audit included, integrates each interval once, and
-    the reconstruction once more."""
+    """The reduction, its Q_n included, integrates each interval once, and
+    the reconstruction samples the reduction's kernels."""
 
-    def test_kernel_count(self, monkeypatch):
+    @pytest.fixture
+    def built(self, monkeypatch):
+        # counts every kernel, under whichever name a module imported it
         built = []
+        init = IntervalKernel.__init__
 
-        class Counting(reduction.IntervalKernel):
-            def __init__(self, *args):
-                built.append(args[2])
-                super().__init__(*args)
+        def counting(self, fa, fb, n):
+            built.append(n)
+            init(self, fa, fb, n)
 
-        monkeypatch.setattr(reduction, "IntervalKernel", Counting)
-        monkeypatch.setattr(trajectory, "IntervalKernel", Counting)
+        monkeypatch.setattr(IntervalKernel, "__init__", counting)
+        return built
+
+    def test_kernel_count(self, built):
         spec = load_problem(EXAMPLES / "example2.json").spec
         ds = build_discrete_system(spec)
         assert sorted(built) == list(range(spec.n0, spec.horizon))
         built.clear()
         for n in ds.q_indices():
             compute_qn_direct(spec, n)
-        assert built == []
         sol = continue_window(ds, spec.initial_window)
         reconstruct(spec, ds, sol, 4)
-        assert built == list(sol.relation_indices())
+        assert built == []
+
+    def test_check_builds_one_kernel_per_index(self, built, capsys):
+        assert main(["check", str(EXAMPLES / "example2.json")]) == 0
+        spec = load_problem(EXAMPLES / "example2.json").spec
+        assert sorted(built) == list(range(spec.n0, spec.horizon))
+
+    def test_kept_kernels_are_compact(self, tmp_path):
+        # every interval's kernel is kept for the reconstruction.  One array
+        # of doubles per piece retains 634 bytes per interval here, the
+        # coefficient sequences included (CPython 3.11); each piece as a
+        # plain list of floats retains about 1,240
+        doc = json.loads((EXAMPLES / "example2.json").read_text())
+        path = tmp_path / "example2-h505.json"
+        path.write_text(json.dumps({**doc, "horizon": 505}))
+        build_discrete_system(load_problem(path).spec)   # fills the rule's caches
+        spec = load_problem(path).spec
+        spec.fa, spec.fb                    # compiled before tracing starts
+        tracemalloc.start()
+        try:
+            ds = build_discrete_system(spec)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.horizon == 505
+        assert retained / (spec.horizon - spec.n0) <= 768
 
 
 class TestNonSmoothCoefficients:

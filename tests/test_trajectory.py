@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from _audits import max_node_discontinuity
-from idepca.cli import load_problem
+from idepca.cli import load_problem, main
 from idepca.diffeq import (TooShort, Verdict, continue_window, discrete_oscillation_check,
                            solve)
 from idepca.exprlang import parse
@@ -152,6 +153,29 @@ class TestReconstruction:
         spec, ds, sol, _ = make_pipeline()
         with pytest.raises(ValueError):
             reconstruct(spec, ds, sol, 0)
+
+
+class TestExpOverflowInsideInterval:
+    """a = 800 pi sin(2 pi t), so A(t) = 800 sin^2(pi t) leaves double range
+    inside every interval while every T_n is 0 and the skeleton stays
+    finite.  E(t) is inf there, and z(t) = E(t) (z_n + z_dev G(t)) is inf
+    with the bracket's sign, not inf - inf."""
+
+    DOC = {"a": "2513.2741228718345*sin(6.283185307179586*t)", "b": "-0.1",
+           "direction": "delayed", "k": 1, "impulse": "none", "initial_window": [1, 1],
+           "n0": 0, "horizon": 30}
+
+    def test_samples_and_both_verdicts(self, tmp_path):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(self.DOC))
+        prefix = tmp_path / "s"
+        assert main(["simulate", str(path), "--samples", "8", "--out", str(prefix)]) == 0
+        rows = (tmp_path / "s.trajectory.csv").read_text().splitlines()
+        assert rows[5] == "0.5,inf"
+        assert not any(row.endswith("nan") for row in rows)
+        verdicts = json.loads((tmp_path / "s.verdicts.json").read_text())
+        assert verdicts["discrete"]["verdict"] == "EventuallyPositive"
+        assert verdicts["continuous"]["verdict"] == "EventuallyPositive"
 
 
 class TestContinuousCheck:

@@ -250,7 +250,7 @@ def cmd_simulate(pf: ProblemFile, prefix: str, samples: int) -> int:
     }
     _write_files({
         f"{prefix}.trajectory.csv": _csv(
-            ["t", "z"], (f"{t:.10g},{z:.10g}\n" for t, z in traj.points())),
+            ["t", "z"], traj.rows()),
         f"{prefix}.nodes.csv": _csv(
             ["n", "z_left", "z_right", "jump_factor"],
             (f"{rec.n},{rec.z_left:.10g},{rec.z_right:.10g},{rec.jump_factor:.10g}\n"

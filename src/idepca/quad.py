@@ -19,9 +19,11 @@ rule has no tolerance parameter: it resolves to machine precision.  A
 non-finite sample stops it at once, naming its abscissa.
 
 The running integrals are read from each piece's cumulative series on a
-whole list of abscissae at once (``IntervalKernel.at(ts)``): one pass per
-piece runs the Clenshaw recurrence at each of that piece's points.  The
-weight's integrand takes A this way for a whole sampling round.
+whole ascending list of abscissae at once (``IntervalKernel.at(ts)``): one
+bisection of the list per interior piece edge finds each piece's run of
+points, and one pass per piece runs the Clenshaw recurrence at each of them.
+The weight's integrand takes A this way for a whole sampling round, whose
+Clenshaw-Curtis abscissae descend, by reading the round reversed.
 
 :func:`integrate` is the same rule over any finite [lo, hi].  Its error
 estimate is the sum of the accepted pieces' dropped Chebyshev tails, each
@@ -31,9 +33,8 @@ weighted by its piece's length; ``tol`` is the absolute error it accepts.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import groupby, repeat
 from math import isfinite, log, log10, pi, sin
 from operator import mul
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
@@ -158,30 +159,35 @@ def _cumulative(coeffs: List[float], half: float) -> List[float]:
 
 
 def _evaluate(pieces: Tuple[array, ...], ts: List[float]) -> List[float]:
-    """The running integral at each t of ts, in order.  A t on a piece's edge
-    belongs to the piece on its right.  Each run of consecutive ts in one
-    piece is evaluated in one pass that looks the piece up once and unboxes
-    its reversed series once, so monotone ts, as every caller passes, take
-    one pass per piece.  The Clenshaw recurrence runs point by point inside
-    the pass: one list comprehension per coefficient over all the points was
-    measured slower, and so was iterating the array itself (CPython 3.11)."""
-    los = [p[0] for p in pieces]
+    """The running integral at each t of ts, which must ascend.  A t on a
+    piece's edge belongs to the piece on its right; a t left of the first
+    piece or right of the last belongs to that piece.  One bisection of ts
+    per interior piece edge finds each piece's run of points."""
     out: List[float] = []
     start = 0
-    for right, run in groupby(map(bisect_right, repeat(los), ts)):
-        stop = start + len(list(run))
-        piece = pieces[max(0, right - 1)]
-        lo, hi, offset, c0 = piece[:4]
-        rest = piece[:3:-1].tolist()
-        for t in ts[start:stop]:
-            x = (2.0 * t - lo - hi) / (hi - lo)
-            x2 = 2.0 * x
-            b1 = b2 = 0.0
-            for ck in rest:
-                b1, b2 = ck + x2 * b1 - b2, b1
-            out.append(offset + (c0 + x * b1 - b2))
-        start = stop
+    for piece, edge in zip(pieces, pieces[1:]):
+        stop = bisect_left(ts, edge[0], start)
+        if stop > start:
+            _clenshaw(piece, ts[start:stop], out)
+            start = stop
+    _clenshaw(pieces[-1], ts[start:], out)
     return out
+
+
+def _clenshaw(piece: array, ts: List[float], out: List[float]) -> None:
+    """Append the piece's running integral at each t of ts to out.  The
+    piece's reversed series is unboxed once, and the recurrence runs point
+    by point: one list comprehension per coefficient over all the points was
+    measured slower, and so was iterating the array itself (CPython 3.11)."""
+    lo, hi, offset, c0 = piece[:4]
+    rest = piece[:3:-1].tolist()
+    for t in ts:
+        x = (2.0 * t - lo - hi) / (hi - lo)
+        x2 = 2.0 * x
+        b1 = b2 = 0.0
+        for ck in rest:
+            b1, b2 = ck + x2 * b1 - b2, b1
+        out.append(offset + (c0 + x * b1 - b2))
 
 
 def _running_integral(f: Callable[[List[float]], Iterable[float]], lo: float, hi: float,
@@ -276,15 +282,17 @@ class IntervalKernel:
         self.scale = scale = max(0.0, -self.total)
 
         def w(ts):
-            # A at the whole round in one pass; b lazily, point by point,
-            # so no sample of b follows a non-finite weight
-            return (_safe_exp(-a - scale) * fb(s) for s, a in zip(ts, _evaluate(A, ts)))
+            # A at the whole round in one pass, on the ascending reversal of
+            # the round's descending abscissae; b lazily, point by point, so
+            # no sample of b follows a non-finite weight
+            return (_safe_exp(-a - scale) * fb(s)
+                    for s, a in zip(ts, reversed(_evaluate(A, ts[::-1]))))
 
         self._w, self.weight, _, _ = _running_integral(
             w, float(n), float(n + 1), "the weight", n, "b_n")
 
     def at(self, ts: List[float]) -> Tuple[List[float], List[float]]:
-        """([A(t) for t in ts], [W(t) for t in ts]) for ts in [n, n+1]."""
+        """([A(t) for t in ts], [W(t) for t in ts]) for ascending ts in [n, n+1]."""
         return _evaluate(self._a, ts), _evaluate(self._w, ts)
 
 

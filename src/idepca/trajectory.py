@@ -16,7 +16,8 @@ those values are formed as E(t) * (z_n + z_dev exp(scale) W(t)), so where
 E(t) is inf the value is +-inf with the bracket's sign rather than
 inf - inf.
 
-Samples are z alone at t = n + i/m, i < m, and Trajectory.points() adds t.
+Samples are z alone at t = n + i/m, i < m, and Trajectory.rows() adds t
+as it formats them.
 The one at a node time is the right-continuous value; the left limit at
 each node lives in the node table, with the jump factor that relates the two.
 """
@@ -24,7 +25,7 @@ each node lives in the node table, with the jump factor that relates the two.
 from __future__ import annotations
 
 from math import exp
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence
 
 from .diffeq import (DiscreteSolution, OscillationVerdict, TooShort, block_verdict,
                      default_window)
@@ -53,12 +54,17 @@ class Trajectory(NamedTuple):
     interval_start: int
     samples_per_interval: int
 
-    def points(self) -> Iterator[Tuple[float, float]]:
-        """(t, z) of every sample, t = n + i/m as reconstruct computes it."""
+    def rows(self) -> Iterator[str]:
+        """The trajectory CSV's "t,z" rows at 10 significant digits, as one
+        string per interval, t = n + i/m as reconstruct computes it."""
         m = self.samples_per_interval
-        for n, first in enumerate(range(0, len(self.samples), m)):
-            for i, z in enumerate(self.samples[first:first + m]):
-                yield self.interval_start + n + i / m, z
+        fmt = "%.10g,%.10g\n" * m
+        offsets = [i / m for i in range(m)]
+        fields = [0.0] * (2 * m)
+        for n, first in enumerate(range(0, len(self.samples), m), self.interval_start):
+            fields[0::2] = [n + offset for offset in offsets]
+            fields[1::2] = self.samples[first:first + m]
+            yield fmt % tuple(fields)
 
 
 def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,

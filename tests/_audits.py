@@ -4,6 +4,7 @@ package has no use for them."""
 from __future__ import annotations
 
 import math
+from typing import Iterator, List, Tuple
 
 from idepca.reduction import DiscreteSystem, ProblemSpec
 from idepca.trajectory import Trajectory
@@ -37,3 +38,18 @@ def max_node_discontinuity(traj: Trajectory) -> float:
         gap = abs(rec.z_left - rec.z_right) / max(1.0, abs(rec.z_left))
         worst = max(worst, gap)
     return worst
+
+
+def points(traj: Trajectory) -> Iterator[Tuple[float, float]]:
+    """(t, z) of every sample, t = n + i/m as reconstruct computes it."""
+    m = traj.samples_per_interval
+    for j, z in enumerate(traj.samples):
+        yield traj.interval_start + j // m + (j % m) / m, z
+
+
+def reference_rows(traj: Trajectory) -> List[str]:
+    """The trajectory CSV's rows formatted one sample at a time and joined
+    per interval, the reference Trajectory.rows() must match byte for byte."""
+    m = traj.samples_per_interval
+    rows = [f"{t:.10g},{z:.10g}\n" for t, z in points(traj)]
+    return ["".join(rows[first:first + m]) for first in range(0, len(rows), m)]

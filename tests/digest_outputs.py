@@ -17,7 +17,10 @@ table, table with default, and two that exit 2).  Example 1 from horizon 420
 on and the a=-2 case run past the range of alpha, which Q_n does not read.
 Every case runs coeffs, analyze, simulate --samples 4, simulate --samples 1
 (one sample per interval, the grid's edge case) and check, in process, in a
-temporary directory.  Last come the benchmark's simulate-dense operations,
+temporary directory.  Two problems whose kernels are bisected inside every
+interval, at kinks of abs(...) on and off the bisection points, also run
+simulate --samples 7, whose t = n + i/7 round.  Last come the benchmark's
+simulate-dense operations,
 simulate --samples 128 on example 1 at horizon 240 and on example 2 at
 horizon 505, with its flags.  The battery enters as its drawn data, not as
 built specs, so the script runs against another checkout's src as well.
@@ -43,6 +46,7 @@ from idepca.cli import main  # noqa: E402
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 COMMANDS = (["coeffs"], ["analyze"], ["simulate", "--samples", "4"],
             ["simulate", "--samples", "1"], ["check"])
+SEVEN = ["simulate", "--samples", "7"]
 DENSE = (("example1", ["simulate", "--horizon", "240", "--samples", "128"]),
          ("example2", ["simulate", "--horizon", "505", "--samples", "128"]))
 
@@ -69,6 +73,18 @@ FAILING = {
                          initial_window=[1, 2, 3], horizon=130),
     "alpha-overflow": _plain("-5", "0.01", direction="advanced", k=2,
                              initial_window=[1, 2, 3], horizon=143),
+}
+
+
+# kinks in a and b split A and W into pieces: at t = n + 0.3 and n + 0.7,
+# off every bisection point (18 and 30 pieces), and at n + 0.5 and n + 0.75,
+# on them, where simulate --samples 4 puts samples on piece edges
+PI = "3.141592653589793"
+BISECTED = {
+    "kink-off-edges": _plain(f"-0.5 + 0.3*abs(sin({PI}*(t - 0.3)))",
+                             f"-0.2*abs(sin({PI}*(t - 0.7)))", horizon=40),
+    "kink-on-edges": _plain(f"abs(sin({PI}*(t - 0.5))) - 0.8",
+                            f"-0.2*abs(cos({PI}*(t - 0.25)))", horizon=40),
 }
 
 
@@ -136,6 +152,10 @@ def run() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in cases():
             for command in COMMANDS:
+                code, sha = digest(doc, command, Path(tmp))
+                print(f"{name} {' '.join(command)} {code} {sha}", flush=True)
+        for name, doc in BISECTED.items():
+            for command in (*COMMANDS, SEVEN):
                 code, sha = digest(doc, command, Path(tmp))
                 print(f"{name} {' '.join(command)} {code} {sha}", flush=True)
         for name, command in DENSE:

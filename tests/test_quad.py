@@ -1,10 +1,14 @@
 import math
 from bisect import bisect_right
+from pathlib import Path
 
 import pytest
 
 from idepca.exprlang import compile_expr, parse
-from idepca.quad import MAX_PIECES, IntervalKernel, NumericFailure, _chebyshev, integrate
+from idepca import quad
+from idepca.cli import main
+from idepca.quad import (MAX_PIECES, IntervalKernel, NumericFailure, _chebyshev, _evaluate,
+                         integrate)
 
 
 class TestClosedForms:
@@ -202,8 +206,8 @@ class TestKernelContract:
 
 def _scalar_running(run, t):
     """The running integral at one t: offset + the Clenshaw recurrence, on
-    the piece that bisect_right picks."""
-    piece = run[bisect_right([p[0] for p in run], t) - 1]
+    the piece that bisect_right picks (the first piece for t left of it)."""
+    piece = run[max(0, bisect_right([p[0] for p in run], t) - 1)]
     lo, hi, offset, series = piece[0], piece[1], piece[2], piece[3:]
     x = (2.0 * t - lo - hi) / (hi - lo)
     x2 = 2.0 * x
@@ -250,6 +254,17 @@ class TestIntervalKernel:
         ts = [2.25, 2.5, 2.625, 2.75]
         for run, values in zip((k._a, k._w), k.at(ts)):
             assert values == [_scalar_running(run, t) for t in ts]
+
+    def test_evaluate_is_the_per_point_reference(self):
+        # kinks off every bisection point give both integrals several pieces;
+        # ts hit every piece edge exactly and reach past both interval ends
+        k = IntervalKernel(lambda t: abs(t - 2.3), lambda t: abs(t - 2.7), 2)
+        for run in (k._a, k._w):
+            assert len(run) >= 3
+            edges = sorted({p[0] for p in run} | {p[1] for p in run})
+            mids = [0.5 * (p[0] + p[1]) for p in run]
+            ts = sorted([1.5, 2.0 - 1e-9, 3.0 + 1e-9, 3.5, *edges, *mids])
+            assert _evaluate(run, ts) == [_scalar_running(run, t) for t in ts]
 
     def test_reciprocal_closed_form(self):
         # example 2's a = b = 1/t: T_n = ln((n+1)/n), G_n = 1/(n+1)
@@ -329,3 +344,21 @@ class TestIntervalKernel:
         assert str(exc.value) == f"a_n on [2, 3]: a not resolved within {MAX_PIECES} pieces"
         assert exc.value.index == 2
         assert len(calls) <= (2 * MAX_PIECES - 1) * 65
+
+
+def test_commands_evaluate_ascending_abscissae(monkeypatch, tmp_path):
+    # _evaluate finds each piece's points by bisection, so every caller
+    # must pass ascending ts: the weight's integrand, check and simulate
+    calls = []
+
+    def ascending(pieces, ts):
+        calls.append(all(u <= v for u, v in zip(ts, ts[1:])))
+        return _evaluate(pieces, ts)
+
+    monkeypatch.setattr(quad, "_evaluate", ascending)
+    example2 = str(Path(__file__).resolve().parent.parent / "problems" / "example2.json")
+    monkeypatch.chdir(tmp_path)
+    assert main(["check", example2]) == 0
+    after_check = len(calls)
+    assert main(["simulate", example2, "--samples", "7"]) == 0
+    assert 0 < after_check < len(calls) and all(calls)

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from _audits import max_node_discontinuity
-from idepca.cli import load_problem, main
+from _audits import max_node_discontinuity, points, reference_rows
+from idepca.cli import load_problem, main, validate_problem
 from idepca.diffeq import (TooShort, Verdict, continue_window, discrete_oscillation_check,
                            solve)
 from idepca.exprlang import parse
@@ -39,6 +39,17 @@ def make_pipeline(a="-1", b="-1/3", direction=Direction.DELAYED, k=3,
     return spec, ds, sol, traj
 
 
+def assert_rows_match(spec, m):
+    """Reconstruct what simulate writes and require its CSV rows, one string
+    per interval, to be the per-sample reference byte for byte."""
+    ds = build_discrete_system(spec)
+    traj = reconstruct(spec, ds, continue_window(ds, spec.initial_window), m)
+    rows = list(traj.rows())
+    assert len(rows) == len(traj.nodes)
+    assert rows == reference_rows(traj)
+    return traj
+
+
 def continuous_verdict(sol, traj):
     """The continuous verdict on the tail the discrete check picks, as the CLI runs it."""
     return continuous_oscillation_check(traj, discrete_oscillation_check(sol).tail_window[0])
@@ -49,9 +60,9 @@ class TestReconstruction:
         # b = 0 and no impulses leave the plain ODE x' = x, so z(t) = e^t
         _, _, _, traj = make_pipeline(a="1", b="0", k=1, factor=None,
                                       window=(1.0, 1.0), horizon=5)
-        for t, z in traj.points():
+        for t, z in points(traj):
             assert z == pytest.approx(math.exp(t), rel=1e-9)
-        mid = [z for t, z in traj.points() if t == 0.5]
+        mid = [z for t, z in points(traj) if t == 0.5]
         assert mid[0] == pytest.approx(1.6487212, abs=1e-6)
 
     def test_samples_strictly_increasing(self):
@@ -61,16 +72,22 @@ class TestReconstruction:
             _, _, sol, traj = make_pipeline(samples=m)
             assert traj.samples_per_interval == m
             assert len(traj.samples) == m * len(traj.nodes)
-            points = list(traj.points())
-            assert [z for _, z in points] == traj.samples
-            for j, (t, z) in enumerate(points):
+            pairs = list(points(traj))
+            assert [z for _, z in pairs] == traj.samples
+            for j, (t, z) in enumerate(pairs):
                 n, i = traj.interval_start + j // m, j % m
                 assert t == n + i / m
                 if i == 0:
                     assert type(t) is float and t == float(n)
                     assert z == sol.value(n)
-            times = [t for t, _ in points]
+            times = [t for t, _ in pairs]
             assert all(u < v for u, v in zip(times, times[1:]))
+
+    # example 1 starts at n0 = 0 and example 2 at n0 = 1
+    @pytest.mark.parametrize("m", [1, 3, 7, 32, 128])
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_rows_are_the_per_sample_rows(self, name, m):
+        assert_rows_match(load_problem(REPO / "problems" / f"{name}.json").spec, m)
 
     @pytest.mark.parametrize("name", ["example1", "example2"])
     def test_samples_hold_one_number_each(self, name):
@@ -176,6 +193,15 @@ class TestExpOverflowInsideInterval:
         verdicts = json.loads((tmp_path / "s.verdicts.json").read_text())
         assert verdicts["discrete"]["verdict"] == "EventuallyPositive"
         assert verdicts["continuous"]["verdict"] == "EventuallyPositive"
+
+    # the negated window gives the mirror image, -inf inside every interval
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("m", [1, 3, 7, 32, 128])
+    def test_rows_are_the_per_sample_rows(self, m, sign):
+        traj = assert_rows_match(
+            validate_problem({**self.DOC, "initial_window": [sign, sign]}).spec, m)
+        if m >= 7:     # at m = 3 the samples' A is at most 600, in range
+            assert sign * math.inf in traj.samples
 
 
 class TestContinuousCheck:

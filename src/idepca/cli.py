@@ -206,7 +206,7 @@ def cmd_coeffs(pf: ProblemFile, out: Optional[str]) -> int:
     def lines():
         for n in range(ds.n0, ds.horizon):
             a, b, alpha = ds.a(n), ds.b(n), ds.alpha(n)
-            alpha = f"{alpha:.10g}" if math.isfinite(alpha) and alpha != 0.0 else ""
+            alpha = f"{alpha:.10g}" if _in_range(alpha) else ""
             q = f"{ds.q(n):.10g}" if n in ds.q_indices() else ""
             yield f"{n},{a:.10g},{b:.10g},{alpha},{q}\n"
     _write_files({out or "-": _csv(["n", "a_n", "b_n", "alpha_n", "q_n"], lines())})
@@ -271,19 +271,29 @@ def _invariant(name: str, bound: float, what: str, residuals):
     return name, worst <= bound, f"max {what} {worst:.3e}"
 
 
+def _in_range(alpha: float) -> bool:
+    """alpha_n has not left double range: coeffs writes it, check measures it."""
+    return math.isfinite(alpha) and alpha != 0.0
+
+
+def _span(ds, n: int, x: float, power: int) -> float:
+    """x * span_n ** power (power 1 or -1), span_n = alpha_dev(n) / alpha_{n+1}
+    spelled from a_n alone: a_{n-k} ... a_n delayed, 1 / (a_{n+1} ... a_{n+k-1})
+    advanced.  The factors are applied to x one at a time, since span_n can
+    leave double range where x and the result do not (jump factor 1e-200, k = 1)."""
+    delayed = ds.direction is Direction.DELAYED
+    for j in range(n - ds.k, n + 1) if delayed else range(n + 1, n + ds.k):
+        x = x * ds.a(j) if (power > 0) == delayed else x / ds.a(j)
+    return x
+
+
 def _q_audit(ds):
     """(name, ok, detail) of "every Q_n agrees with its product spelling
-    from a_n and b_n": b_n / (a_{n-k} ... a_n) delayed, b_n a_{n+1} ...
-    a_{n+k-1} advanced.  Agreement is relative, to 1e-8, and a value that
-    is not finite never agrees; the detail names the first n that fails."""
+    b_n / span_n from a_n and b_n".  Agreement is relative, to 1e-8, and a
+    value that is not finite never agrees; the detail names the first n
+    that fails."""
     for n, q in zip(ds.q_indices(), ds.q_seq):
-        product = ds.b(n)
-        if ds.direction is Direction.DELAYED:
-            for j in range(n - ds.k, n + 1):
-                product /= ds.a(j)
-        else:
-            for j in range(n + 1, n + ds.k):
-                product *= ds.a(j)
+        product = _span(ds, n, ds.b(n), -1)
         if not (math.isfinite(q) and math.isfinite(product)
                 and abs(q - product) <= 1e-8 * max(abs(q), abs(product))):
             return ("dual_route_q_audit", False,
@@ -303,9 +313,11 @@ def _check_instance(pf: ProblemFile, samples: int):
     def relative(gap, *sizes):
         return abs(gap) / max(1e-300, *map(abs, sizes))
 
+    # alpha is read nowhere else, so only the alpha_{n+1} that coeffs
+    # writes is measured
     yield _invariant("alpha_telescoping", 1e-12, "deviation", (
         (n, relative(ds.alpha(n + 1) * ds.a(n) - ds.alpha(n), ds.alpha(n)))
-        for n in range(ds.n0, ds.horizon)))
+        for n in range(ds.n0, ds.horizon) if _in_range(ds.alpha(n + 1))))
 
     sol = diffeq.continue_window(ds, spec.initial_window)
     z = sol.value
@@ -314,13 +326,12 @@ def _check_instance(pf: ProblemFile, samples: int):
         (n, relative(z(n + 1) - (az + bz), z(n + 1), abs(az) + abs(bz)))
         for n, (az, bz) in terms.items()))
 
-    y = diffeq.reduce_to_y(ds, sol)
-    y_of = lambda n: y[n - ds.n0]
-    qy = {n: ds.q(n) * y_of(ds.dev(n)) for n in terms
-          if n in ds.q_indices() and ds.dev(n) - ds.n0 < len(y)}
+    # y_{n+1} - y_n - Q_n y_dev(n), y_n = alpha_n z_n, divided by alpha_{n+1},
+    # so it is measured wherever z and Q_n are finite, whatever alpha does
+    qz = {n: _span(ds, n, ds.q(n), 1) * z(ds.dev(n)) for n in terms if n in ds.q_indices()}
     yield _invariant("reduced_form_residual", 1e-8, "relative residual", (
-        (n, relative(y_of(n + 1) - y_of(n) - q, y_of(n + 1), abs(y_of(n)) + abs(q)))
-        for n, q in qy.items()))
+        (n, relative(z(n + 1) - terms[n][0] - q, z(n + 1), abs(terms[n][0]) + abs(q)))
+        for n, q in qz.items()))
 
     # the terms of interval n also keep a window 0 from being measured
     # against a rounding residue in z_left

@@ -3,10 +3,11 @@
 ``CRITERIA`` holds one row per published hypothesis: its direction, its
 family (oscillation or nonoscillation), the statistic (a tail liminf or
 limsup of sums of Q_n, or of Q*_n = -Q_n, over the row's index offsets),
-the threshold as a function of the deviation k (delayed) or l (advanced),
-the side of the threshold that fires and the sign that b_n must keep.  One
-evaluator turns a row into a ``CriterionReport``; ``evaluate_all`` runs the
-rows of the system's direction.
+the threshold as a function of the deviation k (delayed) or l (advanced)
+and the side of the threshold that fires.  Where a_n > 0, Q_n has the sign
+of b_n, so b_n must keep the row's sign of Q.  One evaluator turns a row
+into a ``CriterionReport``; ``evaluate_all`` runs the rows of the system's
+direction.
 
 liminf/limsup are estimated at desk scale as extrema over a trailing index
 window, with a two-window convergence diagnostic; a criterion only Fires
@@ -20,9 +21,8 @@ import math
 from enum import Enum
 from typing import Callable, List, NamedTuple, Sequence, Tuple
 
-from .diffeq import TooShort, tail_start
 from .quad import NumericFailure
-from .reduction import Direction, DiscreteSystem
+from .reduction import Direction, DiscreteSystem, TooShort, tail_start
 
 __all__ = [
     "TailKind",
@@ -132,12 +132,11 @@ class Criterion(NamedTuple):
     criterion_id: str
     direction: Direction
     oscillation: bool  # family: True proves oscillation, False nonoscillation
-    sign: int
+    sign: int  # of the Q terms, and the sign b_n must keep over the tail
     terms: Callable[[int], Tuple[int, int]]
     kind: TailKind
     threshold: Callable[[int], float]
     above: bool  # fires when the statistic is above the threshold, else below
-    b_sign: int  # required sign of b_n over the examined tail
     boundary_fires: bool = False  # a non-strict bound: margin 0 fires too
 
 
@@ -149,21 +148,21 @@ _D, _A = Direction.DELAYED, Direction.ADVANCED
 _INF, _SUP = TailKind.LIMINF, TailKind.LIMSUP
 
 # Columns: id, direction, oscillation family, sign of Q, term offsets, tail
-# kind, threshold(k), fires above the threshold, required sign of b_n.
+# kind, threshold(k), fires above the threshold.
 # Within a direction the reports come in row order.
 CRITERIA: Tuple[Criterion, ...] = (
     Criterion("ErbeZhang", _D, True, -1, _pointwise, _INF,
-              delayed_liminf_threshold, True, -1),
+              delayed_liminf_threshold, True),
     Criterion("LadasPhilosSficas", _D, True, -1, lambda k: (-k, -1), _INF,
-              delayed_sum_threshold, True, -1),
+              delayed_sum_threshold, True),
     Criterion("GyoriLadasNonOsc", _D, False, -1, _pointwise, _SUP,
-              delayed_liminf_threshold, False, -1, boundary_fires=True),
+              delayed_liminf_threshold, False, boundary_fires=True),
     Criterion("GyoriLadasA", _A, True, 1, lambda l: (1, l - 1), _INF,
-              advanced_sum_threshold, True, 1),
+              advanced_sum_threshold, True),
     Criterion("GyoriLadasB", _A, True, 1, lambda l: (0, l - 1), _SUP,
-              lambda l: 1.0, True, 1),
+              lambda l: 1.0, True),
     Criterion("OcalanAkinNonOsc", _A, False, 1, _pointwise, _INF,
-              lambda l: -advanced_pointwise_threshold(l), True, 1),
+              lambda l: -advanced_pointwise_threshold(l), True),
 )
 
 OSCILLATION_IDS = frozenset(c.criterion_id for c in CRITERIA if c.oscillation)
@@ -171,14 +170,14 @@ NONOSCILLATION_IDS = frozenset(c.criterion_id for c in CRITERIA if not c.oscilla
 
 
 def _preconditions(ds: DiscreteSystem, index_range: range,
-                   b_sign: int) -> List[Tuple[int, str]]:
-    """Check a_n > 0 and the required sign of b_n over index_range."""
+                   sign: int) -> List[Tuple[int, str]]:
+    """Check a_n > 0 and that b_n has the given sign over index_range."""
     violations: List[Tuple[int, str]] = []
     for n in index_range:
         if not ds.a(n) > 0.0:
             violations.append((n, "a_n <= 0"))
-        if not b_sign * ds.b(n) > 0.0:
-            violations.append((n, "b_n >= 0" if b_sign < 0 else "b_n <= 0"))
+        if not sign * ds.b(n) > 0.0:
+            violations.append((n, "b_n >= 0" if sign < 0 else "b_n <= 0"))
     return violations
 
 
@@ -209,7 +208,7 @@ def _evaluate(row: Criterion, ds: DiscreteSystem, tail_fraction: float) -> Crite
     stats = tail_stats(sums, row.kind, tail_fraction, offset=ds.q_start + first)
     threshold = row.threshold(k)
     margin = stats.statistic - threshold if row.above else threshold - stats.statistic
-    violations = _preconditions(ds, range(stats.window[0], stats.window[1] + 1), row.b_sign)
+    violations = _preconditions(ds, range(stats.window[0], stats.window[1] + 1), row.sign)
     if violations:
         verdict = CriterionVerdict.PRECONDITION_VIOLATED
     else:

@@ -40,20 +40,17 @@ from itertools import groupby
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .quad import NumericFailure
-from .reduction import Direction, DiscreteSystem
+from .reduction import Direction, DiscreteSystem, TooShort, tail_start
 
 __all__ = [
     "Verdict",
     "DiscreteSolution",
     "OscillationVerdict",
-    "TooShort",
     "backward_sweep",
     "continue_window",
     "solve",
-    "reduce_to_y",
     "discrete_oscillation_check",
     "default_window",
-    "tail_start",
     "block_verdict",
 ]
 
@@ -63,10 +60,6 @@ class Verdict(Enum):
     EVENTUALLY_POSITIVE = "EventuallyPositive"
     EVENTUALLY_NEGATIVE = "EventuallyNegative"
     INCONCLUSIVE = "Inconclusive"
-
-
-class TooShort(NumericFailure):
-    """Not enough points for the requested tail analysis."""
 
 
 class DiscreteSolution(NamedTuple):
@@ -211,17 +204,6 @@ def solve(ds: DiscreteSystem, init: Sequence[float]) -> DiscreteSolution:
     if len(init) != ds.k + 1:
         raise ValueError(f"initial window must have {ds.k + 1} entries")
     return backward_sweep(ds, init[0])
-
-
-def reduce_to_y(ds: DiscreteSystem, sol: DiscreteSolution) -> List[float]:
-    """y_n = alpha_n z_n for n in [n0, ...], aligned at ds.n0."""
-    n_hi = min(sol.n_hi, ds.n0 + len(ds.alpha_seq) - 1)
-    return [ds.alpha(n) * sol.value(n) for n in range(ds.n0, n_hi + 1)]
-
-
-def tail_start(m: int, fraction: float) -> int:
-    """First position of the trailing fraction of m points (at least one)."""
-    return m - max(1, int(round(m * fraction)))
 
 
 class OscillationVerdict(NamedTuple):

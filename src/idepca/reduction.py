@@ -44,7 +44,8 @@ __all__ = [
     "ProblemSpec",
     "DiscreteSystem",
     "ZeroImpulseFactor",
-    "IndexOutOfRange",
+    "TooShort",
+    "tail_start",
     "compute_an",
     "compute_bn",
     "compute_qn_direct",
@@ -66,10 +67,14 @@ class ZeroImpulseFactor(ValueError):
         super().__init__(f"jump factor at node {n} is {value!r}; must be finite and nonzero")
 
 
-class IndexOutOfRange(Exception):
-    def __init__(self, n: int, message: str):
-        self.index = n
-        super().__init__(f"index {n}: {message}")
+# the tail rule that the criteria and the oscillation checks share
+class TooShort(NumericFailure):
+    """Not enough points for the requested tail analysis."""
+
+
+def tail_start(m: int, fraction: float) -> int:
+    """First position of the trailing fraction of m points (at least one)."""
+    return m - max(1, int(round(m * fraction)))
 
 
 class ProblemSpec:
@@ -178,19 +183,16 @@ class DiscreteSystem:
         return self.n0 + len(self.a_seq)
 
     def a(self, n: int) -> float:
-        return self.a_seq[self._at(n, len(self.a_seq), "a_n")]
+        return _at(self.a_seq, self.n0, n, "a_n")
 
     def b(self, n: int) -> float:
-        return self.b_seq[self._at(n, len(self.b_seq), "b_n")]
+        return _at(self.b_seq, self.n0, n, "b_n")
 
     def alpha(self, n: int) -> float:
-        return self.alpha_seq[self._at(n, len(self.alpha_seq), "alpha_n")]
+        return _at(self.alpha_seq, self.n0, n, "alpha_n")
 
     def q(self, n: int) -> float:
-        i = n - self.q_start
-        if not 0 <= i < len(self.q_seq):
-            raise IndexOutOfRange(n, "Q_n not computed at this index")
-        return self.q_seq[i]
+        return _at(self.q_seq, self.q_start, n, "Q_n")
 
     def q_indices(self) -> range:
         return range(self.q_start, self.q_start + len(self.q_seq))
@@ -199,11 +201,13 @@ class DiscreteSystem:
         """The deviated node n - k (delayed) or n + k (advanced)."""
         return n - self.k if self.direction is Direction.DELAYED else n + self.k
 
-    def _at(self, n: int, size: int, what: str) -> int:
-        i = n - self.n0
-        if not 0 <= i < size:
-            raise IndexOutOfRange(n, f"{what} not computed at this index")
-        return i
+
+def _at(seq: List[float], first: int, n: int, what: str) -> float:
+    """The entry of index n of seq, whose entry 0 is index first."""
+    i = n - first
+    if not 0 <= i < len(seq):
+        raise IndexError(f"index {n}: {what} not computed at this index")
+    return seq[i]
 
 
 def compute_qn_direct(spec: ProblemSpec, n: int) -> float:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, List, Tuple
 
+from idepca.diffeq import DiscreteSolution
 from idepca.reduction import DiscreteSystem, ProblemSpec
 from idepca.trajectory import Trajectory
 
@@ -22,6 +23,12 @@ def q_by_alpha_ratio(ds: DiscreteSystem, n: int) -> float:
     the definition of the reduced form; it has digits only while alpha is
     in double range."""
     return ds.alpha(n + 1) * ds.b(n) / ds.alpha(ds.dev(n))
+
+
+def reduce_to_y(ds: DiscreteSystem, sol: DiscreteSolution) -> List[float]:
+    """y_n = alpha_n z_n for n in [n0, ...], aligned at ds.n0."""
+    n_hi = min(sol.n_hi, ds.n0 + len(ds.alpha_seq) - 1)
+    return [ds.alpha(n) * sol.value(n) for n in range(ds.n0, n_hi + 1)]
 
 
 def sign_change(u: float, v: float) -> bool:

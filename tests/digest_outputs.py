@@ -10,11 +10,14 @@ on these cases when the `diff` of their digests is empty:
 
 The cases are the shipped examples, example 2 at horizon 505, example 1 at
 horizons 420 and 505, the tests' battery draw (OSC_SEED selects it),
-problems that exit 3 or fail a check, a=-2, b=-1, delayed, k=1 at horizon
-1000, a problem whose E(t) overflows inside every interval while the
-skeleton stays finite, and both examples under each impulse shape (formula,
-table, table with default, and two that exit 2).  Example 1 from horizon 420
-on and the a=-2 case run past the range of alpha, which Q_n does not read.
+problems that exit 3, problems whose alpha leaves double range, a=-2, b=-1,
+delayed, k=1 at horizon 1000, a problem whose E(t) overflows inside every
+interval while the skeleton stays finite, and both examples under each
+impulse shape (formula, table, table with default, and two that exit 2).
+Example 1 from horizon 420 on, example 2 at 505, y-overflow,
+alpha-overflow, alpha-subnormal-h740 and alpha-past-range-h1000 run past
+the range of alpha (or of y_n = alpha_n z_n), which neither Q_n nor any
+check but alpha_telescoping reads: all of them pass check.
 Every case runs coeffs, analyze, simulate --samples 4, simulate --samples 1
 (one sample per interval, the grid's edge case) and check, in process, in a
 temporary directory.  Two problems whose kernels are bisected inside every
@@ -58,8 +61,9 @@ def _plain(a, b, **keys) -> dict:
     return doc
 
 
-# numeric failures of each stage, and problems whose y-form or alpha leaves
-# double range
+# numeric failures of each stage, and problems whose y_n = alpha_n z_n or
+# alpha leaves double range (alpha goes subnormal from n = 709 on in the
+# last)
 FAILING = {
     "a-singular": _plain("1/t", "1"),
     "weight-singular": _plain("0", "1/(t - 0.5)"),
@@ -73,6 +77,8 @@ FAILING = {
                          initial_window=[1, 2, 3], horizon=130),
     "alpha-overflow": _plain("-5", "0.01", direction="advanced", k=2,
                              initial_window=[1, 2, 3], horizon=143),
+    "alpha-subnormal-h740": _plain("1", "0.5", direction="advanced", k=3,
+                                   initial_window=[1, 1, 1, 1], horizon=740),
 }
 
 

@@ -11,7 +11,7 @@ import sys
 import time
 from pathlib import Path
 
-from _audits import max_node_discontinuity, respec, sign_change
+from _audits import max_node_discontinuity, reduce_to_y, respec, sign_change
 from _battery import get_battery
 from idepca import criteria as crit
 from idepca.cli import load_problem
@@ -26,7 +26,6 @@ from idepca.diffeq import (
     TooShort,
     Verdict,
     discrete_oscillation_check,
-    reduce_to_y,
     solve,
 )
 from idepca.quad import integrate

@@ -294,7 +294,7 @@ class TestTable:
         expected = [(c.criterion_id, c.direction.value,
                      "oscillation" if c.oscillation else "nonoscillation",
                      "above" if c.above else ("at or below" if c.boundary_fires else "below"),
-                     "< 0" if c.b_sign < 0 else "> 0")
+                     "< 0" if c.sign < 0 else "> 0")
                     for c in CRITERIA]
         assert documented == expected
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from _audits import sign_change
+from _audits import reduce_to_y, sign_change
 from idepca.diffeq import (
     TooShort,
     Verdict,
@@ -12,7 +12,6 @@ from idepca.diffeq import (
     default_window,
     discrete_oscillation_check,
     DiscreteSolution,
-    reduce_to_y,
     solve,
 )
 from idepca.quad import NumericFailure

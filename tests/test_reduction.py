@@ -17,7 +17,6 @@ from idepca.quad import IntervalKernel, NumericFailure
 from idepca.reduction import (
     Direction,
     DiscreteSystem,
-    IndexOutOfRange,
     ProblemSpec,
     ZeroImpulseFactor,
     build_discrete_system,
@@ -198,7 +197,7 @@ class TestAlpha:
 
     def test_out_of_range(self):
         ds = build_discrete_system(make_spec(horizon=5))
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(IndexError):
             ds.alpha(7)
 
     # Q_n does not read alpha, so an alpha outside double range leaves it
@@ -375,11 +374,11 @@ class TestDualRoutes:
 class TestAccessors:
     def test_out_of_range_raises(self):
         ds = build_discrete_system(make_spec(horizon=10))
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(IndexError):
             ds.a(10)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(IndexError):
             ds.q(0)  # delayed q starts at k
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(IndexError):
             ds.alpha(-1)
 
     def test_horizon_property(self):

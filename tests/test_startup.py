@@ -24,7 +24,7 @@ EXAMPLE1 = REPO / "problems" / "example1.json"
 READ = {"cli", "exprlang", "quad", "reduction"}   # every command reads a problem file
 LOADED = {
     "coeffs": READ,
-    "analyze": READ | {"diffeq", "criteria"},
+    "analyze": READ | {"criteria"},
     "simulate": READ | {"diffeq", "trajectory"},
     "check": READ | {"diffeq", "trajectory"},
 }

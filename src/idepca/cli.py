@@ -272,8 +272,9 @@ def _invariant(name: str, bound: float, what: str, residuals):
 
 
 def _in_range(alpha: float) -> bool:
-    """alpha_n has not left double range: coeffs writes it, check measures it."""
-    return math.isfinite(alpha) and alpha != 0.0
+    """alpha_n has not left the normal double range: coeffs writes it, check
+    measures it.  A subnormal alpha has lost digits to rounding."""
+    return sys.float_info.min <= abs(alpha) < math.inf
 
 
 def _span(ds, n: int, x: float, power: int) -> float:

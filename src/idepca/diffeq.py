@@ -37,7 +37,7 @@ import math
 import sys
 from enum import Enum
 from itertools import groupby
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .quad import NumericFailure
 from .reduction import Direction, DiscreteSystem, TooShort, tail_start
@@ -51,6 +51,7 @@ __all__ = [
     "solve",
     "discrete_oscillation_check",
     "default_window",
+    "block_sign",
     "block_verdict",
 ]
 
@@ -214,13 +215,26 @@ class OscillationVerdict(NamedTuple):
     last_sign_change: Optional[int]     # last mixed block, tail or not
 
 
-def block_verdict(blocks: Sequence[Sequence[float]], offset: int, start: int,
+def block_sign(values: Iterable[float]) -> int:
+    """1 for a positive block, -1 for a negative one, 0 for a mixed one.
+
+    One pass over values decides as all(v > 0.0) and all(v < 0.0) would, so
+    a zero or a nan makes the block mixed (and an empty block is positive).
+    """
+    it = iter(values)
+    first = next(it, 1.0)
+    if first > 0.0:
+        return 1 if all(v > 0.0 for v in it) else 0
+    if first < 0.0:
+        return -1 if all(v < 0.0 for v in it) else 0
+    return 0
+
+
+def block_verdict(signs: Sequence[int], offset: int, start: int,
                   window: int) -> OscillationVerdict:
-    """The sign rule on the tail blocks[start:], where blocks[i] is block
-    offset + i; the earliest of the longest one-signed runs is reported."""
-    # 1 for a positive block, -1 for a negative one, 0 for a mixed one
-    signs = [1 if all(v > 0.0 for v in block) else -1 if all(v < 0.0 for v in block)
-             else 0 for block in blocks]
+    """The sign rule on the tail signs[start:], where signs[i] is the
+    block_sign of block offset + i; the earliest of the longest one-signed
+    runs is reported."""
     mixed = [i for i, sign in enumerate(signs) if sign == 0]
     run_start, run_length, i = None, 0, start
     for sign, group in groupby(signs[start:]):
@@ -228,14 +242,14 @@ def block_verdict(blocks: Sequence[Sequence[float]], offset: int, start: int,
         if sign and length > run_length:
             run_start, run_length = offset + i, length
         i += length
-    if run_length == len(blocks) - start:
+    if run_length == len(signs) - start:
         verdict = (Verdict.EVENTUALLY_POSITIVE if signs[start] > 0
                    else Verdict.EVENTUALLY_NEGATIVE)
     elif run_length < window:
         verdict = Verdict.OSCILLATORY
     else:
         verdict = Verdict.INCONCLUSIVE
-    return OscillationVerdict(verdict, (offset + start, offset + len(blocks) - 1),
+    return OscillationVerdict(verdict, (offset + start, offset + len(signs) - 1),
                               run_start, run_length,
                               offset + mixed[-1] if mixed else None)
 
@@ -258,4 +272,5 @@ def discrete_oscillation_check(sol: DiscreteSolution,
         raise TooShort(
             f"tail has {m - i0} points; need at least {2 * window}"
         )
-    return block_verdict(list(zip(vals, vals[1:])), sol.n_lo, i0, window)
+    return block_verdict([block_sign(pair) for pair in zip(vals, vals[1:])], sol.n_lo,
+                         i0, window)

@@ -141,8 +141,13 @@ class _Intervals(dict):
 
 
 def _scaled(expo: float, value: float, n: int, stage: str) -> float:
-    """value * exp(expo), or the stage's NumericFailure if that overflows."""
+    """value * exp(expo), or the stage's NumericFailure if that overflows.
+    Where it is not finite, value * h * h with h = exp(expo / 2) is tried,
+    since exp(expo) alone can overflow where the product does not."""
     out = value * _safe_exp(expo) if value != 0.0 else 0.0
+    if not math.isfinite(out):
+        h = _safe_exp(expo / 2)
+        out = value * h * h
     if not math.isfinite(out):
         raise NumericFailure(f"the weighted integral exp({expo!r}) * {value!r} overflowed",
                              n, stage)

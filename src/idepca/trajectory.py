@@ -16,19 +16,21 @@ those values are formed as E(t) * (z_n + z_dev exp(scale) W(t)), so where
 E(t) is inf the value is +-inf with the bracket's sign rather than
 inf - inf.
 
-Samples are z alone at t = n + i/m, i < m, and Trajectory.rows() adds t
-as it formats them.
+Samples are z alone at t = n + i/m, i < m, held as one array('d') of 8
+bytes each, and Trajectory.rows() adds t as it formats them.
 The one at a node time is the right-continuous value; the left limit at
 each node lives in the node table, with the jump factor that relates the two.
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import chain
 from math import exp
 from typing import Iterator, List, NamedTuple, Sequence
 
-from .diffeq import (DiscreteSolution, OscillationVerdict, TooShort, block_verdict,
-                     default_window)
+from .diffeq import (DiscreteSolution, OscillationVerdict, TooShort, block_sign,
+                     block_verdict, default_window)
 from .exprlang import _safe_exp
 from .reduction import DiscreteSystem, ProblemSpec
 
@@ -49,7 +51,7 @@ class NodeRecord(NamedTuple):
 
 class Trajectory(NamedTuple):
     k: int
-    samples: List[float]                     # z at n + i/m, interval by interval
+    samples: Sequence[float]                 # z at n + i/m, interval by interval
     nodes: List[NodeRecord]
     interval_start: int
     samples_per_interval: int
@@ -74,17 +76,18 @@ def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,
     if samples_per_interval < 1:
         raise ValueError("samples_per_interval must be >= 1")
     intervals = sol.relation_indices()
-    samples: List[float] = []
+    samples = array("d")
     nodes: List[NodeRecord] = []
     m = samples_per_interval
+    offsets = [i / m for i in range(1, m)]
     for n in intervals:
         z_n = sol.value(n)
         z_dev = sol.value(ds.dev(n))
         kernel = spec.intervals[n]
         scale = kernel.scale
-        expos, ws = kernel.at([n + i / m for i in range(1, m)])
+        expos, ws = kernel.at([n + offset for offset in offsets])
         samples.append(z_n)
-        samples += _values(expos, ws, scale, z_n, z_dev)
+        samples.extend(_values(expos, ws, scale, z_n, z_dev))
         (z_left,) = _values((kernel.total,), (kernel.weight,), scale, z_n, z_dev)
         nodes.append(NodeRecord(n + 1, z_left, sol.value(n + 1), spec.impulse(n + 1)))
     return Trajectory(spec.k, samples, nodes, intervals.start, m)
@@ -106,16 +109,17 @@ def _values(expos: Sequence[float], ws: Sequence[float], scale: float, z_n: floa
 def continuous_oscillation_check(traj: Trajectory, first: int) -> OscillationVerdict:
     """The sign rule on the intervals [n, n+1] from index first on.
 
-    An interval's block is its samples plus the left limit at n+1.  first
-    is the tail's first index as the discrete check computes it, its
-    tail_window[0], so both verdicts judge one tail.
+    An interval's block is its samples plus the left limit at n+1, signed
+    one interval at a time.  first is the tail's first index as the discrete
+    check computes it, its tail_window[0], so both verdicts judge one tail.
     """
     window = default_window(traj.k)
     m = traj.samples_per_interval
-    blocks = [traj.samples[i * m:(i + 1) * m] + [rec.z_left]
-              for i, rec in enumerate(traj.nodes)]
+    intervals = len(traj.nodes)
     i0 = max(0, first - traj.interval_start)
-    if len(blocks) - i0 < 2 * window:
-        raise TooShort(f"trajectory tail spans {len(blocks) - i0} intervals; "
+    if intervals - i0 < 2 * window:
+        raise TooShort(f"trajectory tail spans {intervals - i0} intervals; "
                        f"need {2 * window}")
-    return block_verdict(blocks, traj.interval_start, i0, window)
+    signs = [block_sign(chain(traj.samples[i * m:(i + 1) * m], (rec.z_left,)))
+             for i, rec in enumerate(traj.nodes)]
+    return block_verdict(signs, traj.interval_start, i0, window)

@@ -15,9 +15,10 @@ delayed, k=1 at horizon 1000, a problem whose E(t) overflows inside every
 interval while the skeleton stays finite, and both examples under each
 impulse shape (formula, table, table with default, and two that exit 2).
 Example 1 from horizon 420 on, example 2 at 505, y-overflow,
-alpha-overflow, alpha-subnormal-h740 and alpha-past-range-h1000 run past
-the range of alpha (or of y_n = alpha_n z_n), which neither Q_n nor any
-check but alpha_telescoping reads: all of them pass check.
+alpha-overflow, alpha-subnormal-h740, alpha-subnormal-h61,
+q-weight-exp-overflow and alpha-past-range-h1000 run past the normal range
+of alpha (or of y_n = alpha_n z_n), which neither Q_n nor any check but
+alpha_telescoping reads: all of them pass check.
 Every case runs coeffs, analyze, simulate --samples 4, simulate --samples 1
 (one sample per interval, the grid's edge case) and check, in process, in a
 temporary directory.  Two problems whose kernels are bisected inside every
@@ -62,8 +63,9 @@ def _plain(a, b, **keys) -> dict:
 
 
 # numeric failures of each stage, and problems whose y_n = alpha_n z_n or
-# alpha leaves double range (alpha goes subnormal from n = 709 on in the
-# last)
+# alpha leaves double range: alpha is subnormal from n = 709 on at h740 and
+# from n = 18 on at h61, and Q_n's weight exp(800) overflows alone while
+# Q_n = 6.8e44 does not in the last
 FAILING = {
     "a-singular": _plain("1/t", "1"),
     "weight-singular": _plain("0", "1/(t - 0.5)"),
@@ -79,6 +81,12 @@ FAILING = {
                              initial_window=[1, 2, 3], horizon=143),
     "alpha-subnormal-h740": _plain("1", "0.5", direction="advanced", k=3,
                                    initial_window=[1, 1, 1, 1], horizon=740),
+    "alpha-subnormal-h61": _plain("40.892101514950994 - 0.3203959244574941*sin(t)",
+                                  "6.256898118262356 + 1.6530054283751117*cos(t)",
+                                  direction="advanced", k=3,
+                                  impulse={"factor": 0.8749578775898675},
+                                  initial_window=[1, 1, 1, 1], horizon=61),
+    "q-weight-exp-overflow": _plain("-400", "1e-300", horizon=30),
 }
 
 

@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,14 @@ ADVANCED_ZERO_B_DOC = {**BASE_DOC, "direction": "advanced", "k": 2, "b": "0",
 # a_n = b_n = 1 exactly: z_{n+1} = a_n z_n + b_n z_{n+1} cannot be solved for z_{n+1}
 DEGENERATE_K1_DOC = {**BASE_DOC, "direction": "advanced", "k": 1, "a": "0", "b": "1",
                      "impulse": "none", "initial_window": [1, 1]}
+# alpha_18 = 2.66e-319 is subnormal, and alpha_18 a_17 = alpha_17 fails on rounding alone
+SUBNORMAL_ALPHA_DOC = {**BASE_DOC, "a": "40.892101514950994 - 0.3203959244574941*sin(t)",
+                       "b": "6.256898118262356 + 1.6530054283751117*cos(t)",
+                       "direction": "advanced", "impulse": {"factor": 0.8749578775898675},
+                       "horizon": 61}
+# Q_n = exp(800) * 2.5e-303 = 6.8e44, although exp(800) alone overflows
+EXP_OVERFLOW_Q_DOC = {**BASE_DOC, "a": "-400", "b": "1e-300", "k": 1, "impulse": "none",
+                      "initial_window": [1, 1]}
 
 # Battery instances (seeds 3 and 4 of the benchmark's battery draw) whose
 # discrete verdict the tiled sign test called Oscillatory while the
@@ -133,6 +142,21 @@ class TestCoeffs:
         for row in rows[420:]:
             assert row[3] == ""
             assert row[4] == f"{-(8.0 / 3.0) * E ** 3 * (E - 1.0):.10g}"
+
+    # alpha goes subnormal at n = 18 (factor 0.875, a near 41) and at
+    # n = 709 (a = 1, e^-709 < 2.2e-308): digits lost to rounding, so blank
+    @pytest.mark.parametrize("doc,first_blank", [
+        pytest.param(SUBNORMAL_ALPHA_DOC, 18, id="telescoping-h61"),
+        pytest.param({**BASE_DOC, "a": "1", "b": "0.5", "direction": "advanced",
+                      "impulse": "none", "horizon": 740}, 709, id="h740"),
+    ])
+    def test_alpha_blank_when_subnormal(self, tmp_path, doc, first_blank):
+        out = tmp_path / "coeffs.csv"
+        assert run_cli("coeffs", write_problem(tmp_path, doc), "--out", out).returncode == 0
+        alphas = [row[3] for row in read_csv(out)[1:]]
+        assert all(alphas[:first_blank])
+        assert float(alphas[first_blank - 1]) >= sys.float_info.min
+        assert not any(alphas[first_blank:])
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -301,6 +325,8 @@ class TestCheck:
                       "impulse": "none", "horizon": 740}, id="alpha-subnormal-h740"),
         pytest.param({**BASE_DOC, "a": "0", "b": "-1", "k": 1, "impulse": {"factor": 1e-200},
                       "initial_window": [1, 1]}, id="span-underflow"),
+        pytest.param(SUBNORMAL_ALPHA_DOC, id="alpha-subnormal-telescoping"),
+        pytest.param(EXP_OVERFLOW_Q_DOC, id="q-weight-exp-overflow"),
     ])
     def test_past_alpha_range_all_pass(self, tmp_path, doc):
         res = run_cli("check", write_problem(tmp_path, doc))
@@ -777,7 +803,7 @@ class TestInvariantsCanFail:
 
         def one_signed(*args):
             traj = rebuild(*args)
-            traj.samples[:] = [abs(z) for z in traj.samples]
+            traj.samples[:] = array("d", [abs(z) for z in traj.samples])
             traj.nodes[:] = [type(rec)(rec.n, abs(rec.z_left), rec.z_right, rec.jump_factor)
                              for rec in traj.nodes]
             return traj

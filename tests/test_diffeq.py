@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from array import array
 
 import pytest
 
@@ -8,6 +9,7 @@ from _audits import reduce_to_y, sign_change
 from idepca.diffeq import (
     TooShort,
     Verdict,
+    block_sign,
     continue_window,
     default_window,
     discrete_oscillation_check,
@@ -318,6 +320,44 @@ class TestOscillationCheck:
         assert sol.n_hi == 2
         with pytest.raises(IndexError):
             sol.value(3)
+
+
+class TestBlockSign:
+    """block_sign decides as the two all() tests it replaced, in one pass."""
+
+    @staticmethod
+    def by_all(block):
+        return (1 if all(v > 0.0 for v in block) else -1 if all(v < 0.0 for v in block)
+                else 0)
+
+    @pytest.mark.parametrize("block,sign", [
+        ((1.0, 2.0), 1), ((-1.0, -2.0), -1), ((1.0, -2.0), 0), ((1.0, 0.0), 0),
+        ((-0.0, -1.0), 0), ((math.nan, 1.0), 0), ((1.0, math.nan), 0),
+        ((-1.0, math.nan), 0), ((math.nan,), 0), ((math.inf, 1.0), 1),
+        ((-1.0, -math.inf), -1), ((math.inf, -math.inf), 0), ((), 1),
+    ])
+    def test_rule(self, block, sign):
+        assert self.by_all(block) == sign
+        for form in (tuple, list, lambda b: array("d", b), iter):
+            assert block_sign(form(block)) == sign
+
+    def test_random_blocks(self):
+        rng = random.Random(25)
+        pool = (-2.0, -1e-300, -0.0, 0.0, 5e-324, 3.0, math.inf, -math.inf, math.nan)
+        for _ in range(2000):
+            block = [rng.choice(pool) if rng.random() < 0.2 else rng.choice((-1, 1))
+                     * rng.uniform(1e-3, 1e3) for _ in range(rng.randint(1, 6))]
+            if rng.random() < 0.5:
+                block = [abs(v) for v in block]
+            sign = self.by_all(block)
+            assert block_sign(block) == block_sign(array("d", block)) == sign, block
+
+    def test_nan_pair_is_a_sign_change(self):
+        values = [1.0] * 40
+        values[30] = math.nan
+        res = discrete_oscillation_check(DiscreteSolution(0, values, Direction.DELAYED, 1))
+        assert res.verdict is Verdict.INCONCLUSIVE
+        assert res.last_sign_change == 30
 
 
 class TestRelationIndices:

@@ -445,6 +445,31 @@ class TestStageFailures:
         assert (exc.value.index, exc.value.stage) == (0, "Q_n direct")
 
 
+    def test_q_n_direct_past_exp_range(self):
+        # exp(800) overflows, while Q_1 = exp(800) (1 - e^-400) 1e-300 / 400 is 6.8e44
+        spec = make_spec(a="-400", b="1e-300", k=1, factor=None)
+        assert compute_qn_direct(spec, 1) == pytest.approx(
+            2.5e-303 * math.exp(400.0) * math.exp(400.0), rel=1e-12)
+
+    # a finite value * exp(expo) keeps its bits; past it, the split exponent
+    # is tried, and raises where that overflows too
+    @pytest.mark.parametrize("expo,value", [(700.0, 1e-3), (-745.0, 1e300), (3.5, -2.0),
+                                            (709.7, 1.0), (-1e4, 1.0), (1.0, 0.0)])
+    def test_scaled_keeps_finite_products(self, expo, value):
+        assert reduction._scaled(expo, value, 0, "b_n") == value * math.exp(expo)
+
+    @pytest.mark.parametrize("expo,value", [(800.0, 2.5e-303), (1000.0, -1e-300),
+                                            (1500.0, 1e-300), (800.0, 1e10),
+                                            (800.0, math.nan)])
+    def test_scaled_past_exp_range(self, expo, value):
+        expected = value * math.exp(expo / 2) * math.exp(expo / 2) if expo < 1400 else math.inf
+        if not math.isfinite(expected):
+            with pytest.raises(NumericFailure, match="overflowed$"):
+                reduction._scaled(expo, value, 0, "b_n")
+        else:
+            assert reduction._scaled(expo, value, 0, "b_n") == expected
+
+
 class TestOneKernelPerInterval:
     """The reduction, its Q_n included, integrates each interval once, and
     the reconstruction samples the reduction's kernels."""

@@ -1,11 +1,13 @@
 import json
 import math
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
 
 from _audits import max_node_discontinuity, points, reference_rows
+from idepca import diffeq, trajectory
 from idepca.cli import load_problem, main, validate_problem
 from idepca.diffeq import (TooShort, Verdict, continue_window, discrete_oscillation_check,
                            solve)
@@ -73,7 +75,7 @@ class TestReconstruction:
             assert traj.samples_per_interval == m
             assert len(traj.samples) == m * len(traj.nodes)
             pairs = list(points(traj))
-            assert [z for _, z in pairs] == traj.samples
+            assert [z for _, z in pairs] == list(traj.samples)
             for j, (t, z) in enumerate(pairs):
                 n, i = traj.interval_start + j // m, j % m
                 assert t == n + i / m
@@ -91,8 +93,9 @@ class TestReconstruction:
 
     @pytest.mark.parametrize("name", ["example1", "example2"])
     def test_samples_hold_one_number_each(self, name):
-        # what a dense reconstruction keeps: a float and its list slot per
-        # sample (about 33 bytes), not a (t, z) tuple of two (about 113)
+        # what a dense reconstruction keeps: one 8-byte double per sample,
+        # not a float object and its list slot (about 33 bytes) or a (t, z)
+        # tuple of two (about 113)
         pf = load_problem(REPO / "problems" / f"{name}.json")
         ds = build_discrete_system(pf.spec)
         sol = continue_window(ds, pf.spec.initial_window)
@@ -103,7 +106,7 @@ class TestReconstruction:
         finally:
             tracemalloc.stop()
         assert len(traj.samples) == 128 * len(traj.nodes)
-        assert retained / len(traj.samples) <= 48
+        assert retained / len(traj.samples) <= 12
 
     def test_interval_blocks_include_left_limit(self):
         # every sample is positive and every left limit negative, so only
@@ -113,6 +116,22 @@ class TestReconstruction:
         nodes = [NodeRecord(n + 1, -1.0, 1.0, 0.5) for n in range(16)]
         traj = Trajectory(spec.k, samples, nodes, 0, 4)
         assert continuous_oscillation_check(traj, 8).verdict is Verdict.OSCILLATORY
+
+    # a nan sample or left limit makes its interval mixed, whether the
+    # samples are a list or an array
+    @pytest.mark.parametrize("form", [list, lambda s: array("d", s)], ids=["list", "array"])
+    @pytest.mark.parametrize("where", ["sample", "left-limit"])
+    def test_nan_makes_interval_mixed(self, form, where):
+        spec, _, _, _ = make_pipeline(k=1, window=(1.0, 1.0), samples=4)
+        samples = [1.0] * (16 * 4)
+        nodes = [NodeRecord(n + 1, 1.0, 1.0, 0.5) for n in range(16)]
+        if where == "sample":
+            samples[13 * 4 + 2] = math.nan
+        else:
+            nodes[13] = NodeRecord(14, math.nan, 1.0, 0.5)
+        res = continuous_oscillation_check(Trajectory(spec.k, form(samples), nodes, 0, 4), 8)
+        assert res.verdict is Verdict.INCONCLUSIVE
+        assert res.last_sign_change == 13
 
     def test_jump_factor_relates_node_values(self):
         _, _, _, traj = make_pipeline()
@@ -223,6 +242,15 @@ class TestContinuousCheck:
                                         window=(-1.0, -1.0), horizon=20)
         res = continuous_verdict(sol, traj)
         assert res.verdict is Verdict.EVENTUALLY_NEGATIVE
+
+    def test_both_verdicts_use_block_sign(self, monkeypatch):
+        # an alternating skeleton, judged with every block called positive
+        _, _, sol, traj = make_pipeline(a="0", b="-3", k=1, factor=None,
+                                        window=(1.0, 1.0), horizon=30)
+        monkeypatch.setattr(diffeq, "block_sign", lambda values: 1)
+        monkeypatch.setattr(trajectory, "block_sign", lambda values: 1)
+        assert discrete_oscillation_check(sol).verdict is Verdict.EVENTUALLY_POSITIVE
+        assert continuous_verdict(sol, traj).verdict is Verdict.EVENTUALLY_POSITIVE
 
     def test_run_across_tile_edge_inconclusive(self):
         # intervals 22..25 are positive and every other interval ends in a

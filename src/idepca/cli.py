@@ -1,10 +1,8 @@
 """Command line interface: problem-file ingestion and machine-readable output.
 
-Subcommands:
-    coeffs    write the coefficient table (CSV)
-    analyze   evaluate all applicable criteria (JSON report)
-    simulate  solve, reconstruct and write trajectory/node CSVs plus verdicts
-    check     run every per-instance consistency invariant and report pass/fail
+One parser reads ``idepca <command> <problem> [flags]`` for the four
+commands that ``idepca -h`` lists.  simulate and check share one run, so
+check audits what simulate writes.
 
 Exit codes: 0 success, 1 invariant failure, 2 input/schema error,
 3 numeric failure.
@@ -165,31 +163,29 @@ def load_problem(path, overrides: Optional[dict] = None) -> ProblemFile:
 
 
 def _csv(header: list, lines):
-    """A writer of the header's names, then of each line of lines: rows
-    formatted and ending in "\n", streamed so they are never held at once."""
-    def write(stream):
-        stream.write(",".join(header) + "\n")
-        stream.writelines(lines)
-    return write
+    """The header's names, then each line of lines: rows formatted and
+    ending in "\n", streamed so they are never held at once."""
+    yield ",".join(header) + "\n"
+    yield from lines
 
 
-def _json(doc: dict):
-    return lambda stream: stream.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _json(doc: dict) -> list:
+    return [json.dumps(doc, indent=2, sort_keys=True) + "\n"]
 
 
 def _write_files(files: dict) -> None:
-    """Call each path's writer on the opened file, or on stdout for "-".  On
+    """Write each path's lines to the opened file, or to stdout for "-".  On
     an OSError the files already opened are removed, so a failed command
     leaves no partial result."""
     written = []
     try:
-        for path, write in files.items():
+        for path, lines in files.items():
             if path == "-":
-                write(sys.stdout)
+                sys.stdout.writelines(lines)
                 continue
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 written.append(path)
-                write(fh)
+                fh.writelines(lines)
     except OSError as exc:
         for done in written:
             Path(done).unlink(missing_ok=True)
@@ -235,7 +231,9 @@ def cmd_analyze(pf: ProblemFile, out: Optional[str]) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(pf: ProblemFile, prefix: str, samples: int) -> int:
+def _simulation(pf: ProblemFile, samples: int):
+    """(ds, sol, traj, discrete, continuous): the reduction, the window continuation,
+    its reconstruction and both verdicts, which simulate writes and check audits."""
     from . import diffeq, trajectory
 
     ds = build_discrete_system(pf.spec)
@@ -243,14 +241,18 @@ def cmd_simulate(pf: ProblemFile, prefix: str, samples: int) -> int:
     traj = trajectory.reconstruct(pf.spec, ds, sol, samples)
     discrete = diffeq.discrete_oscillation_check(sol, pf.tail_fraction)
     continuous = trajectory.continuous_oscillation_check(traj, discrete.tail_window[0])
+    return ds, sol, traj, discrete, continuous
+
+
+def cmd_simulate(pf: ProblemFile, prefix: str, samples: int) -> int:
+    _, sol, traj, discrete, continuous = _simulation(pf, samples)
     doc = {
         "discrete": _record_dict(discrete),
         "continuous": _record_dict(continuous),
         "solution_truncated_at": sol.truncated_at,
     }
     _write_files({
-        f"{prefix}.trajectory.csv": _csv(
-            ["t", "z"], traj.rows()),
+        f"{prefix}.trajectory.csv": _csv(["t", "z"], traj.rows()),
         f"{prefix}.nodes.csv": _csv(
             ["n", "z_left", "z_right", "jump_factor"],
             (f"{rec.n},{rec.z_left:.10g},{rec.z_right:.10g},{rec.jump_factor:.10g}\n"
@@ -303,11 +305,10 @@ def _q_audit(ds):
 
 
 def _check_instance(pf: ProblemFile, samples: int):
-    """Run every per-instance invariant; yields (name, ok, detail)."""
-    from . import diffeq, trajectory
+    """Every per-instance invariant of simulate's run, as (name, ok, detail)."""
+    from .diffeq import Verdict
 
-    spec = pf.spec
-    ds = build_discrete_system(spec)
+    ds, sol, traj, discrete, continuous = _simulation(pf, samples)
     yield _q_audit(ds)
 
     # every residual is relative to the terms of its own interval n
@@ -320,7 +321,6 @@ def _check_instance(pf: ProblemFile, samples: int):
         (n, relative(ds.alpha(n + 1) * ds.a(n) - ds.alpha(n), ds.alpha(n)))
         for n in range(ds.n0, ds.horizon) if _in_range(ds.alpha(n + 1))))
 
-    sol = diffeq.continue_window(ds, spec.initial_window)
     z = sol.value
     terms = {n: (ds.a(n) * z(n), ds.b(n) * z(ds.dev(n))) for n in sol.relation_indices()}
     yield _invariant("recursion_residual", 1e-9, "relative residual", (
@@ -336,16 +336,13 @@ def _check_instance(pf: ProblemFile, samples: int):
 
     # the terms of interval n also keep a window 0 from being measured
     # against a rounding residue in z_left
-    traj = trajectory.reconstruct(spec, ds, sol, samples)
     yield _invariant("node_consistency", 1e-7, "relative gap", (
         (rec.n, relative(rec.jump_factor * rec.z_left - rec.z_right,
                          rec.z_right, rec.z_left, sum(map(abs, terms[rec.n - 1]))))
         for rec in traj.nodes if math.isfinite(rec.z_right)))
 
-    discrete = diffeq.discrete_oscillation_check(sol, pf.tail_fraction)
-    continuous = trajectory.continuous_oscillation_check(traj, discrete.tail_window[0])
-    if discrete.verdict is diffeq.Verdict.OSCILLATORY:
-        ok = continuous.verdict is diffeq.Verdict.OSCILLATORY
+    if discrete.verdict is Verdict.OSCILLATORY:
+        ok = continuous.verdict is Verdict.OSCILLATORY
         yield ("discrete_to_continuous_transfer", ok,
                f"discrete {discrete.verdict.value}, continuous {continuous.verdict.value}")
 
@@ -360,25 +357,26 @@ def cmd_check(pf: ProblemFile, samples: int) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    commands = {
+        "coeffs": "write the coefficient table as CSV",
+        "analyze": "evaluate oscillation criteria and write a JSON report",
+        "simulate": "solve and reconstruct the trajectory",
+        "check": "run all per-instance consistency invariants",
+    }
     parser = argparse.ArgumentParser(
         prog="idepca",
-        description="Oscillation analysis of linear impulsive systems with "
+        description="Oscillation analysis of linear impulsive systems with\n"
                     "piecewise constant deviating arguments.",
+        formatter_class=argparse.RawTextHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("coeffs", "write the coefficient table as CSV"),
-        ("analyze", "evaluate oscillation criteria and write a JSON report"),
-        ("simulate", "solve and reconstruct the trajectory"),
-        ("check", "run all per-instance consistency invariants"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("problem", help="path to a JSON problem file")
-        p.add_argument("--out", help="output path (coeffs/analyze) or prefix (simulate)")
-        p.add_argument("--tail", type=float, help="override tail fraction")
-        p.add_argument("--samples", type=int, default=32,
-                       help="trajectory samples per unit interval")
-        p.add_argument("--horizon", type=int, help="override the index horizon")
+    parser.add_argument("command", choices=tuple(commands), help="\n".join(
+        f"{name:<9} {text}" for name, text in commands.items()))
+    parser.add_argument("problem", help="path to a JSON problem file")
+    parser.add_argument("--out", help="output path (coeffs/analyze) or prefix (simulate)")
+    parser.add_argument("--tail", type=float, help="override tail fraction")
+    parser.add_argument("--samples", type=int, default=32,
+                        help="trajectory samples per unit interval")
+    parser.add_argument("--horizon", type=int, help="override the index horizon")
     return parser
 
 
@@ -395,8 +393,7 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return cmd_analyze(pf, args.out)
         if args.command == "simulate":
-            out = args.out or Path(args.problem).stem
-            return cmd_simulate(pf, out, args.samples)
+            return cmd_simulate(pf, args.out or Path(args.problem).stem, args.samples)
         return cmd_check(pf, args.samples)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -84,7 +84,8 @@ class ParseError(Exception):
         super().__init__(f"parse error at offset {position}: {message}")
 
 
-_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+# ASCII digits only, like identifiers' letters: \d alone matches any Unicode digit
+_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 

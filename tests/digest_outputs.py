@@ -26,8 +26,11 @@ interval, at kinks of abs(...) on and off the bisection points, also run
 simulate --samples 7, whose t = n + i/7 round.  Last come the benchmark's
 simulate-dense operations,
 simulate --samples 128 on example 1 at horizon 240 and on example 2 at
-horizon 505, with its flags.  The battery enters as its drawn data, not as
-built specs, so the script runs against another checkout's src as well.
+horizon 505, with its flags, and then three command lines on example 1
+that the parser rejects with exit 2 (an unknown command, a --samples that
+is not an integer and an unknown flag), whose SystemExit code is recorded.
+The battery enters as its drawn data, not as built specs, so the script
+runs against another checkout's src as well.
 pytest does not collect this file.
 """
 
@@ -53,6 +56,8 @@ COMMANDS = (["coeffs"], ["analyze"], ["simulate", "--samples", "4"],
 SEVEN = ["simulate", "--samples", "7"]
 DENSE = (("example1", ["simulate", "--horizon", "240", "--samples", "128"]),
          ("example2", ["simulate", "--horizon", "505", "--samples", "128"]))
+PARSER_ERRORS = (["frobnicate"], ["check", "--samples", "x"],
+                 ["coeffs", "--no-such-flag", "1"])
 
 
 def _plain(a, b, **keys) -> dict:
@@ -140,7 +145,8 @@ def cases():
 
 
 def digest(doc: dict, command: list, directory: Path) -> tuple:
-    """(exit code, sha256 hex) of one operation run in directory."""
+    """(exit code, sha256 hex) of one operation run in directory; the code
+    of a SystemExit, as the parser raises, is recorded like a return."""
     for old in directory.iterdir():
         old.unlink()
     problem = directory / "problem.json"
@@ -151,6 +157,8 @@ def digest(doc: dict, command: list, directory: Path) -> tuple:
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command[0], problem.name, *command[1:]])
+    except SystemExit as exc:
+        code = exc.code
     finally:
         os.chdir(cwd)
     h = hashlib.sha256()
@@ -172,7 +180,7 @@ def run() -> None:
             for command in (*COMMANDS, SEVEN):
                 code, sha = digest(doc, command, Path(tmp))
                 print(f"{name} {' '.join(command)} {code} {sha}", flush=True)
-        for name, command in DENSE:
+        for name, command in (*DENSE, *(("example1", c) for c in PARSER_ERRORS)):
             code, sha = digest(_shipped(name), command, Path(tmp))
             print(f"{name} {' '.join(command)} {code} {sha}", flush=True)
 

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import functools
 import json
@@ -11,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from idepca import cli, diffeq, reduction, trajectory
+from _battery import HORIZON, draws, get_battery
+from idepca import cli, diffeq, quad, reduction, trajectory
+from idepca.quad import NumericFailure
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLE1 = REPO / "problems" / "example1.json"
@@ -444,16 +445,58 @@ class TestSchemaErrors:
 
 
 def test_readme_common_flags_match_parser():
-    """Every subcommand takes exactly the flags the README lists as common."""
+    """The one parser takes exactly the flags the README lists as common, and
+    its commands are the four the README documents, in order."""
     text = (REPO / "README.md").read_text(encoding="utf-8")
-    start = text.index("and common flags")
+    start = text.index("common flags")
     documented = set(re.findall(r"`(--[a-z]+)`", text[start:text.index("\n\n", start)]))
     parser = cli.build_parser()
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    for name, sub in commands.choices.items():
-        options = {opt for action in sub._actions for opt in action.option_strings
-                   if opt.startswith("--")}
-        assert options - {"--help"} == documented, name
+    options = {opt for action in parser._actions for opt in action.option_strings
+               if opt.startswith("--")}
+    assert options - {"--help"} == documented
+    (command,) = [action for action in parser._actions if action.dest == "command"]
+    section = text[text.index("## Command line"):text.index("## Start-up")]
+    assert list(command.choices) == re.findall(r"^idepca (\w+) problems/", section, re.M)
+
+
+class TestCheckAuditsSimulate:
+    """check's discrete_to_continuous_transfer line names the two verdicts
+    that simulate writes to verdicts.json: check audits simulate's run."""
+
+    @staticmethod
+    def assert_same_verdicts(tmp_path, capsys, problem):
+        assert cli.main(["simulate", str(problem), "--out", str(tmp_path / "run")]) == 0
+        verdicts = json.loads((tmp_path / "run.verdicts.json").read_text())
+        assert verdicts["discrete"]["verdict"] == "Oscillatory"
+        assert cli.main(["check", str(problem)]) in (0, 1)
+        (line,) = [line for line in capsys.readouterr().out.splitlines()
+                   if " discrete_to_continuous_transfer: " in line]
+        assert line.endswith(f": discrete {verdicts['discrete']['verdict']}, "
+                             f"continuous {verdicts['continuous']['verdict']}")
+
+    def test_example1(self, tmp_path, capsys):
+        self.assert_same_verdicts(tmp_path, capsys, EXAMPLE1)
+
+    def test_battery_oscillatory(self, tmp_path, capsys):
+        # the instances whose window continuation, the solution simulate
+        # runs, has a discrete verdict of Oscillatory at tail fraction 0.5
+        chosen = []
+        for d, inst in zip(draws(), get_battery()):
+            try:
+                sol = diffeq.continue_window(inst.ds, d.window)
+                verdict = diffeq.discrete_oscillation_check(sol, 0.5).verdict
+            except NumericFailure:
+                continue
+            if verdict is diffeq.Verdict.OSCILLATORY:
+                chosen.append(d)
+        assert chosen
+        for d in chosen:
+            doc = {"a": d.source_a, "b": d.source_b, "direction": d.direction.value,
+                   "k": d.k, "impulse": {"factor": d.factor},
+                   "initial_window": list(d.window), "horizon": HORIZON}
+            directory = tmp_path / f"battery-{d.index:03d}"
+            directory.mkdir()
+            self.assert_same_verdicts(directory, capsys, write_problem(directory, doc))
 
 
 class TestUnwritableOutput:
@@ -617,8 +660,8 @@ class TestNumericErrors:
         pytest.param(DEGENERATE_K1_DOC, id="degenerate_k1"),
     ])
     def test_check_prints_nothing_on_numeric_failure(self, tmp_path, doc):
-        # advanced_zero_b fails after two invariants have passed; the report
-        # is printed only once every invariant has run
+        # check measures simulate's run, so advanced_zero_b fails in the
+        # window continuation before any invariant; no line is printed
         res = run_cli("check", write_problem(tmp_path, doc))
         assert res.returncode == 3
         assert res.stdout == ""
@@ -882,3 +925,68 @@ class TestProbes:
             # a=3 and a=5 are left out: OcalanAkinNonOsc fires on them
             # unsoundly (ROADMAP item 4), so their verdict is not pinned
             assert json.loads(out.read_text())["overall_verdict"] == "Oscillatory"
+
+
+# The work bound of one interval (ROADMAP item 21).  The kernel resolves a,
+# then the weight exp(-A) b, piece by piece.  A piece samples the points of
+# DEGREES[0] and then only the new points of each doubled degree, at most
+# DEGREES[-1] + 1 samples in all, and an unresolved piece is bisected only
+# while the pieces accepted, pending and being split stay within MAX_PIECES.
+# The pieces tried thus form a binary tree of at most MAX_PIECES leaves, so
+# at most 2 MAX_PIECES - 1 of them, whether the interval resolves or exits 3,
+# and each of a and b is evaluated at most this often per interval:
+WORK_BOUND = (2 * quad.MAX_PIECES - 1) * (quad.DEGREES[-1] + 1)   # 127 * 65 = 8,255
+
+# delayed, k = 1, no impulses, intervals [0, 1] to [3, 4]; the weight of
+# sin(1000 t) takes the whole bound on every interval, and the others exit 3
+# on an unresolved, non-finite or overflowing interval or resolve below it
+HOSTILE = {
+    "high-frequency": ("sin(1000*t)", "cos(700*t)"),
+    "high-frequency-a-unresolved": ("sin(100000*t)", "1"),
+    "high-frequency-weight-unresolved": ("0.1", "sin(30000*t)"),
+    "kinked-unresolved": ("abs(sin(300*t))^0.5", "abs(t - 1.3) - 0.5"),
+    "kinked": ("abs(t - 0.3) - 1", "abs(t - 2.7)"),
+    "pole": ("1/(t - 0.5)", "1"),
+    "integrable-singularity": ("abs(t - 0.3)^(-0.5)", "ln(abs(t - 1.7))"),
+    "weight-singularity": ("-0.5", "abs(t - 2.3)^(-0.5)"),
+    "overflowing-b_n": ("700", "1e300"),
+    "near-overflow": ("709*cos(6.283185307179586*t)", "1e-300"),
+    "overflowing-q_n": ("-700", "1e300*sin(t)"),
+}
+
+
+@pytest.fixture
+def kernel_work(monkeypatch):
+    """(n, evaluations of a, evaluations of b) of each kernel construction,
+    counted through wrappers of the a and b it is built from."""
+    work = []
+    build = quad.IntervalKernel
+
+    def counted(fa, fb, n):
+        counts = [0, 0]
+
+        def a(t):
+            counts[0] += 1
+            return fa(t)
+
+        def b(t):
+            counts[1] += 1
+            return fb(t)
+
+        try:
+            return build(a, b, n)
+        finally:
+            work.append((n, *counts))
+
+    monkeypatch.setattr(reduction, "IntervalKernel", counted)
+    return work
+
+
+@pytest.mark.parametrize("a,b", HOSTILE.values(), ids=HOSTILE)
+def test_work_per_interval_within_bound(tmp_path, kernel_work, a, b):
+    doc = {"a": a, "b": b, "direction": "delayed", "k": 1, "impulse": "none",
+           "initial_window": [1, 1], "horizon": 4}
+    out = tmp_path / "coeffs.csv"
+    assert cli.main(["coeffs", str(write_problem(tmp_path, doc)), "--out", str(out)]) in (0, 3)
+    assert kernel_work
+    assert all(fa <= WORK_BOUND and fb <= WORK_BOUND for _, fa, fb in kernel_work), kernel_work

@@ -44,6 +44,16 @@ class TestParsing:
         assert exc.value.position == 4
         assert parse("1e308", "t") == Constant(1e308)
 
+    @pytest.mark.parametrize("source,offset", [
+        ("\u0663*t", 0),      # ARABIC-INDIC DIGIT THREE
+        ("\uff11+t", 0),      # FULLWIDTH DIGIT ONE
+        ("1\u0660", 1),       # 1 and ARABIC-INDIC DIGIT ZERO
+    ], ids=["arabic-indic", "fullwidth", "mixed"])
+    def test_non_ascii_digit_rejected(self, source, offset):
+        with pytest.raises(ParseError) as exc:
+            parse(source, "t")
+        assert exc.value.position == offset
+
     def test_whitespace_insignificant(self):
         assert parse(" 1 + 2 * t ", "t") == parse("1+2*t", "t")
 

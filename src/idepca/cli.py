@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .exprlang import Expr, ParseError, compile_expr, parse
 from .quad import NumericFailure
-from .reduction import Direction, ProblemSpec, build_discrete_system
+from .reduction import Direction, ProblemSpec, build_discrete_system, in_range
 
 __all__ = ["main", "load_problem", "SchemaError"]
 
@@ -202,7 +202,7 @@ def cmd_coeffs(pf: ProblemFile, out: Optional[str]) -> int:
     def lines():
         for n in range(ds.n0, ds.horizon):
             a, b, alpha = ds.a(n), ds.b(n), ds.alpha(n)
-            alpha = f"{alpha:.10g}" if _in_range(alpha) else ""
+            alpha = f"{alpha:.10g}" if in_range(alpha) else ""
             q = f"{ds.q(n):.10g}" if n in ds.q_indices() else ""
             yield f"{n},{a:.10g},{b:.10g},{alpha},{q}\n"
     _write_files({out or "-": _csv(["n", "a_n", "b_n", "alpha_n", "q_n"], lines())})
@@ -273,12 +273,6 @@ def _invariant(name: str, bound: float, what: str, residuals):
     return name, worst <= bound, f"max {what} {worst:.3e}"
 
 
-def _in_range(alpha: float) -> bool:
-    """alpha_n has not left the normal double range: coeffs writes it, check
-    measures it.  A subnormal alpha has lost digits to rounding."""
-    return sys.float_info.min <= abs(alpha) < math.inf
-
-
 def _span(ds, n: int, x: float, power: int) -> float:
     """x * span_n ** power (power 1 or -1), span_n = alpha_dev(n) / alpha_{n+1}
     spelled from a_n alone: a_{n-k} ... a_n delayed, 1 / (a_{n+1} ... a_{n+k-1})
@@ -319,7 +313,7 @@ def _check_instance(pf: ProblemFile, samples: int):
     # writes is measured
     yield _invariant("alpha_telescoping", 1e-12, "deviation", (
         (n, relative(ds.alpha(n + 1) * ds.a(n) - ds.alpha(n), ds.alpha(n)))
-        for n in range(ds.n0, ds.horizon) if _in_range(ds.alpha(n + 1))))
+        for n in range(ds.n0, ds.horizon) if in_range(ds.alpha(n + 1))))
 
     z = sol.value
     terms = {n: (ds.a(n) * z(n), ds.b(n) * z(ds.dev(n))) for n in sol.relation_indices()}

@@ -20,7 +20,11 @@ rearranged forward sweep.  For k >= 2 every new value z_{n+k} comes from
 (z_{n+1} - a_n z_n) / b_n, filling indices upward (the needed z_{n+1} is
 always already known), and for k = 1 the relation collapses to
 z_{n+1} = a_n z_n / (1 - b_n), so only the window's first entry
-participates.
+participates.  Both solvers cut a solution at its first value outside the
+normal double range (reduction.in_range), since an underflowed 0 or a
+subnormal would count as a sign change.  A 0.0 the sweep computes is kept,
+and one the continuation computes only where it is exact, as
+z_{n+2} = z_{n+1} - z_n makes of 1, 1.
 
 The empirical oscillation checks approximate "sign changes beyond every
 index" at desk scale by one sign rule on blocks of values, the pair
@@ -34,13 +38,12 @@ same-signed blocks is shorter than the window, and Inconclusive otherwise.
 from __future__ import annotations
 
 import math
-import sys
 from enum import Enum
 from itertools import groupby
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .quad import NumericFailure
-from .reduction import Direction, DiscreteSystem, TooShort, tail_start
+from .reduction import Direction, DiscreteSystem, TooShort, in_range, tail_start
 
 __all__ = [
     "Verdict",
@@ -68,7 +71,7 @@ class DiscreteSolution(NamedTuple):
     values: List[float]
     direction: Direction
     k: int
-    truncated_at: Optional[int] = None  # first index whose value left double range
+    truncated_at: Optional[int] = None  # first index whose value was cut
     swept: bool = False  # computed by the backward sweep
 
     @property
@@ -101,42 +104,49 @@ def continue_window(ds: DiscreteSystem, init: Sequence[float]) -> DiscreteSoluti
     k = ds.k
     if len(init) != k + 1:
         raise ValueError(f"initial window must have {k + 1} entries")
-    truncated = None
+    n_lo = ds.n0 - k if ds.direction is Direction.DELAYED else ds.n0
     if ds.direction is Direction.DELAYED:
-        n_lo = ds.n0 - k
         values = [float(v) for v in init]
         for n in range(ds.n0, ds.horizon):
-            z = ds.a(n) * values[n - n_lo] + ds.b(n) * values[n - k - n_lo]
-            if not math.isfinite(z):
-                truncated = n + 1
+            a, b, z_n, z_dev = ds.a(n), ds.b(n), values[n - n_lo], values[n - k - n_lo]
+            z = a * z_n + b * z_dev
+            if not _kept(z, (a, z_n), (b, z_dev)):
                 break
             values.append(z)
-        return DiscreteSolution(n_lo, values, Direction.DELAYED, k, truncated)
-    n_lo = ds.n0
-    if k == 1:
+    elif k == 1:
         values = [float(init[0])]
         for n in range(ds.n0, ds.horizon):
-            b = ds.b(n)
+            a, b, z_n = ds.a(n), ds.b(n), values[n - n_lo]
             if b == 1.0:
                 raise NumericFailure(f"b_{n} = 1 with k = 1: degenerate advance", n)
-            z = ds.a(n) * values[n - n_lo] / (1.0 - b)
-            if not math.isfinite(z):
-                truncated = n + 1
+            z = a * z_n / (1.0 - b)
+            if not _kept(z, (a, z_n)):
                 break
             values.append(z)
     else:
         values = [float(v) for v in init]
         for n in range(ds.n0 + 1, ds.horizon - k + 1):
-            b = ds.b(n)
+            a, b, z_n, z_next = ds.a(n), ds.b(n), values[n - n_lo], values[n + 1 - n_lo]
             if b == 0.0:
                 raise NumericFailure(
                     f"b_{n} = 0: advanced recursion cannot be rearranged", n)
-            z = (values[n + 1 - n_lo] - ds.a(n) * values[n - n_lo]) / b
-            if not math.isfinite(z):
-                truncated = n + k
+            z = (z_next - a * z_n) / b
+            if not _kept(z, (1.0, z_next), (-a, z_n)):
                 break
             values.append(z)
-    return DiscreteSolution(n_lo, values, Direction.ADVANCED, k, truncated)
+    # every branch fills the indices up to the horizon unless a value is cut
+    cut = n_lo + len(values)
+    return DiscreteSolution(n_lo, values, ds.direction, k, None if cut > ds.horizon else cut)
+
+
+def _kept(z: float, *products) -> bool:
+    """A step's value z is kept while it is normal, or a 0.0 that is exact:
+    the products x * y of the pairs (x, y) that the step sums (and may then
+    divide by a nonzero double) sum to 0 in exact arithmetic."""
+    if z != 0.0:
+        return in_range(z)
+    from fractions import Fraction
+    return sum(Fraction(x) * Fraction(y) for x, y in products) == 0
 
 
 _SWEEP_EXPONENT = 64
@@ -151,8 +161,7 @@ def backward_sweep(ds: DiscreteSystem, z0: float) -> DiscreteSolution:
     their largest magnitude leaves [2^-64, 2^64], so nothing overflows
     while sweeping; every stored value keeps its own exponent until the
     normalisation to z0.  The solution is cut at the first index whose
-    normalised value overflows or falls below the smallest normal double:
-    an underflowed 0 would count as a sign change.
+    normalised value is not in_range; a 0.0 the sweep computed is kept.
     """
     k, n_lo = ds.k, ds.n0
     size = ds.horizon - n_lo + 1
@@ -190,7 +199,7 @@ def backward_sweep(ds: DiscreteSystem, z0: float) -> DiscreteSolution:
             z = math.ldexp(mant, e + ei - e0 - exps[0] + ez)
         except OverflowError:
             z = math.inf
-        if mant != 0.0 and not sys.float_info.min <= abs(z) < math.inf:
+        if mant != 0.0 and not in_range(z):
             truncated = n_lo + i
             break
         values.append(z)

@@ -1,7 +1,8 @@
 """Tiny closed-form expression language for coefficient functions.
 
 Problem instances carry their coefficient functions as text, so they can
-live in data files.  Grammar (whitespace insignificant):
+live in data files.  Grammar (whitespace insignificant; it is JSON's
+space, tab, newline and carriage return only):
 
     expr    := term (("+" | "-") term)*
     term    := factor (("*" | "/") factor)*
@@ -21,8 +22,8 @@ nonpositive number, sqrt of a negative number and overflow all produce a
 non-finite float that the caller is expected to detect.  compile_expr turns
 an AST into one generated Python function of straight-line code, one
 assignment per operator node, in the tree's own evaluation order, anew on
-every call: a caller keeps the function, as ProblemSpec.fa and .fb and
-the impulse formula that cli compiles once per problem file do.
+every call: a caller keeps the function, as build_discrete_system does
+with a and b and cli with the impulse formula, once per problem file.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def parse(source: str, variable_name: str) -> Expr:
     open_groups = 0
 
     def skip_ws(i: int) -> int:
-        while i < n and source[i].isspace():
+        while i < n and source[i] in " \t\n\r":
             i += 1
         return i
 

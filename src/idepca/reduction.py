@@ -15,8 +15,8 @@ non-impulsive case).  From a_n the cumulative weights alpha_n are
 derived, and the reduced-form coefficients Q_n from the same integrals.
 
 Every integral comes from one kernel per interval (quad.IntervalKernel),
-built at the first coefficient that needs the interval and kept with the
-spec: T_n = I(n, n+1) is its ``total`` and
+which build_discrete_system makes in index order, from a and b compiled
+once, and keeps on the DiscreteSystem: T_n = I(n, n+1) is its ``total`` and
 G_n = int_n^{n+1} exp(-I(n, s)) b(s) ds = exp(scale) W_n its ``scale`` and
 ``weight``, since I(s, target) = I(n, target) - I(n, s).  So
 b_n = r_{n+1} exp(T_n) G_n.  The reconstruction samples the same kernels
@@ -32,9 +32,9 @@ spelling of a_n and b_n.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+import sys
 from enum import Enum
-from typing import Callable, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from .exprlang import Expr, compile_expr, _safe_exp
 from .quad import IntervalKernel, NumericFailure
@@ -46,11 +46,14 @@ __all__ = [
     "ZeroImpulseFactor",
     "TooShort",
     "tail_start",
+    "in_range",
     "compute_an",
     "compute_bn",
     "compute_qn_direct",
     "build_discrete_system",
 ]
+
+Kernels = Dict[int, IntervalKernel]   # n -> the kernel of [n, n+1]
 
 
 class Direction(Enum):
@@ -77,8 +80,16 @@ def tail_start(m: int, fraction: float) -> int:
     return m - max(1, int(round(m * fraction)))
 
 
+def in_range(x: float) -> bool:
+    """x lies in the normal double range.  A subnormal x has lost digits to
+    rounding, and an underflowed 0.0 or a subnormal would count as a sign
+    change."""
+    return sys.float_info.min <= abs(x) < math.inf
+
+
 class ProblemSpec:
-    """One problem instance: coefficients, deviation, impulses, window.
+    """One problem instance: coefficients, deviation, impulses, window, as
+    plain data that construction validates.
 
     impulse maps a node n to its jump factor r_n = 1 + c_n.  Construction
     raises ValueError on a bad k, horizon or window, and ZeroImpulseFactor
@@ -104,41 +115,6 @@ class ProblemSpec:
             if not math.isfinite(r) or r == 0.0:
                 raise ZeroImpulseFactor(n, r)
 
-    @cached_property
-    def fa(self) -> Callable[[float], float]:
-        """The compiled coefficient a(t)."""
-        return compile_expr(self.a)
-
-    @cached_property
-    def fb(self) -> Callable[[float], float]:
-        """The compiled coefficient b(t)."""
-        return compile_expr(self.b)
-
-    @cached_property
-    def intervals(self) -> "_Intervals":
-        """n -> the kernel of [n, n+1], which the coefficients and the
-        reconstruction read."""
-        return _Intervals(self)
-
-
-class _Intervals(dict):
-    """n -> the IntervalKernel of [n, n+1] of one spec, built on first use.
-
-    a_n reads its total T_n, b_n the total, scale and weight, Q_n direct the
-    totals T_j over the deviation span and the weight of n, and
-    trajectory.reconstruct the running integrals inside the interval, so
-    every interval is integrated once.  Each kernel stores its pieces as
-    flat arrays of doubles, so keeping all of them costs well under a
-    kilobyte per interval.
-    """
-
-    def __init__(self, spec: ProblemSpec):
-        super().__init__()
-        self._fa, self._fb = spec.fa, spec.fb
-
-    def __missing__(self, n: int) -> IntervalKernel:
-        return self.setdefault(n, IntervalKernel(self._fa, self._fb, n))
-
 
 def _scaled(expo: float, value: float, n: int, stage: str) -> float:
     """value * exp(expo), or the stage's NumericFailure if that overflows.
@@ -154,18 +130,18 @@ def _scaled(expo: float, value: float, n: int, stage: str) -> float:
     return out
 
 
-def compute_an(spec: ProblemSpec, n: int) -> float:
+def compute_an(spec: ProblemSpec, kernels: Kernels, n: int) -> float:
     """a_n = r_{n+1} * exp(T_n), T_n the integral of a over [n, n+1]."""
-    total = spec.intervals[n].total
+    total = kernels[n].total
     value = spec.impulse(n + 1) * _safe_exp(total)
     if not math.isfinite(value):
         raise NumericFailure(f"exp(T_n) overflowed (T_n = {total!r})", n, "a_n")
     return value
 
 
-def compute_bn(spec: ProblemSpec, n: int) -> float:
+def compute_bn(spec: ProblemSpec, kernels: Kernels, n: int) -> float:
     """b_n = r_{n+1} * int_n^{n+1} exp(I(s, n+1)) b(s) ds = r_{n+1} exp(T_n) G_n."""
-    kernel = spec.intervals[n]
+    kernel = kernels[n]
     return _scaled(kernel.total + kernel.scale, spec.impulse(n + 1) * kernel.weight,
                    n, "b_n")
 
@@ -175,13 +151,14 @@ class DiscreteSystem:
 
     def __init__(self, n0: int, direction: Direction, k: int, a_seq: List[float],
                  b_seq: List[float], alpha_seq: List[float], q_seq: List[float],
-                 q_start: int):
+                 q_start: int, kernels: Kernels):
         self.n0, self.direction, self.k = n0, direction, k
         self.a_seq = a_seq          # a_n for n in [n0, horizon)
         self.b_seq = b_seq          # b_n for n in [n0, horizon)
         self.alpha_seq = alpha_seq  # alpha_n for n in [n0, horizon]
         self.q_seq = q_seq          # Q_n for n in [q_start, q_start + len)
         self.q_start = q_start
+        self.kernels = kernels      # the kernel of [n, n+1] for n in [n0, horizon)
 
     @property
     def horizon(self) -> int:
@@ -215,7 +192,7 @@ def _at(seq: List[float], first: int, n: int, what: str) -> float:
     return seq[i]
 
 
-def compute_qn_direct(spec: ProblemSpec, n: int) -> float:
+def compute_qn_direct(spec: ProblemSpec, kernels: Kernels, n: int) -> float:
     """Q_n from the weight aimed at the deviated node, with the jump-factor product.
 
     Q_n is signed (Q*_n is just -Q_n).  The exponential weight targets the
@@ -224,28 +201,30 @@ def compute_qn_direct(spec: ProblemSpec, n: int) -> float:
     jump factors enter as an explicit product over the nodes between n and
     the deviated node.
     """
-    intervals = spec.intervals
     prod = 1.0
     if spec.direction is Direction.DELAYED:
         for j in range(n - spec.k + 1, n + 1):
             prod /= spec.impulse(j)
-        expo = -math.fsum(intervals[j].total for j in range(n - spec.k, n))
+        expo = -math.fsum(kernels[j].total for j in range(n - spec.k, n))
     else:
         for j in range(n + 1, n + spec.k + 1):
             prod *= spec.impulse(j)
-        expo = math.fsum(intervals[j].total for j in range(n, n + spec.k))
-    kernel = intervals[n]
+        expo = math.fsum(kernels[j].total for j in range(n, n + spec.k))
+    kernel = kernels[n]
     return _scaled(expo + kernel.scale, prod * kernel.weight, n, "Q_n direct")
 
 
 def build_discrete_system(spec: ProblemSpec) -> DiscreteSystem:
-    """Compute a_n, b_n, alpha_n and Q_n over [n0, horizon]."""
+    """Compute a_n, b_n, alpha_n and Q_n over [n0, horizon], and keep the kernels."""
     n0, horizon, k = spec.n0, spec.horizon, spec.k
+    fa, fb = compile_expr(spec.a), compile_expr(spec.b)
+    kernels: Kernels = {}
     a_seq: List[float] = []
     b_seq: List[float] = []
     for n in range(n0, horizon):
-        a_seq.append(compute_an(spec, n))
-        b_seq.append(compute_bn(spec, n))
+        kernels[n] = IntervalKernel(fa, fb, n)
+        a_seq.append(compute_an(spec, kernels, n))
+        b_seq.append(compute_bn(spec, kernels, n))
 
     alpha_seq = [1.0]
     for j in range(n0, horizon):
@@ -262,5 +241,6 @@ def build_discrete_system(spec: ProblemSpec) -> DiscreteSystem:
     return DiscreteSystem(
         n0=n0, direction=spec.direction, k=k,
         a_seq=a_seq, b_seq=b_seq, alpha_seq=alpha_seq,
-        q_seq=[compute_qn_direct(spec, n) for n in q_range], q_start=q_range[0],
+        q_seq=[compute_qn_direct(spec, kernels, n) for n in q_range], q_start=q_range[0],
+        kernels=kernels,
     )

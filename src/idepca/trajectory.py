@@ -8,7 +8,7 @@ On each unit interval [n, n+1) the solution is
 where z_dev is the solution value at the deviated node n -+ k and I is the
 running integral of the coefficient a.  This is the interval solution
 formula with the exponential weight factored out.  The kernel the reduction
-built for the interval (spec.intervals[n]) gives I(n, t) and the scaled
+built for the interval (ds.kernels[n]) gives I(n, t) and the scaled
 weight W(t) at all of the interval's sample points in one call
 (IntervalKernel.at), and G(t) = exp(scale) W(t).  Where an exponential
 leaves double range among an interval's samples, or at its left limit,
@@ -83,7 +83,7 @@ def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,
     for n in intervals:
         z_n = sol.value(n)
         z_dev = sol.value(ds.dev(n))
-        kernel = spec.intervals[n]
+        kernel = ds.kernels[n]
         scale = kernel.scale
         expos, ws = kernel.at([n + offset for offset in offsets])
         samples.append(z_n)

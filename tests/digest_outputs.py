@@ -10,15 +10,21 @@ on these cases when the `diff` of their digests is empty:
 
 The cases are the shipped examples, example 2 at horizon 505, example 1 at
 horizons 420 and 505, the tests' battery draw (OSC_SEED selects it),
-problems that exit 3, problems whose alpha leaves double range, a=-2, b=-1,
-delayed, k=1 at horizon 1000, a problem whose E(t) overflows inside every
-interval while the skeleton stays finite, and both examples under each
-impulse shape (formula, table, table with default, and two that exit 2).
+problems that exit 3, problems whose alpha leaves double range, three
+whose window continuation reaches 0 (underflow-gradual, delayed a=-5,
+b=0.001 at horizon 400, decays through the subnormals; underflow-to-zero,
+delayed a=-41.5, b=0 at horizon 60, steps straight to 0; and
+exact-zeros-kept, advanced k=2, a=0, b=1 at horizon 30, whose window
+[1, 1, 1] gives exact zeros), a=-2, b=-1, delayed, k=1 at horizon 1000, a
+problem whose E(t) overflows inside every interval while the skeleton
+stays finite, and both examples under each impulse shape (formula, table,
+table with default, and two that exit 2).
 Example 1 from horizon 420 on, example 2 at 505, y-overflow,
-alpha-overflow, alpha-subnormal-h740, alpha-subnormal-h61,
-q-weight-exp-overflow and alpha-past-range-h1000 run past the normal range
-of alpha (or of y_n = alpha_n z_n), which neither Q_n nor any check but
-alpha_telescoping reads: all of them pass check.
+alpha-overflow, alpha-subnormal-h740, alpha-subnormal-h61 and
+alpha-past-range-h1000 run past the normal range of alpha (or of
+y_n = alpha_n z_n), which neither Q_n nor any check but alpha_telescoping
+reads: all of them pass check.  So does q-weight-exp-overflow's Q audit,
+but its z_3 underflows, which leaves simulate and check too short a tail.
 Every case runs coeffs, analyze, simulate --samples 4, simulate --samples 1
 (one sample per interval, the grid's edge case) and check, in process, in a
 temporary directory.  Two problems whose kernels are bisected inside every
@@ -94,6 +100,16 @@ FAILING = {
     "q-weight-exp-overflow": _plain("-400", "1e-300", horizon=30),
 }
 
+# the window continuation is cut at its first value that is neither normal
+# nor an exact 0: z decays through the subnormals, or steps straight to 0,
+# while z_{n+2} = z_{n+1} - z_n keeps its exact zeros
+STOPS = {
+    "underflow-gradual": _plain("-5", "0.001", horizon=400),
+    "underflow-to-zero": _plain("-41.5", "0", horizon=60),
+    "exact-zeros-kept": _plain("0", "1", direction="advanced", k=2,
+                               initial_window=[1, 1, 1], horizon=30),
+}
+
 
 # kinks in a and b split A and W into pieces: at t = n + 0.3 and n + 0.7,
 # off every bisection point (18 and 30 pieces), and at n + 0.5 and n + 0.75,
@@ -135,6 +151,7 @@ def cases():
             "initial_window": list(d.window), "n0": 0, "horizon": HORIZON, "tol": 1e-10,
         }
     yield from FAILING.items()
+    yield from STOPS.items()
     yield "alpha-past-range-h1000", _plain("-2", "-1", horizon=1000)
     # A(t) = 800 sin^2(pi t) with every T_n = 0
     yield "exp-overflow-inside", _plain("2513.2741228718345*sin(6.283185307179586*t)",

@@ -158,7 +158,7 @@ def test_04_dual_route_q_agreement():
         for n in ds.q_indices():
             if n > 40:
                 continue
-            direct = compute_qn_direct(inst.spec, n)
+            direct = compute_qn_direct(inst.spec, ds.kernels, n)
             ratio = ds.q(n)
             scale = max(abs(ratio), abs(direct))
             if scale > 0.0:

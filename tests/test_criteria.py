@@ -33,7 +33,7 @@ def system_with_q(q_values, k=3, direction=Direction.DELAYED, b_value=-0.3,
         n0=0, direction=direction, k=k,
         a_seq=[a_value] * size, b_seq=[b_value] * size,
         alpha_seq=[1.0] * (size + 1),
-        q_seq=[float(q) for q in q_values], q_start=q_start,
+        q_seq=[float(q) for q in q_values], q_start=q_start, kernels={},
     )
 
 

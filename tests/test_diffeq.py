@@ -47,7 +47,7 @@ def fabricate(a_seq, b_seq, k=1, direction=Direction.DELAYED, n0=0):
             q_seq.append(alpha[n + 1 - n0] * b_seq[n - n0] / denom)
     return DiscreteSystem(n0=n0, direction=direction, k=k, a_seq=a_seq,
                           b_seq=b_seq, alpha_seq=alpha, q_seq=q_seq,
-                          q_start=q_start)
+                          q_start=q_start, kernels={})
 
 
 class TestSolveDelayed:
@@ -91,6 +91,45 @@ class TestSolveDelayed:
         ds = fabricate([1.0] * 5, [0.0] * 5, k=2)
         with pytest.raises(ValueError):
             continue_window(ds, [1.0, 1.0])
+
+
+class TestContinuationCut:
+    """The window continuation keeps a value while it is normal or an exact
+    0.0, and is cut at the first other one, as the backward sweep is."""
+
+    @pytest.mark.parametrize("a,b,k,direction,window,cut", [
+        # z_n = 1e-10^n: z_31 is about 1e-310, subnormal
+        (1e-10, 0.0, 1, Direction.DELAYED, [1.0, 1.0], 31),
+        # z_2 = 1e-200 * 1e-200 rounds straight to 0
+        (1e-200, 0.0, 1, Direction.DELAYED, [1.0, 1.0], 2),
+        (1e-200, 0.0, 1, Direction.ADVANCED, [1.0, 1.0], 2),
+        # z_5 = (z_4 - z_3) / 1e200 = -3e-400 rounds to 0
+        (1.0, 1e200, 2, Direction.ADVANCED, [1.0, 2.0, 4.0], 5),
+        # overflow cuts at the index it did before underflow was cut
+        (1e200, 0.0, 1, Direction.DELAYED, [1.0, 1.0], 2),
+        (1e200, 0.0, 1, Direction.ADVANCED, [1.0, 1.0], 2),
+        (1.0, 1e-200, 2, Direction.ADVANCED, [1.0, 2.0, 4.0], 4),
+    ], ids=["gradual-underflow", "direct-underflow", "advanced-k1-underflow",
+            "advanced-k2-underflow", "delayed-overflow", "advanced-k1-overflow",
+            "advanced-k2-overflow"])
+    def test_cut_at_first_value_out_of_range(self, a, b, k, direction, window, cut):
+        ds = fabricate([a] * 40, [b] * 40, k=k, direction=direction)
+        sol = continue_window(ds, window)
+        assert sol.truncated_at == cut
+        assert sol.n_hi == cut - 1
+        assert all(sys.float_info.min <= abs(v) < math.inf for v in sol.values)
+
+    @pytest.mark.parametrize("a,b,k,direction,window", [
+        # z_{n+2} = z_{n+1} - z_n from 1, 1 and z_{n+1} = z_n - z_{n-1}
+        (1.0, 1.0, 2, Direction.ADVANCED, [1.0, 1.0, 1.0]),
+        (1.0, -1.0, 1, Direction.DELAYED, [1.0, 1.0]),
+    ], ids=["advanced", "delayed"])
+    def test_exact_zero_kept(self, a, b, k, direction, window):
+        ds = fabricate([a] * 12, [b] * 12, k=k, direction=direction)
+        sol = continue_window(ds, window)
+        assert sol.truncated_at is None and sol.n_hi == 12
+        assert sol.values.count(0.0) == 4
+        assert set(sol.values) == {1.0, 0.0, -1.0}
 
 
 class TestSolveAdvanced:

@@ -56,6 +56,17 @@ class TestParsing:
 
     def test_whitespace_insignificant(self):
         assert parse(" 1 + 2 * t ", "t") == parse("1+2*t", "t")
+        assert parse("\t1\r\n+t\n", "t") == parse("1+t", "t")
+
+    @pytest.mark.parametrize("source,offset", [
+        ("1 +\u3000t", 3),   # IDEOGRAPHIC SPACE
+        ("1\x1c+t", 1),      # FILE SEPARATOR
+        ("1\x0b+t", 1),      # LINE TABULATION
+    ], ids=["ideographic-space", "file-separator", "vertical-tab"])
+    def test_non_json_whitespace_rejected(self, source, offset):
+        with pytest.raises(ParseError) as exc:
+            parse(source, "t")
+        assert exc.value.position == offset
 
     def test_variable_name_per_context(self):
         assert ev("n^2", 3.0, var="n") == 9.0

@@ -12,7 +12,7 @@ from _battery import get_battery
 from idepca import cli, reduction
 from idepca.cli import _parse_impulse, load_problem, main, validate_problem
 from idepca.diffeq import continue_window
-from idepca.exprlang import parse
+from idepca.exprlang import compile_expr, parse
 from idepca.quad import IntervalKernel, NumericFailure
 from idepca.reduction import (
     Direction,
@@ -39,6 +39,12 @@ def make_spec(a="-1", b="-1/3", direction=Direction.DELAYED, k=3, factor=0.5,
         a=parse(a, "t"), b=parse(b, "t"), direction=direction, k=k,
         impulse=impulse, initial_window=tuple(window), horizon=horizon, n0=n0,
     )
+
+
+def kernels_of(spec, *ns):
+    """The kernels of the intervals [n, n+1], n in ns, as the build makes them."""
+    fa, fb = compile_expr(spec.a), compile_expr(spec.b)
+    return {n: IntervalKernel(fa, fb, n) for n in ns}
 
 
 def impulse_spec(impulse, n0=0, horizon=10):
@@ -128,33 +134,34 @@ class TestCoefficients:
     def test_an_constant_negative(self):
         # a = -1 with jump factor 1/2 gives a_n = 1/(2e) at every index
         spec = make_spec()
-        assert compute_an(spec, 0) == pytest.approx(1.0 / (2.0 * E), abs=1e-12)
-        assert compute_an(spec, 7) == pytest.approx(1.0 / (2.0 * E), abs=1e-12)
+        kernels = kernels_of(spec, 0, 7)
+        assert compute_an(spec, kernels, 0) == pytest.approx(1.0 / (2.0 * E), abs=1e-12)
+        assert compute_an(spec, kernels, 7) == pytest.approx(1.0 / (2.0 * E), abs=1e-12)
 
     def test_an_reciprocal(self):
         # a = 1/t with jump factor 1/2 gives a_n = (n+1)/(2n)
         spec = make_spec(a="1/t", b="1/t", direction=Direction.ADVANCED, k=5,
                          window=(1.0,) * 6, n0=1, horizon=20)
-        assert compute_an(spec, 4) == pytest.approx(0.625, abs=1e-10)
+        assert compute_an(spec, kernels_of(spec, 4), 4) == pytest.approx(0.625, abs=1e-10)
 
     def test_an_identity(self):
         spec = make_spec(a="0", b="0", factor=None)
-        assert compute_an(spec, 3) == pytest.approx(1.0, abs=1e-12)
+        assert compute_an(spec, kernels_of(spec, 3), 3) == pytest.approx(1.0, abs=1e-12)
 
     def test_bn_constant_data(self):
         spec = make_spec()
         expected = (1.0 - E) / (6.0 * E)
-        assert compute_bn(spec, 0) == pytest.approx(expected, abs=1e-10)
+        assert compute_bn(spec, kernels_of(spec, 0), 0) == pytest.approx(expected, abs=1e-10)
 
     def test_bn_reciprocal(self):
         # a = b = 1/t with jump factor 1/2 gives b_n = 1/(2n)
         spec = make_spec(a="1/t", b="1/t", direction=Direction.ADVANCED, k=5,
                          window=(1.0,) * 6, n0=1, horizon=20)
-        assert compute_bn(spec, 5) == pytest.approx(0.1, abs=1e-10)
+        assert compute_bn(spec, kernels_of(spec, 5), 5) == pytest.approx(0.1, abs=1e-10)
 
     def test_bn_zero(self):
         spec = make_spec(b="0")
-        assert compute_bn(spec, 2) == 0.0
+        assert compute_bn(spec, kernels_of(spec, 2), 2) == 0.0
 
     @pytest.mark.parametrize("alpha,beta,r", [
         (0.7, -0.4, 0.5),
@@ -164,8 +171,9 @@ class TestCoefficients:
     def test_constant_coefficient_closed_forms(self, alpha, beta, r):
         spec = make_spec(a=f"{alpha}", b=f"{beta}", factor=r, k=1,
                          window=(1.0, 1.0), horizon=10)
-        an = compute_an(spec, 2)
-        bn = compute_bn(spec, 2)
+        kernels = kernels_of(spec, 2)
+        an = compute_an(spec, kernels, 2)
+        bn = compute_bn(spec, kernels, 2)
         assert an == pytest.approx(r * math.exp(alpha), abs=1e-10)
         if alpha == 0.0:
             assert bn == pytest.approx(r * beta, abs=1e-10)
@@ -339,7 +347,7 @@ class TestDualRoutes:
         for spec, ds in systems():
             for n in ds.q_indices():
                 ratio = q_by_alpha_ratio(ds, n)
-                direct = compute_qn_direct(spec, n)
+                direct = compute_qn_direct(spec, ds.kernels, n)
                 assert ds.q(n) == direct
                 assert abs(ratio - direct) <= 1e-12 * max(abs(ratio), abs(direct))
             assert cli._q_audit(ds) == ("dual_route_q_audit", True,
@@ -353,7 +361,7 @@ class TestDualRoutes:
         # inf <= 1e-8 * inf would otherwise pass the relative test
         ds = DiscreteSystem(n0=0, direction=Direction.ADVANCED, k=1, a_seq=[1.0] * 3,
                             b_seq=[1.0, product, 1.0], alpha_seq=[1.0] * 4,
-                            q_seq=[1.0, q, 1.0], q_start=0)
+                            q_seq=[1.0, q, 1.0], q_start=0, kernels={})
         assert cli._q_audit(ds) == ("dual_route_q_audit", False,
                                     f"Q_1 mismatch: direct {q!r} vs product {product!r}")
 
@@ -363,8 +371,8 @@ class TestDualRoutes:
         # Q_n is about 1e-11 here; an absolute floor on check's audit would
         # let a route that is off by 100% pass
         direct = reduction.compute_qn_direct
-        monkeypatch.setattr(reduction, "compute_qn_direct", lambda spec, n: (
-            wrong(direct(spec, n)) if n == 6 else direct(spec, n)))
+        monkeypatch.setattr(reduction, "compute_qn_direct", lambda spec, kernels, n: (
+            wrong(direct(spec, kernels, n)) if n == 6 else direct(spec, kernels, n)))
         ds = build_discrete_system(make_spec(b="1e-12", k=1, horizon=12))
         name, ok, detail = cli._q_audit(ds)
         assert (name, ok) == ("dual_route_q_audit", False)
@@ -393,47 +401,40 @@ class TestStageFailures:
     def test_a_n(self):
         spec = make_spec(a="1/t", b="1", factor=None)
         with pytest.raises(NumericFailure) as exc:
-            compute_an(spec, 0)
+            build_discrete_system(spec)
         assert str(exc.value) == "a_n on [0, 1]: a is not finite at t = 0.0"
         assert (exc.value.index, exc.value.stage) == (0, "a_n")
 
-    # 3.5 is the middle Chebyshev point of [3, 4].  The stage names the
-    # integrand that failed, not the coefficient that asked for the interval:
-    # the spec is fresh, so each trigger is the first to integrate [3, 4]
-    @pytest.mark.parametrize("trigger", ["compute_an", "compute_bn", "compute_qn_direct",
-                                         "reconstruct"])
+    # 3.5 is the middle Chebyshev point of [3, 4].  The build makes the
+    # kernel of [3, 4] before it computes a_3 or b_3, and the stage names
+    # the integrand that failed
     @pytest.mark.parametrize("a,b,stage,integrand", [
         ("1/(t - 3.5)", "1", "a_n", "a"),
         ("0", "1/(t - 3.5)", "b_n", "the weight"),
     ], ids=["a", "weight"])
-    def test_failure_is_labelled_by_its_integrand(self, a, b, stage, integrand, trigger):
-        smooth = make_spec(a="0", b="1", k=1, factor=None, horizon=8)
-        ds = build_discrete_system(smooth)
-        sol = continue_window(ds, smooth.initial_window)
-        spec = respec(smooth, a=parse(a, "t"), b=parse(b, "t"))
+    def test_failure_is_labelled_by_its_integrand(self, a, b, stage, integrand):
+        spec = make_spec(a=a, b=b, k=1, factor=None, horizon=8)
         with pytest.raises(NumericFailure) as exc:
-            if trigger == "reconstruct":
-                reconstruct(spec, ds, sol, 8)
-            else:
-                getattr(reduction, trigger)(spec, 3)
+            build_discrete_system(spec)
         assert str(exc.value) == f"{stage} on [3, 4]: {integrand} is not finite at t = 3.5"
         assert (exc.value.index, exc.value.stage) == (3, stage)
 
     def test_b_n_overflow(self):
         # a_0 = e^700 is finite, b_0 = 1e10 (e^700 - 1) / 700 is not
         spec = make_spec(a="700", b="1e10", factor=None)
-        assert math.isfinite(compute_an(spec, 0))
+        kernels = kernels_of(spec, 0)
+        assert math.isfinite(compute_an(spec, kernels, 0))
         with pytest.raises(NumericFailure,
                            match=r"^b_n on \[0, 1\]: the weighted integral exp\(700\.0\) "
                                  r"\* .* overflowed$") as exc:
-            compute_bn(spec, 0)
+            compute_bn(spec, kernels, 0)
         assert exc.value.index == 0
 
     def test_b_n_overflow_through_the_jump_factor(self):
         # b_0 = 1e300 * 1e10 overflows although the weighted integral does not
         spec = make_spec(a="0", b="1e10", factor=1e300)
         with pytest.raises(NumericFailure, match=r"^b_n on \[0, 1\]: .* overflowed$"):
-            compute_bn(spec, 0)
+            compute_bn(spec, kernels_of(spec, 0), 0)
 
     def test_q_n_direct_overflow(self):
         # the weight aimed three nodes ahead is exp(900) (1 - e^-300) / 300
@@ -441,14 +442,14 @@ class TestStageFailures:
         with pytest.raises(NumericFailure,
                            match=r"^Q_n direct on \[0, 1\]: the weighted integral "
                                  r"exp\(900\.0\) \* .* overflowed$") as exc:
-            compute_qn_direct(spec, 0)
+            compute_qn_direct(spec, kernels_of(spec, 0, 1, 2), 0)
         assert (exc.value.index, exc.value.stage) == (0, "Q_n direct")
 
 
     def test_q_n_direct_past_exp_range(self):
         # exp(800) overflows, while Q_1 = exp(800) (1 - e^-400) 1e-300 / 400 is 6.8e44
         spec = make_spec(a="-400", b="1e-300", k=1, factor=None)
-        assert compute_qn_direct(spec, 1) == pytest.approx(
+        assert compute_qn_direct(spec, kernels_of(spec, 0, 1), 1) == pytest.approx(
             2.5e-303 * math.exp(400.0) * math.exp(400.0), rel=1e-12)
 
     # a finite value * exp(expo) keeps its bits; past it, the split exponent
@@ -493,7 +494,7 @@ class TestOneKernelPerInterval:
         assert sorted(built) == list(range(spec.n0, spec.horizon))
         built.clear()
         for n in ds.q_indices():
-            compute_qn_direct(spec, n)
+            compute_qn_direct(spec, ds.kernels, n)
         sol = continue_window(ds, spec.initial_window)
         reconstruct(spec, ds, sol, 4)
         assert built == []
@@ -513,7 +514,6 @@ class TestOneKernelPerInterval:
         path.write_text(json.dumps({**doc, "horizon": 505}))
         build_discrete_system(load_problem(path).spec)   # fills the rule's caches
         spec = load_problem(path).spec
-        spec.fa, spec.fb                    # compiled before tracing starts
         tracemalloc.start()
         try:
             ds = build_discrete_system(spec)
@@ -539,9 +539,9 @@ class TestNonSmoothCoefficients:
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(doc))
         assert main(["coeffs", str(path), "--out", str(tmp_path / "c.csv")]) == 0
-        spec = load_problem(path).spec
+        ds = build_discrete_system(load_problem(path).spec)
         for n in range(30):
-            assert compute_an(spec, n) == pytest.approx(math.exp(total(n)), rel=1e-10)
+            assert ds.a(n) == pytest.approx(math.exp(total(n)), rel=1e-10)
 
 
 class TestClosedFormAccuracy:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from array import array
 from itertools import chain
 from math import exp
-from typing import Iterator, List, NamedTuple, Sequence
+from typing import Iterator, List, NamedTuple, Optional, Sequence
 
 from .diffeq import (DiscreteSolution, OscillationVerdict, TooShort, block_sign,
                      block_verdict, default_window)
@@ -58,15 +58,51 @@ class Trajectory(NamedTuple):
 
     def rows(self) -> Iterator[str]:
         """The trajectory CSV's "t,z" rows at 10 significant digits, as one
-        string per interval, t = n + i/m as reconstruct computes it."""
+        string per interval, t = n + i/m as reconstruct computes it.
+
+        For 1 <= n < 10^9, t = n + i/m stays in n's binade, so t - n is
+        exact and depends only on the bit length of n, and %.10g of t is n's
+        digits followed by t - n's first 10 - d decimals, d the digit count
+        of n.  Consecutive intervals with the same (d, bit length) share one
+        row template, cut before each t, whose fractions are literal text:
+        n's digits join its pieces.  n only grows, so a key that changes
+        never returns.  Elsewhere, and where a fraction rounds up to 1, t is
+        formatted sample by sample.
+        """
         m = self.samples_per_interval
-        fmt = "%.10g,%.10g\n" * m
+        direct = "%.10g,%.10g\n" * m
         offsets = [i / m for i in range(m)]
+        key = pieces = None
         fields = [0.0] * (2 * m)
         for n, first in enumerate(range(0, len(self.samples), m), self.interval_start):
-            fields[0::2] = [n + offset for offset in offsets]
-            fields[1::2] = self.samples[first:first + m]
-            yield fmt % tuple(fields)
+            z = self.samples[first:first + m]
+            digits = str(n)
+            if (len(digits), n.bit_length()) != key:
+                key = (len(digits), n.bit_length())
+                pieces = _pieces(n, offsets)
+            if pieces is None:
+                fields[0::2] = [n + offset for offset in offsets]
+                fields[1::2] = z
+                yield direct % tuple(fields)
+            else:
+                yield digits.join(pieces) % tuple(z)
+
+
+def _pieces(n: int, offsets: Sequence[float]) -> Optional[List[str]]:
+    """Interval n's row format cut before each t, so that n's digits join it:
+    "", then per t its fraction t - n as %.10g writes it (10 - d decimals,
+    trailing zeros and the point dropped) and ",%.10g\n" for z.  None where
+    n < 1, n >= 10^9 or a fraction rounds up to 1."""
+    if not 1 <= n < 10**9:
+        return None
+    places = 10 - len(str(n))
+    pieces = [""]
+    for offset in offsets:
+        fraction = "%.*f" % (places, n + offset - n)
+        if fraction[0] != "0":
+            return None
+        pieces.append(fraction[1:].rstrip("0").rstrip(".") + ",%.10g\n")
+    return pieces
 
 
 def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,

@@ -25,11 +25,18 @@ alpha-past-range-h1000 run past the normal range of alpha (or of
 y_n = alpha_n z_n), which neither Q_n nor any check but alpha_telescoping
 reads: all of them pass check.  So does q-weight-exp-overflow's Q audit,
 but its z_3 underflows, which leaves simulate and check too short a tail.
+far-n0 (a=-1, b=-1/3, delayed, k=1 from n0 = 33554430) exits 3 in every
+command: its weight is not resolved on [33554432, 33554433].
 Every case runs coeffs, analyze, simulate --samples 4, simulate --samples 1
 (one sample per interval, the grid's edge case) and check, in process, in a
 temporary directory.  Two problems whose kernels are bisected inside every
 interval, at kinks of abs(...) on and off the bisection points, also run
-simulate --samples 7, whose t = n + i/7 round.  Last come the benchmark's
+simulate --samples 7, whose t = n + i/7 round.  Two more run simulate
+--samples 7 and --samples 20 as well: decade-binade (a=-0.1, b=0.05,
+delayed, k=1 from n0 = 990 to horizon 1030) crosses n = 1000 and n = 1024,
+where the digit count and the bit length of n change, and negative-n0 (the
+same from n0 = -5 to horizon 20) formats t sample by sample on its
+intervals with n <= 0.  Last come the benchmark's
 simulate-dense operations,
 simulate --samples 128 on example 1 at horizon 240 and on example 2 at
 horizon 505, with its flags, and then three command lines on example 1
@@ -60,6 +67,7 @@ PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 COMMANDS = (["coeffs"], ["analyze"], ["simulate", "--samples", "4"],
             ["simulate", "--samples", "1"], ["check"])
 SEVEN = ["simulate", "--samples", "7"]
+TWENTY = ["simulate", "--samples", "20"]
 DENSE = (("example1", ["simulate", "--horizon", "240", "--samples", "128"]),
          ("example2", ["simulate", "--horizon", "505", "--samples", "128"]))
 PARSER_ERRORS = (["frobnicate"], ["check", "--samples", "x"],
@@ -98,6 +106,10 @@ FAILING = {
                                   impulse={"factor": 0.8749578775898675},
                                   initial_window=[1, 1, 1, 1], horizon=61),
     "q-weight-exp-overflow": _plain("-400", "1e-300", horizon=30),
+    # constant coefficients far from the origin: the weight is sampled at
+    # abscissae rounded to ulp(n), so exp(-A(s)) carries about |a| ulp(n) of
+    # relative noise, above the plateau the chop accepts
+    "far-n0": _plain("-1", "-1/3", n0=33554430, horizon=33554436),
 }
 
 # the window continuation is cut at its first value that is neither normal
@@ -131,6 +143,15 @@ IMPULSES = {
     "table-default": {"table": [2, 0.5, 1.5], "default": 0.5},
     "table-zero": {"table": [0.5, 0.5, 0.5, 0.0]},
     "formula-nonfinite": {"formula": "1/(n - 7)"},
+}
+
+
+# trajectory rows across n = 1000 and n = 1024, where the digit count and
+# the bit length of n change, and from n0 = -5, whose intervals with n <= 0
+# format t sample by sample
+TIME_EDGES = {
+    "decade-binade": _plain("-0.1", "0.05", n0=990, horizon=1030),
+    "negative-n0": _plain("-0.1", "0.05", n0=-5, horizon=20),
 }
 
 
@@ -193,10 +214,11 @@ def run() -> None:
             for command in COMMANDS:
                 code, sha = digest(doc, command, Path(tmp))
                 print(f"{name} {' '.join(command)} {code} {sha}", flush=True)
-        for name, doc in BISECTED.items():
-            for command in (*COMMANDS, SEVEN):
-                code, sha = digest(doc, command, Path(tmp))
-                print(f"{name} {' '.join(command)} {code} {sha}", flush=True)
+        for group, extra in ((BISECTED, (SEVEN,)), (TIME_EDGES, (SEVEN, TWENTY))):
+            for name, doc in group.items():
+                for command in (*COMMANDS, *extra):
+                    code, sha = digest(doc, command, Path(tmp))
+                    print(f"{name} {' '.join(command)} {code} {sha}", flush=True)
         for name, command in (*DENSE, *(("example1", c) for c in PARSER_ERRORS)):
             code, sha = digest(_shipped(name), command, Path(tmp))
             print(f"{name} {' '.join(command)} {code} {sha}", flush=True)

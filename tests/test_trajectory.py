@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import tracemalloc
 from array import array
 from pathlib import Path
@@ -221,6 +222,67 @@ class TestExpOverflowInsideInterval:
             validate_problem({**self.DOC, "initial_window": [sign, sign]}).spec, m)
         if m >= 7:     # at m = 3 the samples' A is at most 600, in range
             assert sign * math.inf in traj.samples
+
+
+def t_rows(n_lo, intervals, m):
+    """rows() of a trajectory of unit samples on [n_lo, n_lo + intervals)
+    next to the rows formatted one sample at a time."""
+    traj = Trajectory(1, array("d", [1.0] * (m * intervals)), [], n_lo, m)
+    direct = ["".join("%.10g,%.10g\n" % (n + i / m, 1.0) for i in range(m))
+              for n in range(n_lo, n_lo + intervals)]
+    return list(traj.rows()), direct
+
+
+class TestTimeColumn:
+    """rows() formats t once per (digit count, bit length) of n; these pin
+    its t column to %.10g of n + i/m across the edges of both."""
+
+    # each run starts one below a binade or decade edge, so a template built
+    # below the edge would be reused above it if the key missed that edge
+    STARTS = ([2**k - 1 for k in range(31)] + [10**k - 1 for k in range(10)] + [-3])
+
+    @pytest.mark.parametrize("m", [1, 3, 7, 20, 32, 128, 1000])
+    def test_edges_match_direct_format(self, m):
+        for n_lo in self.STARTS:
+            got, direct = t_rows(n_lo, 6 if n_lo == -3 else 3, m)
+            assert got == direct, (n_lo, m)
+
+    def test_seeded_sweep_matches_direct_format(self):
+        rng = random.Random(20261020)
+        for _ in range(400):
+            m = rng.choice([rng.randrange(1, 40), rng.randrange(40, 1500)])
+            n_lo = rng.choice([rng.randrange(-5, 5), rng.randrange(1, 2**31),
+                               2**rng.randrange(31) - rng.randrange(3),
+                               10**rng.randrange(10) - rng.randrange(3)])
+            got, direct = t_rows(n_lo, 3, m)
+            assert got == direct, (n_lo, m)
+
+    # 0.05 rounds to ...1 in the binade below 2^29 and to ...0 in the one
+    # above; 999 and 1000 keep 7 and 6 decimals; 123456789 + 31/32 carries
+    @pytest.mark.parametrize("n_lo,intervals,m,n,i,t", [
+        (536870911, 2, 20, 536870911, 1, "536870911.1"),
+        (536870911, 2, 20, 536870912, 1, "536870912"),
+        (999, 2, 128, 999, 1, "999.0078125"),
+        (999, 2, 128, 1000, 1, "1000.007812"),
+        (123456789, 1, 32, 123456789, 31, "123456790"),
+    ])
+    def test_named_edges(self, n_lo, intervals, m, n, i, t):
+        got, direct = t_rows(n_lo, intervals, m)
+        assert got == direct
+        assert got[n - n_lo].splitlines()[i] == f"{t},1"
+
+    def test_one_template_per_digit_count_and_bit_length(self, monkeypatch):
+        built = []
+        pieces = trajectory._pieces
+
+        def counted(n, offsets):
+            built.append(n)
+            return pieces(n, offsets)
+
+        monkeypatch.setattr(trajectory, "_pieces", counted)
+        got, direct = t_rows(1, 504, 128)
+        assert got == direct
+        assert built == [1, 2, 4, 8, 10, 16, 32, 64, 100, 128, 256]
 
 
 class TestContinuousCheck:

@@ -275,7 +275,8 @@ def compile_expr(e: Expr) -> Callable[[float], float]:
 
     The argument is converted once with float(x), so integer abscissae
     evaluate in floating point.  The straight-line code is generated by an
-    iterative post-order walk.
+    iterative post-order walk.  The function's ``reads_x`` is whether e
+    contains the variable at all, a syntactic test: "0*t" reads it.
     """
     constants = {}
     body = []
@@ -316,4 +317,6 @@ def compile_expr(e: Expr) -> Callable[[float], float]:
              f"    return {values.pop()}"]
     namespace = {**_HELPERS, **constants}
     exec(compile("\n".join(lines), "<idepca expression>", "exec"), namespace)
-    return namespace["_expr"]
+    fn = namespace["_expr"]
+    fn.reads_x = uses_x
+    return fn

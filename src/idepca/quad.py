@@ -19,9 +19,11 @@ rule has no tolerance parameter: it resolves to machine precision.  A
 non-finite sample stops it at once, naming its abscissa.
 
 The running integrals are read from each piece's cumulative series on a
-whole ascending list of abscissae at once (``IntervalKernel.at(ts)``): one
-bisection of the list per interior piece edge finds each piece's run of
-points, and one pass per piece runs the Clenshaw recurrence at each of them.
+whole ascending list of offsets u = t - n at once (``IntervalKernel.at(us)``,
+which forms t = n + u itself, so one kernel can serve every interval whose
+integrands are the same function): one bisection of the abscissae per
+interior piece edge finds each piece's run of points, and one pass per piece
+runs the Clenshaw recurrence at each of them.
 The weight's integrand takes A this way for a whole sampling round, whose
 Clenshaw-Curtis abscissae descend, by reading the round reversed.
 
@@ -269,13 +271,14 @@ class IntervalKernel:
     both ends of the interval, so the weight overflows only where the
     coefficient built from it does.  A failure of A is stage ``a_n`` and a
     failure of the weight stage ``b_n``, whichever coefficient is asked for.
-    The kernel keeps only the pieces of A and W (``_a``, ``_w``), not their
-    sample counts or error estimates.
+    The kernel keeps its n and the pieces of A and W (``_a``, ``_w``), not
+    their sample counts or error estimates.
     """
 
-    __slots__ = ("_a", "_w", "total", "scale", "weight")
+    __slots__ = ("n", "_a", "_w", "total", "scale", "weight")
 
     def __init__(self, fa: Callable[[float], float], fb: Callable[[float], float], n: int):
+        self.n = n
         self._a, self.total, _, _ = _running_integral(
             lambda ts: map(fa, ts), float(n), float(n + 1), "a", n, "a_n")
         A = self._a
@@ -291,8 +294,10 @@ class IntervalKernel:
         self._w, self.weight, _, _ = _running_integral(
             w, float(n), float(n + 1), "the weight", n, "b_n")
 
-    def at(self, ts: List[float]) -> Tuple[List[float], List[float]]:
-        """([A(t) for t in ts], [W(t) for t in ts]) for ascending ts in [n, n+1]."""
+    def at(self, us: List[float]) -> Tuple[List[float], List[float]]:
+        """([A(t) for t], [W(t) for t]) at t = n + u for ascending offsets u
+        of us in [0, 1]."""
+        ts = [self.n + u for u in us]
         return _evaluate(self._a, ts), _evaluate(self._w, ts)
 
 

@@ -16,7 +16,9 @@ derived, and the reduced-form coefficients Q_n from the same integrals.
 
 Every integral comes from one kernel per interval (quad.IntervalKernel),
 which build_discrete_system makes in index order, from a and b compiled
-once, and keeps on the DiscreteSystem: T_n = I(n, n+1) is its ``total`` and
+once, and keeps on the DiscreteSystem.  Where neither a nor b reads t, every
+interval integrates the same functions, so one kernel, built on
+[n0, n0+1], serves them all.  T_n = I(n, n+1) is a kernel's ``total`` and
 G_n = int_n^{n+1} exp(-I(n, s)) b(s) ds = exp(scale) W_n its ``scale`` and
 ``weight``, since I(s, target) = I(n, target) - I(n, s).  So
 b_n = r_{n+1} exp(T_n) G_n.  The reconstruction samples the same kernels
@@ -215,14 +217,16 @@ def compute_qn_direct(spec: ProblemSpec, kernels: Kernels, n: int) -> float:
 
 
 def build_discrete_system(spec: ProblemSpec) -> DiscreteSystem:
-    """Compute a_n, b_n, alpha_n and Q_n over [n0, horizon], and keep the kernels."""
+    """Compute a_n, b_n, alpha_n and Q_n over [n0, horizon], and keep the
+    kernels: one per interval, or one for all where a and b do not read t."""
     n0, horizon, k = spec.n0, spec.horizon, spec.k
     fa, fb = compile_expr(spec.a), compile_expr(spec.b)
+    shared = None if fa.reads_x or fb.reads_x else IntervalKernel(fa, fb, n0)
     kernels: Kernels = {}
     a_seq: List[float] = []
     b_seq: List[float] = []
     for n in range(n0, horizon):
-        kernels[n] = IntervalKernel(fa, fb, n)
+        kernels[n] = shared if shared is not None else IntervalKernel(fa, fb, n)
         a_seq.append(compute_an(spec, kernels, n))
         b_seq.append(compute_bn(spec, kernels, n))
 

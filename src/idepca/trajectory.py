@@ -9,8 +9,9 @@ where z_dev is the solution value at the deviated node n -+ k and I is the
 running integral of the coefficient a.  This is the interval solution
 formula with the exponential weight factored out.  The kernel the reduction
 built for the interval (ds.kernels[n]) gives I(n, t) and the scaled
-weight W(t) at all of the interval's sample points in one call
-(IntervalKernel.at), and G(t) = exp(scale) W(t).  Where an exponential
+weight W(t) at all of the interval's sample offsets t - n in one call
+(IntervalKernel.at), and G(t) = exp(scale) W(t); consecutive intervals
+that share one kernel share that call.  Where an exponential
 leaves double range among an interval's samples, or at its left limit,
 those values are formed as E(t) * (z_n + z_dev exp(scale) W(t)), so where
 E(t) is inf the value is +-inf with the bracket's sign rather than
@@ -116,12 +117,14 @@ def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,
     nodes: List[NodeRecord] = []
     m = samples_per_interval
     offsets = [i / m for i in range(1, m)]
+    kernel = None
     for n in intervals:
         z_n = sol.value(n)
         z_dev = sol.value(ds.dev(n))
-        kernel = ds.kernels[n]
-        scale = kernel.scale
-        expos, ws = kernel.at([n + offset for offset in offsets])
+        if ds.kernels[n] is not kernel:
+            kernel = ds.kernels[n]
+            scale = kernel.scale
+            expos, ws = kernel.at(offsets)
         samples.append(z_n)
         samples.extend(_values(expos, ws, scale, z_n, z_dev))
         (z_left,) = _values((kernel.total,), (kernel.weight,), scale, z_n, z_dev)

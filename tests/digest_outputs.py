@@ -25,8 +25,11 @@ alpha-past-range-h1000 run past the normal range of alpha (or of
 y_n = alpha_n z_n), which neither Q_n nor any check but alpha_telescoping
 reads: all of them pass check.  So does q-weight-exp-overflow's Q audit,
 but its z_3 underflows, which leaves simulate and check too short a tail.
-far-n0 (a=-1, b=-1/3, delayed, k=1 from n0 = 33554430) exits 3 in every
-command: its weight is not resolved on [33554432, 33554433].
+far-n0 (a=-1, b=-1/3, delayed, k=1 from n0 = 33554430) builds its one
+kernel on [n0, n0+1], so coeffs exits 0, and the other commands exit 3 on
+its six intervals' short tail; far-n0-reads-t (a = -1 + 0*t, the same
+otherwise) builds one kernel per interval and exits 3 in every command,
+since its weight is not resolved on [33554432, 33554433].
 Every case runs coeffs, analyze, simulate --samples 4, simulate --samples 1
 (one sample per interval, the grid's edge case) and check, in process, in a
 temporary directory.  Two problems whose kernels are bisected inside every
@@ -106,10 +109,13 @@ FAILING = {
                                   impulse={"factor": 0.8749578775898675},
                                   initial_window=[1, 1, 1, 1], horizon=61),
     "q-weight-exp-overflow": _plain("-400", "1e-300", horizon=30),
-    # constant coefficients far from the origin: the weight is sampled at
-    # abscissae rounded to ulp(n), so exp(-A(s)) carries about |a| ulp(n) of
-    # relative noise, above the plateau the chop accepts
+    # far from the origin the weight is sampled at abscissae rounded to
+    # ulp(n), so exp(-A(s)) carries about |a| ulp(n) of relative noise, above
+    # the plateau the chop accepts from n = 2^25 on.  Constant coefficients
+    # build one kernel, on [n0, n0+1] below 2^25, so only the short tail
+    # fails; 0*t reads t, so its kernels are built per interval and fail
     "far-n0": _plain("-1", "-1/3", n0=33554430, horizon=33554436),
+    "far-n0-reads-t": _plain("-1 + 0*t", "-1/3", n0=33554430, horizon=33554436),
 }
 
 # the window continuation is cut at its first value that is neither normal

@@ -164,6 +164,22 @@ class TestCoeffs:
         assert float(alphas[first_blank - 1]) >= sys.float_info.min
         assert not any(alphas[first_blank:])
 
+    def test_far_n0_constant_coefficients(self, tmp_path):
+        # n0 = 2^25 - 2.  The one kernel of constant a and b is built on
+        # [n0, n0+1]; the kernel of [2^25, 2^25 + 1], whose abscissae round to
+        # ulp(2^25) = 2^-27, does not resolve its weight, and is not built
+        n0 = 33554430
+        doc = {**BASE_DOC, "k": 1, "impulse": "none", "initial_window": [1, 1],
+               "n0": n0, "horizon": n0 + 6}
+        path = write_problem(tmp_path, doc)
+        out = tmp_path / "coeffs.csv"
+        assert cli.main(["coeffs", str(path), "--out", str(out)]) == 0
+        assert [int(row[0]) for row in read_csv(out)[1:]] == list(range(n0, n0 + 6))
+        ds = reduction.build_discrete_system(cli.load_problem(path).spec)
+        for n in range(n0, n0 + 6):
+            assert ds.a(n) == pytest.approx(math.exp(-1.0), rel=1e-15)
+            assert ds.b(n) == pytest.approx(-(1.0 - math.exp(-1.0)) / 3.0, rel=1e-11)
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli("coeffs", EXAMPLE1, "--out", a)
@@ -977,6 +993,7 @@ def evaluations(monkeypatch):
             counts[0] += 1
             return f(t)
 
+        counted.reads_x = f.reads_x
         return counted
 
     monkeypatch.setattr(reduction, "compile_expr", compiling)

@@ -238,7 +238,7 @@ class TestIntervalKernel:
         alpha, beta = 0.7, -0.4
         k = IntervalKernel(lambda s: alpha, lambda s: beta, 2)
         for t in (2.125, 2.5, 2.9):
-            (expo,), (w,) = k.at([t])
+            (expo,), (w,) = k.at([t - 2.0])
             assert expo == pytest.approx(alpha * (t - 2.0), rel=1e-14)
             expected = beta * (1.0 - math.exp(-alpha * (t - 2.0))) / alpha
             assert math.exp(k.scale) * w == pytest.approx(expected, rel=1e-13)
@@ -252,8 +252,18 @@ class TestIntervalKernel:
         k = IntervalKernel(lambda t: abs(t - 2.5), b, 2)
         assert [tuple(p[:2]) for p in k._a] == [(2.0, 2.5), (2.5, 3.0)]
         ts = [2.25, 2.5, 2.625, 2.75]
-        for run, values in zip((k._a, k._w), k.at(ts)):
+        for run, values in zip((k._a, k._w), k.at([t - 2.0 for t in ts])):
             assert values == [_scalar_running(run, t) for t in ts]
+
+    @pytest.mark.parametrize("n", [0, 7, 400, 1000003])
+    def test_offsets_are_the_interval_abscissae(self, n):
+        # at(us) reads its pieces at n + u, the floats the reconstruction
+        # formed before the kernel took offsets, bit for bit
+        k = IntervalKernel(lambda t: -1.0 / (t + 1.0), lambda t: math.sin(t), n)
+        us = sorted([i / 7 for i in range(7)] + [0.5, 1.0])
+        expos, ws = k.at(us)
+        assert expos == _evaluate(k._a, [n + u for u in us])
+        assert ws == _evaluate(k._w, [n + u for u in us])
 
     def test_evaluate_is_the_per_point_reference(self):
         # kinks off every bisection point give both integrals several pieces;

@@ -471,22 +471,23 @@ class TestStageFailures:
             assert reduction._scaled(expo, value, 0, "b_n") == expected
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The n of every kernel built, under whichever name a module imported it."""
+    built = []
+    init = IntervalKernel.__init__
+
+    def counting(self, fa, fb, n):
+        built.append(n)
+        init(self, fa, fb, n)
+
+    monkeypatch.setattr(IntervalKernel, "__init__", counting)
+    return built
+
+
 class TestOneKernelPerInterval:
     """The reduction, its Q_n included, integrates each interval once, and
     the reconstruction samples the reduction's kernels."""
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        # counts every kernel, under whichever name a module imported it
-        built = []
-        init = IntervalKernel.__init__
-
-        def counting(self, fa, fb, n):
-            built.append(n)
-            init(self, fa, fb, n)
-
-        monkeypatch.setattr(IntervalKernel, "__init__", counting)
-        return built
 
     def test_kernel_count(self, built):
         spec = load_problem(EXAMPLES / "example2.json").spec
@@ -522,6 +523,62 @@ class TestOneKernelPerInterval:
             tracemalloc.stop()
         assert ds.horizon == 505
         assert retained / (spec.horizon - spec.n0) <= 768
+
+
+class TestSharedKernel:
+    """Where neither a nor b reads t, one kernel, built on [n0, n0+1], serves
+    every interval; the test is syntactic."""
+
+    def test_one_kernel_for_every_interval(self, built):
+        spec = make_spec(n0=3, horizon=40)
+        ds = build_discrete_system(spec)
+        assert built == [3]
+        assert all(ds.kernels[n] is ds.kernels[3] for n in range(3, 40))
+
+    def test_a_term_in_t_keeps_one_kernel_per_interval(self, built):
+        # 0*t is 0, but a reads t as written
+        spec = make_spec(a="-1 + 0*t", n0=3, horizon=40)
+        ds = build_discrete_system(spec)
+        assert built == list(range(3, 40))
+        assert len({id(kernel) for kernel in ds.kernels.values()}) == 37
+
+    @pytest.mark.parametrize("spec", [
+        lambda: load_problem(EXAMPLES / "example1.json", {"horizon": 240}).spec,
+        lambda: make_spec(a="-5", b="0.001", k=1, factor=None, horizon=400),
+    ], ids=["example1-h240", "a=-5,b=0.001-h400"])
+    def test_agrees_with_one_kernel_per_interval(self, monkeypatch, spec):
+        spec = spec()
+        shared = build_discrete_system(spec)
+        compile_expr = reduction.compile_expr
+
+        def reading(expr):   # one kernel per interval, as if a and b read t
+            f = compile_expr(expr)
+            f.reads_x = True
+            return f
+
+        monkeypatch.setattr(reduction, "compile_expr", reading)
+        apart = build_discrete_system(spec)
+        assert len({id(kernel) for kernel in shared.kernels.values()}) == 1
+        assert len({id(kernel) for kernel in apart.kernels.values()}) == len(apart.kernels)
+        for seq in ("a_seq", "b_seq", "q_seq"):
+            ours, theirs = getattr(shared, seq), getattr(apart, seq)
+            assert len(ours) == len(theirs)
+            assert ours == pytest.approx(theirs, rel=1e-13, abs=0.0)
+
+    def test_reconstruct_samples_the_shared_kernel_once(self, monkeypatch):
+        spec = load_problem(EXAMPLES / "example1.json").spec
+        ds = build_discrete_system(spec)
+        calls = []
+        at = IntervalKernel.at
+
+        def counting(self, us):
+            calls.append(len(us))
+            return at(self, us)
+
+        monkeypatch.setattr(IntervalKernel, "at", counting)
+        traj = reconstruct(spec, ds, continue_window(ds, spec.initial_window), 16)
+        assert calls == [15]
+        assert len(traj.nodes) > 1
 
 
 class TestNonSmoothCoefficients:

@@ -18,12 +18,17 @@ length, since that is what the piece contributes to the integral.  The
 rule has no tolerance parameter: it resolves to machine precision.  A
 non-finite sample stops it at once, naming its abscissa.
 
-The running integrals are read from each piece's cumulative series on a
-whole ascending list of offsets u = t - n at once (``IntervalKernel.at(us)``,
-which forms t = n + u itself, so one kernel can serve every interval whose
-integrands are the same function): one bisection of the abscissae per
-interior piece edge finds each piece's run of points, and one pass per piece
-runs the Clenshaw recurrence at each of them.
+A kernel samples the interval's solution z = exp(A) (z_n + z_dev G), as
+exp(A) z_n + z_dev exp(A + scale) W with G = exp(scale) W, on a whole
+ascending list of offsets u = t - n at once, forming t = n + u itself, so one kernel can serve every interval whose integrands
+are the same function.  ``IntervalKernel.solution`` does it in one sweep:
+per t it finds the pieces of A and W that t belongs to, forms x once where
+their bounds agree, runs A's Clenshaw recurrence and then W's, and forms z.
+A kernel that serves a run of intervals takes its exponentials once
+instead (``IntervalKernel.factors``), and each interval of the run is
+then two products and a sum per sample.  :func:`_evaluate` reads one
+series on a list of abscissae: one bisection per interior piece edge finds
+each piece's run of points, and one pass per piece runs the recurrence.
 The weight's integrand takes A this way for a whole sampling round, whose
 Clenshaw-Curtis abscissae descend, by reading the round reversed.
 
@@ -35,11 +40,12 @@ weighted by its piece's length; ``tol`` is the absolute error it accepts.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from math import isfinite, log, log10, pi, sin
-from operator import mul
-from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
+from itertools import cycle
+from math import exp, inf, isfinite, log, log10, pi, sin
+from operator import itemgetter, mul
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exprlang import _safe_exp
 
@@ -156,7 +162,7 @@ def _cumulative(coeffs: List[float], half: float) -> List[float]:
     b[1] = c[0] - 0.5 * c[2]
     for j in range(2, m + 1):
         b[j] = (c[j - 1] - c[j + 1]) / (2 * j)
-    b[0] = -sum(bj if j % 2 == 0 else -bj for j, bj in enumerate(b[1:], 1))
+    b[0] = -sum(map(mul, b[1:], cycle((-1.0, 1.0))))
     return [half * bj for bj in b]
 
 
@@ -192,14 +198,14 @@ def _clenshaw(piece: array, ts: List[float], out: List[float]) -> None:
         out.append(offset + (c0 + x * b1 - b2))
 
 
-def _running_integral(f: Callable[[List[float]], Iterable[float]], lo: float, hi: float,
+def _running_integral(f: Callable[[List[float]], List[float]], lo: float, hi: float,
                       name: str, n: Optional[int] = None,
                       stage: Optional[str] = None
                       ) -> Tuple[Tuple[array, ...], float, int, float]:
     """Resolve f piece by piece, left to right, and integrate it.
 
-    f maps a sampling round's abscissae to the integrand's values there,
-    yielded one at a time: the round stops at the first non-finite one.
+    f maps a sampling round's abscissae to the integrand's values there, in
+    order, up to and including the first non-finite one, where it stops.
     Returns the running integral F(t) = int_lo^t f as its pieces, F(hi), the
     number of samples of f, and the error estimate: the sum of the accepted
     pieces' dropped Chebyshev tails, each weighted by its piece's length.
@@ -253,12 +259,25 @@ def _running_integral(f: Callable[[List[float]], Iterable[float]], lo: float, hi
 
 def _sample(f, mid, half, points, name, n, stage) -> List[float]:
     ts = [mid + half * x for x in points]
-    values = []
-    for t, v in zip(ts, f(ts)):
-        if not isfinite(v):
-            raise NumericFailure(f"{name} is not finite at t = {t!r}", n, stage)
-        values.append(v)
+    values = f(ts)
+    if not isfinite(values[-1]):
+        raise NumericFailure(f"{name} is not finite at t = {ts[len(values) - 1]!r}",
+                             n, stage)
     return values
+
+
+def _pointwise(f: Callable[[float], float]) -> Callable[[List[float]], List[float]]:
+    """f as a sampling round: its values at the round's abscissae, one at a
+    time, up to and including the first non-finite one."""
+    def sample(ts):
+        values = []
+        for t in ts:
+            v = f(t)
+            values.append(v)
+            if not isfinite(v):
+                break
+        return values
+    return sample
 
 
 class IntervalKernel:
@@ -280,25 +299,101 @@ class IntervalKernel:
     def __init__(self, fa: Callable[[float], float], fb: Callable[[float], float], n: int):
         self.n = n
         self._a, self.total, _, _ = _running_integral(
-            lambda ts: map(fa, ts), float(n), float(n + 1), "a", n, "a_n")
+            _pointwise(fa), float(n), float(n + 1), "a", n, "a_n")
         A = self._a
         self.scale = scale = max(0.0, -self.total)
 
         def w(ts):
             # A at the whole round in one pass, on the ascending reversal of
-            # the round's descending abscissae; b lazily, point by point, so
-            # no sample of b follows a non-finite weight
-            return (_safe_exp(-a - scale) * fb(s)
-                    for s, a in zip(ts, reversed(_evaluate(A, ts[::-1]))))
+            # the round's descending abscissae; b point by point, so no
+            # sample of b follows a non-finite weight
+            values = []
+            for s, a in zip(ts, reversed(_evaluate(A, ts[::-1]))):
+                v = _safe_exp(-a - scale) * fb(s)
+                values.append(v)
+                if not isfinite(v):
+                    break
+            return values
 
         self._w, self.weight, _, _ = _running_integral(
             w, float(n), float(n + 1), "the weight", n, "b_n")
 
-    def at(self, us: List[float]) -> Tuple[List[float], List[float]]:
-        """([A(t) for t], [W(t) for t]) at t = n + u for ascending offsets u
-        of us in [0, 1]."""
+    def solution(self, us: List[float], z_n: float, z_dev: float) -> List[float]:
+        """z = exp(A) z_n + z_dev exp(A + scale) W at t = n + u for ascending
+        offsets u of us in [0, 1]: the interval's solution from z_n and the
+        deviated value z_dev.  If an exp overflows, every z is formed as
+        :func:`_solution` forms it then.
+
+        One sweep: per t, x is formed once where A's and W's pieces share
+        their bounds, and A's Clenshaw recurrence runs, then W's, with the
+        floating-point operations of :func:`_evaluate` in its order.
+        """
+        n, scale = self.n, self.scale
+        out: List[float] = []
+        edge = -inf      # where the pieces in hand end
+        try:
+            for u in us:
+                t = n + u
+                if t >= edge:
+                    lo, hi, offset, c0, rest, a_edge = _piece(self._a, t)
+                    wlo, whi, w_offset, w0, w_rest, w_edge = _piece(self._w, t)
+                    same = lo == wlo and hi == whi
+                    edge = min(a_edge, w_edge)
+                x = (2.0 * t - lo - hi) / (hi - lo)
+                x2 = 2.0 * x
+                b1 = b2 = 0.0
+                for ck in rest:
+                    b1, b2 = ck + x2 * b1 - b2, b1
+                a = offset + (c0 + x * b1 - b2)
+                if not same:
+                    x = (2.0 * t - wlo - whi) / (whi - wlo)
+                    x2 = 2.0 * x
+                b1 = b2 = 0.0
+                for ck in w_rest:
+                    b1, b2 = ck + x2 * b1 - b2, b1
+                out.append(exp(a) * z_n
+                           + z_dev * (exp(a + scale) * (w_offset + (w0 + x * b1 - b2))))
+        except OverflowError:
+            ts = [n + u for u in us]
+            return _solution(_evaluate(self._a, ts), _evaluate(self._w, ts), scale, z_n, z_dev)
+        return out
+
+    def factors(self, us: List[float]) -> Optional[List[Tuple[float, float]]]:
+        """(E, G) = (exp(A), exp(A + scale) W) at t = n + u for ascending
+        offsets u of us in [0, 1], for a kernel that serves several
+        intervals: an interval's e z_n + z_dev g are then the bits of
+        ``solution(us, z_n, z_dev)``.  None where an exp overflows."""
         ts = [self.n + u for u in us]
-        return _evaluate(self._a, ts), _evaluate(self._w, ts)
+        scale = self.scale
+        try:
+            return [(exp(a), exp(a + scale) * w)
+                    for a, w in zip(_evaluate(self._a, ts), _evaluate(self._w, ts))]
+        except OverflowError:
+            return None
+
+
+def _piece(pieces: Tuple[array, ...], t: float):
+    """The piece t belongs to, as in :func:`_evaluate`, as (lo, hi, offset,
+    c0, the rest of the series reversed, where the next piece starts or inf
+    after the last)."""
+    i = max(bisect_right(pieces, t, key=itemgetter(0)) - 1, 0)
+    piece = pieces[i]
+    lo, hi, offset, c0 = piece[:4]
+    end = pieces[i + 1][0] if i + 1 < len(pieces) else inf
+    return lo, hi, offset, c0, piece[:3:-1].tolist(), end
+
+
+def _solution(expos: Sequence[float], ws: Sequence[float], scale: float, z_n: float,
+              z_dev: float) -> List[float]:
+    """z = E z_n + z_dev exp(I + scale) W at each (I, W), E = exp(I).  If any
+    exp overflows, every z is E (z_n + z_dev exp(scale) W) instead, which is
+    +-inf, not nan, where E is inf."""
+    try:
+        return [exp(expo) * z_n + z_dev * (exp(expo + scale) * w)
+                for expo, w in zip(expos, ws)]
+    except OverflowError:
+        g = _safe_exp(scale)
+        return [_safe_exp(expo) * (z_n + z_dev * (g * w)) for expo, w in zip(expos, ws)]
 
 
 # -- the rule over any interval ------------------------------------------------
@@ -313,7 +408,7 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
         raise ValueError("integration bounds must be finite")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    _, total, evaluations, error = _running_integral(lambda ts: map(f, ts), min(lo, hi),
+    _, total, evaluations, error = _running_integral(_pointwise(f), min(lo, hi),
                                                      max(lo, hi), "the integrand")
     if error > tol:
         raise NumericFailure(f"error estimate {error:.3g} on [{lo!r}, {hi!r}] "

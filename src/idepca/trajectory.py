@@ -8,14 +8,16 @@ On each unit interval [n, n+1) the solution is
 where z_dev is the solution value at the deviated node n -+ k and I is the
 running integral of the coefficient a.  This is the interval solution
 formula with the exponential weight factored out.  The kernel the reduction
-built for the interval (ds.kernels[n]) gives I(n, t) and the scaled
-weight W(t) at all of the interval's sample offsets t - n in one call
-(IntervalKernel.at), and G(t) = exp(scale) W(t); consecutive intervals
-that share one kernel share that call.  Where an exponential
-leaves double range among an interval's samples, or at its left limit,
-those values are formed as E(t) * (z_n + z_dev exp(scale) W(t)), so where
-E(t) is inf the value is +-inf with the bracket's sign rather than
-inf - inf.
+built for the interval (ds.kernels[n]) holds I(n, t) and the scaled weight
+W(t), G(t) = exp(scale) W(t), and samples z at all of the interval's
+offsets t - n in one sweep over its series (IntervalKernel.solution).  A
+kernel that also serves the next interval takes E(t) and E(t) G(t) once
+for the whole run of intervals it serves (IntervalKernel.factors), and
+each interval of the run is then E z_n + z_dev (E G) per sample, the same
+bits.  Where an exponential leaves double range among an interval's
+samples, or at its left limit, those values are formed as
+E(t) * (z_n + z_dev exp(scale) W(t)), so where E(t) is inf the value is
++-inf with the bracket's sign rather than inf - inf.
 
 Samples are z alone at t = n + i/m, i < m, held as one array('d') of 8
 bytes each, and Trajectory.rows() adds t as it formats them.
@@ -27,12 +29,11 @@ from __future__ import annotations
 
 from array import array
 from itertools import chain
-from math import exp
 from typing import Iterator, List, NamedTuple, Optional, Sequence
 
 from .diffeq import (DiscreteSolution, OscillationVerdict, TooShort, block_sign,
                      block_verdict, default_window)
-from .exprlang import _safe_exp
+from .quad import _solution
 from .reduction import DiscreteSystem, ProblemSpec
 
 __all__ = [
@@ -117,32 +118,23 @@ def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,
     nodes: List[NodeRecord] = []
     m = samples_per_interval
     offsets = [i / m for i in range(1, m)]
-    kernel = None
+    kernels = ds.kernels
+    kernel = factors = None
     for n in intervals:
         z_n = sol.value(n)
         z_dev = sol.value(ds.dev(n))
-        if ds.kernels[n] is not kernel:
-            kernel = ds.kernels[n]
-            scale = kernel.scale
-            expos, ws = kernel.at(offsets)
+        if kernels[n] is not kernel:
+            kernel = kernels[n]
+            shared = n + 1 in intervals and kernels[n + 1] is kernel
+            factors = kernel.factors(offsets) if shared else None
         samples.append(z_n)
-        samples.extend(_values(expos, ws, scale, z_n, z_dev))
-        (z_left,) = _values((kernel.total,), (kernel.weight,), scale, z_n, z_dev)
+        if factors is None:
+            samples.extend(kernel.solution(offsets, z_n, z_dev))
+        else:
+            samples.extend([e * z_n + z_dev * g for e, g in factors])
+        (z_left,) = _solution((kernel.total,), (kernel.weight,), kernel.scale, z_n, z_dev)
         nodes.append(NodeRecord(n + 1, z_left, sol.value(n + 1), spec.impulse(n + 1)))
     return Trajectory(spec.k, samples, nodes, intervals.start, m)
-
-
-def _values(expos: Sequence[float], ws: Sequence[float], scale: float, z_n: float,
-            z_dev: float) -> List[float]:
-    """z = E z_n + z_dev exp(I + scale) W at each (I, W), E = exp(I).  If any
-    exp overflows, every z is E (z_n + z_dev exp(scale) W) instead, which is
-    +-inf, not nan, where E is inf."""
-    try:
-        return [exp(expo) * z_n + z_dev * (exp(expo + scale) * w)
-                for expo, w in zip(expos, ws)]
-    except OverflowError:
-        g = _safe_exp(scale)
-        return [_safe_exp(expo) * (z_n + z_dev * (g * w)) for expo, w in zip(expos, ws)]
 
 
 def continuous_oscillation_check(traj: Trajectory, first: int) -> OscillationVerdict:

@@ -7,6 +7,7 @@ import math
 from typing import Iterator, List, Tuple
 
 from idepca.diffeq import DiscreteSolution
+from idepca.exprlang import _safe_exp
 from idepca.reduction import DiscreteSystem, ProblemSpec
 from idepca.trajectory import Trajectory
 
@@ -52,6 +53,25 @@ def points(traj: Trajectory) -> Iterator[Tuple[float, float]]:
     m = traj.samples_per_interval
     for j, z in enumerate(traj.samples):
         yield traj.interval_start + j // m + (j % m) / m, z
+
+
+def hexes(values) -> List[str]:
+    """float.hex of each value: equal lists are equal bit for bit, signed
+    zeros and nan included."""
+    return [float.hex(v) for v in values]
+
+
+def solution_reference(expos, ws, scale: float, z_n: float, z_dev: float) -> List[float]:
+    """The interval solution formula as reconstruct applies it to evaluated
+    series, the reference for the kernel's one-sweep samples: z = exp(I) z_n
+    + z_dev exp(I + scale) W at each (I, W), or, if any exp overflows,
+    exp(I) (z_n + z_dev exp(scale) W) at every one, exp saturating at inf."""
+    try:
+        return [math.exp(e) * z_n + z_dev * (math.exp(e + scale) * w)
+                for e, w in zip(expos, ws)]
+    except OverflowError:
+        g = _safe_exp(scale)
+        return [_safe_exp(e) * (z_n + z_dev * (g * w)) for e, w in zip(expos, ws)]
 
 
 def reference_rows(traj: Trajectory) -> List[str]:

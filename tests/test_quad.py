@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from _audits import hexes, solution_reference
 from idepca.exprlang import compile_expr, parse
 from idepca import quad
 from idepca.cli import main
@@ -235,13 +236,14 @@ class TestIntervalKernel:
         assert value == pytest.approx(expected, rel=1e-13)
 
     def test_running_integrals_inside_the_interval(self):
+        # the factors are E = exp(A) and G = exp(A + scale) W = exp(A) G(t)
         alpha, beta = 0.7, -0.4
         k = IntervalKernel(lambda s: alpha, lambda s: beta, 2)
         for t in (2.125, 2.5, 2.9):
-            (expo,), (w,) = k.at([t - 2.0])
-            assert expo == pytest.approx(alpha * (t - 2.0), rel=1e-14)
-            expected = beta * (1.0 - math.exp(-alpha * (t - 2.0))) / alpha
-            assert math.exp(k.scale) * w == pytest.approx(expected, rel=1e-13)
+            ((e, g),) = k.factors([t - 2.0])
+            assert e == pytest.approx(math.exp(alpha * (t - 2.0)), rel=1e-14)
+            expected = beta * (math.exp(alpha * (t - 2.0)) - 1.0) / alpha
+            assert g == pytest.approx(expected, rel=1e-13)
 
     # with b = t the weight's two pieces disagree in the last bit at 2.5,
     # and at 2.625 the offset added last differs from it added first
@@ -252,18 +254,40 @@ class TestIntervalKernel:
         k = IntervalKernel(lambda t: abs(t - 2.5), b, 2)
         assert [tuple(p[:2]) for p in k._a] == [(2.0, 2.5), (2.5, 3.0)]
         ts = [2.25, 2.5, 2.625, 2.75]
-        for run, values in zip((k._a, k._w), k.at([t - 2.0 for t in ts])):
-            assert values == [_scalar_running(run, t) for t in ts]
+        us = [t - 2.0 for t in ts]
+        expos = [_scalar_running(k._a, t) for t in ts]
+        ws = [_scalar_running(k._w, t) for t in ts]
+        expected = solution_reference(expos, ws, k.scale, 0.75, -1.25)
+        assert hexes(k.solution(us, 0.75, -1.25)) == hexes(expected)
+        assert k.factors(us) == [(math.exp(a), math.exp(a + k.scale) * w)
+                                 for a, w in zip(expos, ws)]
 
     @pytest.mark.parametrize("n", [0, 7, 400, 1000003])
     def test_offsets_are_the_interval_abscissae(self, n):
-        # at(us) reads its pieces at n + u, the floats the reconstruction
+        # the kernel reads its pieces at n + u, the floats the reconstruction
         # formed before the kernel took offsets, bit for bit
         k = IntervalKernel(lambda t: -1.0 / (t + 1.0), lambda t: math.sin(t), n)
         us = sorted([i / 7 for i in range(7)] + [0.5, 1.0])
-        expos, ws = k.at(us)
-        assert expos == _evaluate(k._a, [n + u for u in us])
-        assert ws == _evaluate(k._w, [n + u for u in us])
+        ts = [n + u for u in us]
+        expected = solution_reference(_evaluate(k._a, ts), _evaluate(k._w, ts), k.scale,
+                                       -0.5, 2.0)
+        assert hexes(k.solution(us, -0.5, 2.0)) == hexes(expected)
+        assert hexes(e * -0.5 + 2.0 * g for e, g in k.factors(us)) == hexes(expected)
+
+    def test_overflow_falls_back_for_the_whole_interval(self):
+        # scale = 720, so exp(A + scale) overflows near the left end: every
+        # sample then takes the fallback, which is inf, not nan, where the
+        # bracket is, and the factors are not taken
+        k = IntervalKernel(lambda t: -720.0, lambda t: -1.0 / 3.0, 0)
+        us = [i / 128 for i in range(1, 128)]
+        assert k.factors(us) is None
+        expos, ws = _evaluate(k._a, us), _evaluate(k._w, us)
+        with pytest.raises(OverflowError):
+            [math.exp(a + k.scale) for a in expos]
+        z = k.solution(us, 1.0, 1.0)
+        assert hexes(z) == hexes(solution_reference(expos, ws, k.scale, 1.0, 1.0))
+        assert math.isinf(z[0]) and z[0] < 0.0
+        assert not any(map(math.isnan, z))
 
     def test_evaluate_is_the_per_point_reference(self):
         # kinks off every bisection point give both integrals several pieces;
@@ -357,15 +381,22 @@ class TestIntervalKernel:
 
 
 def test_commands_evaluate_ascending_abscissae(monkeypatch, tmp_path):
-    # _evaluate finds each piece's points by bisection, so every caller
-    # must pass ascending ts: the weight's integrand, check and simulate
+    # _evaluate finds each piece's points by bisection, and the kernel's
+    # sweep walks its pieces left to right, so every caller must pass
+    # ascending abscissae: the weight's integrand, check and simulate
     calls = []
+    solution = IntervalKernel.solution
 
     def ascending(pieces, ts):
         calls.append(all(u <= v for u, v in zip(ts, ts[1:])))
         return _evaluate(pieces, ts)
 
+    def sweep(self, us, z_n, z_dev):
+        calls.append(all(u <= v for u, v in zip(us, us[1:])))
+        return solution(self, us, z_n, z_dev)
+
     monkeypatch.setattr(quad, "_evaluate", ascending)
+    monkeypatch.setattr(IntervalKernel, "solution", sweep)
     example2 = str(Path(__file__).resolve().parent.parent / "problems" / "example2.json")
     monkeypatch.chdir(tmp_path)
     assert main(["check", example2]) == 0

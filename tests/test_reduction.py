@@ -569,13 +569,17 @@ class TestSharedKernel:
         spec = load_problem(EXAMPLES / "example1.json").spec
         ds = build_discrete_system(spec)
         calls = []
-        at = IntervalKernel.at
+        factors = IntervalKernel.factors
 
         def counting(self, us):
             calls.append(len(us))
-            return at(self, us)
+            return factors(self, us)
 
-        monkeypatch.setattr(IntervalKernel, "at", counting)
+        def sweep(self, us, z_n, z_dev):
+            calls.append("solution")
+
+        monkeypatch.setattr(IntervalKernel, "factors", counting)
+        monkeypatch.setattr(IntervalKernel, "solution", sweep)
         traj = reconstruct(spec, ds, continue_window(ds, spec.initial_window), 16)
         assert calls == [15]
         assert len(traj.nodes) > 1

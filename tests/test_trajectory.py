@@ -3,16 +3,19 @@ import math
 import random
 import tracemalloc
 from array import array
+from itertools import groupby
 from pathlib import Path
 
 import pytest
 
-from _audits import max_node_discontinuity, points, reference_rows
-from idepca import diffeq, trajectory
+from _audits import (hexes, max_node_discontinuity, points, reference_rows,
+                     solution_reference)
+from idepca import diffeq, quad, trajectory
 from idepca.cli import load_problem, main, validate_problem
 from idepca.diffeq import (TooShort, Verdict, continue_window, discrete_oscillation_check,
                            solve)
 from idepca.exprlang import parse
+from idepca.quad import IntervalKernel, _evaluate
 from idepca.reduction import (
     Direction,
     ProblemSpec,
@@ -222,6 +225,119 @@ class TestExpOverflowInsideInterval:
             validate_problem({**self.DOC, "initial_window": [sign, sign]}).spec, m)
         if m >= 7:     # at m = 3 the samples' A is at most 600, in range
             assert sign * math.inf in traj.samples
+
+
+def reference_samples(ds, sol, m):
+    """Every interval's samples and left limit as reconstruct formed them
+    from evaluated series: z_n, then the solution formula on each series
+    of the interval's kernel evaluated at kernel.n + i/m by quad._evaluate."""
+    samples, lefts = [], []
+    offsets = [i / m for i in range(1, m)]
+    for n in sol.relation_indices():
+        kernel = ds.kernels[n]
+        z_n, z_dev = sol.value(n), sol.value(ds.dev(n))
+        ts = [kernel.n + u for u in offsets]
+        samples += [z_n, *solution_reference(_evaluate(kernel._a, ts), _evaluate(kernel._w, ts),
+                                             kernel.scale, z_n, z_dev)]
+        lefts += solution_reference((kernel.total,), (kernel.weight,), kernel.scale, z_n, z_dev)
+    return samples, lefts
+
+
+PI = "3.141592653589793"
+# kinks on bisection points (piece edges at n + 0.5 and n + 0.75) and off
+# them (near n + 0.3 and n + 0.7)
+KINKED = {
+    "kink-on-edges": {"a": f"abs(sin({PI}*(t - 0.5))) - 0.8",
+                      "b": f"-0.2*abs(cos({PI}*(t - 0.25)))"},
+    "kink-off-edges": {"a": f"-0.5 + 0.3*abs(sin({PI}*(t - 0.3)))",
+                       "b": f"-0.2*abs(sin({PI}*(t - 0.7)))"},
+}
+
+
+class TestOneSweep:
+    """reconstruct takes each interval's samples from its kernel in one sweep
+    (IntervalKernel.solution), or, for a kernel that serves a run of
+    intervals, from the exponentials it takes once (IntervalKernel.factors);
+    both are the solution formula on the evaluated series, bit for bit."""
+
+    def assert_reference(self, spec, m):
+        ds = build_discrete_system(spec)
+        sol = continue_window(ds, spec.initial_window)
+        traj = reconstruct(spec, ds, sol, m)
+        samples, lefts = reference_samples(ds, sol, m)
+        assert hexes(traj.samples) == hexes(samples)
+        assert hexes(rec.z_left for rec in traj.nodes) == hexes(lefts)
+        return ds, traj
+
+    @pytest.mark.parametrize("m", [7, 128])
+    def test_per_interval_single_piece_kernels(self, m):
+        spec = load_problem(REPO / "problems" / "example2.json", {"horizon": 120}).spec
+        ds, _ = self.assert_reference(spec, m)
+        kernels = list(ds.kernels.values())
+        assert len({id(k) for k in kernels}) == len(kernels)
+        assert all(len(k._a) == len(k._w) == 1 for k in kernels)
+
+    @pytest.mark.parametrize("m", [7, 128])
+    @pytest.mark.parametrize("name", sorted(KINKED))
+    def test_bisected_kernels(self, name, m):
+        # at m = 128 samples fall on piece edges (t = n + 0.5, n + 0.75);
+        # A's and W's pieces differ in number and bounds
+        doc = {**KINKED[name], "direction": "delayed", "k": 1, "impulse": "none",
+               "initial_window": [1, 1], "n0": 0, "horizon": 40}
+        ds, traj = self.assert_reference(validate_problem(doc).spec, m)
+        kernel = ds.kernels[5]
+        edges = {p[0] for p in kernel._a[1:]} | {p[0] for p in kernel._w[1:]}
+        assert len(kernel._a) != len(kernel._w)
+        assert bool(edges & {5 + i / m for i in range(m)}) == (m == 128)
+
+    @pytest.mark.parametrize("m", [1, 128])
+    def test_shared_kernel(self, m):
+        spec = load_problem(REPO / "problems" / "example1.json", {"horizon": 240}).spec
+        ds, _ = self.assert_reference(spec, m)
+        assert len({id(k) for k in ds.kernels.values()}) == 1
+
+    @pytest.mark.parametrize("m", [7, 128])
+    def test_exp_overflow_inside(self, m):
+        spec = validate_problem(TestExpOverflowInsideInterval.DOC).spec
+        _, traj = self.assert_reference(spec, m)
+        assert math.inf in traj.samples
+        assert not any(map(math.isnan, traj.samples))
+
+    def test_each_kernel_is_evaluated_once_per_run(self, monkeypatch):
+        # example 2 has one kernel per interval; one kernel made to serve
+        # intervals 10 to 19 and another 25 and 26 make runs of 10 and 2,
+        # each of which takes its factors once, while every other interval
+        # sweeps its own kernel: the path follows the kernels, not the
+        # problem
+        spec = load_problem(REPO / "problems" / "example2.json", {"horizon": 40}).spec
+        ds = build_discrete_system(spec)
+        for n in range(11, 20):
+            ds.kernels[n] = ds.kernels[10]
+        ds.kernels[26] = ds.kernels[25]
+        calls, evaluated = [], []
+        for method in ("solution", "factors"):
+            def counting(self, us, *args, _method=method, _original=getattr(IntervalKernel, method)):
+                calls.append((self, _method))
+                return _original(self, us, *args)
+            monkeypatch.setattr(IntervalKernel, method, counting)
+
+        def evaluate(pieces, ts):
+            evaluated.append(pieces)
+            return _evaluate(pieces, ts)
+
+        monkeypatch.setattr(quad, "_evaluate", evaluate)
+        sol = continue_window(ds, spec.initial_window)
+        traj = reconstruct(spec, ds, sol, 16)
+        runs = [(kernel, len(list(run)))
+                for kernel, run in groupby(ds.kernels[n] for n in sol.relation_indices())]
+        assert [length for _, length in runs if length > 1] == [10, 2]
+        assert calls == [(kernel, "factors" if length > 1 else "solution")
+                         for kernel, length in runs]
+        assert [id(p) for p in evaluated] == [id(p) for kernel, length in runs if length > 1
+                                              for p in (kernel._a, kernel._w)]
+        monkeypatch.setattr(quad, "_evaluate", _evaluate)
+        samples, lefts = reference_samples(ds, sol, 16)
+        assert hexes(traj.samples) == hexes(samples)
 
 
 def t_rows(n_lo, intervals, m):

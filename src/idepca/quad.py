@@ -20,17 +20,19 @@ non-finite sample stops it at once, naming its abscissa.
 
 A kernel samples the interval's solution z = exp(A) (z_n + z_dev G), as
 exp(A) z_n + z_dev exp(A + scale) W with G = exp(scale) W, on a whole
-ascending list of offsets u = t - n at once, forming t = n + u itself, so one kernel can serve every interval whose integrands
-are the same function.  ``IntervalKernel.solution`` does it in one sweep:
-per t it finds the pieces of A and W that t belongs to, forms x once where
-their bounds agree, runs A's Clenshaw recurrence and then W's, and forms z.
+ascending list of offsets u = t - n at once, forming t = n + u itself, so
+one kernel can serve every interval whose integrands are the same
+function.  ``IntervalKernel.solution`` does it in one sweep: per t it
+finds the pieces of A and W that t belongs to, forms x once where their
+bounds agree, runs A's Clenshaw recurrence and then W's, and forms z.
 A kernel that serves a run of intervals takes its exponentials once
 instead (``IntervalKernel.factors``), and each interval of the run is
 then two products and a sum per sample.  :func:`_evaluate` reads one
-series on a list of abscissae: one bisection per interior piece edge finds
-each piece's run of points, and one pass per piece runs the recurrence.
-The weight's integrand takes A this way for a whole sampling round, whose
-Clenshaw-Curtis abscissae descend, by reading the round reversed.
+series on ascending abscissae by the same walk; :func:`_piece` alone says
+which piece a point belongs to.  The weight's integrand takes A this way
+for a whole sampling round, whose Clenshaw-Curtis abscissae descend, by
+reading the round reversed.  Every round yields its values lazily, and
+:func:`_sample` alone stops at the first non-finite one.
 
 :func:`integrate` is the same rule over any finite [lo, hi].  Its error
 estimate is the sum of the accepted pieces' dropped Chebyshev tails, each
@@ -40,12 +42,12 @@ weighted by its piece's length; ``tol`` is the absolute error it accepts.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
-from functools import lru_cache
+from bisect import bisect_right
+from functools import lru_cache, partial
 from itertools import cycle
 from math import exp, inf, isfinite, log, log10, pi, sin
 from operator import itemgetter, mul
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exprlang import _safe_exp
 
@@ -167,45 +169,32 @@ def _cumulative(coeffs: List[float], half: float) -> List[float]:
 
 
 def _evaluate(pieces: Tuple[array, ...], ts: List[float]) -> List[float]:
-    """The running integral at each t of ts, which must ascend.  A t on a
-    piece's edge belongs to the piece on its right; a t left of the first
-    piece or right of the last belongs to that piece.  One bisection of ts
-    per interior piece edge finds each piece's run of points."""
+    """The running integral at each t of ts, which must ascend: one walk,
+    taking t's piece from :func:`_piece` where t reaches the next edge.  The
+    recurrence runs point by point, measured faster than a comprehension per
+    coefficient or iterating the array itself (CPython 3.11)."""
     out: List[float] = []
-    start = 0
-    for piece, edge in zip(pieces, pieces[1:]):
-        stop = bisect_left(ts, edge[0], start)
-        if stop > start:
-            _clenshaw(piece, ts[start:stop], out)
-            start = stop
-    _clenshaw(pieces[-1], ts[start:], out)
-    return out
-
-
-def _clenshaw(piece: array, ts: List[float], out: List[float]) -> None:
-    """Append the piece's running integral at each t of ts to out.  The
-    piece's reversed series is unboxed once, and the recurrence runs point
-    by point: one list comprehension per coefficient over all the points was
-    measured slower, and so was iterating the array itself (CPython 3.11)."""
-    lo, hi, offset, c0 = piece[:4]
-    rest = piece[:3:-1].tolist()
+    edge = -inf      # where the piece in hand ends
     for t in ts:
+        if t >= edge:
+            lo, hi, offset, c0, rest, edge = _piece(pieces, t)
         x = (2.0 * t - lo - hi) / (hi - lo)
         x2 = 2.0 * x
         b1 = b2 = 0.0
         for ck in rest:
             b1, b2 = ck + x2 * b1 - b2, b1
         out.append(offset + (c0 + x * b1 - b2))
+    return out
 
 
-def _running_integral(f: Callable[[List[float]], List[float]], lo: float, hi: float,
+def _running_integral(f: Callable[[List[float]], Iterable[float]], lo: float, hi: float,
                       name: str, n: Optional[int] = None,
                       stage: Optional[str] = None
                       ) -> Tuple[Tuple[array, ...], float, int, float]:
     """Resolve f piece by piece, left to right, and integrate it.
 
-    f maps a sampling round's abscissae to the integrand's values there, in
-    order, up to and including the first non-finite one, where it stops.
+    f maps a sampling round's abscissae to an iterator over the integrand's
+    values there, in order; :func:`_sample` reads it to the first non-finite.
     Returns the running integral F(t) = int_lo^t f as its pieces, F(hi), the
     number of samples of f, and the error estimate: the sum of the accepted
     pieces' dropped Chebyshev tails, each weighted by its piece's length.
@@ -258,26 +247,15 @@ def _running_integral(f: Callable[[List[float]], List[float]], lo: float, hi: fl
 
 
 def _sample(f, mid, half, points, name, n, stage) -> List[float]:
+    """f's values on the round's abscissae; the first non-finite one raises."""
     ts = [mid + half * x for x in points]
-    values = f(ts)
-    if not isfinite(values[-1]):
-        raise NumericFailure(f"{name} is not finite at t = {ts[len(values) - 1]!r}",
-                             n, stage)
+    values: List[float] = []
+    for v in f(ts):
+        values.append(v)
+        if not isfinite(v):
+            raise NumericFailure(f"{name} is not finite at t = {ts[len(values) - 1]!r}",
+                                 n, stage)
     return values
-
-
-def _pointwise(f: Callable[[float], float]) -> Callable[[List[float]], List[float]]:
-    """f as a sampling round: its values at the round's abscissae, one at a
-    time, up to and including the first non-finite one."""
-    def sample(ts):
-        values = []
-        for t in ts:
-            v = f(t)
-            values.append(v)
-            if not isfinite(v):
-                break
-        return values
-    return sample
 
 
 class IntervalKernel:
@@ -299,21 +277,15 @@ class IntervalKernel:
     def __init__(self, fa: Callable[[float], float], fb: Callable[[float], float], n: int):
         self.n = n
         self._a, self.total, _, _ = _running_integral(
-            _pointwise(fa), float(n), float(n + 1), "a", n, "a_n")
+            partial(map, fa), float(n), float(n + 1), "a", n, "a_n")
         A = self._a
         self.scale = scale = max(0.0, -self.total)
 
         def w(ts):
-            # A at the whole round in one pass, on the ascending reversal of
-            # the round's descending abscissae; b point by point, so no
-            # sample of b follows a non-finite weight
-            values = []
-            for s, a in zip(ts, reversed(_evaluate(A, ts[::-1]))):
-                v = _safe_exp(-a - scale) * fb(s)
-                values.append(v)
-                if not isfinite(v):
-                    break
-            return values
+            # A on the round's descending abscissae, read reversed; exp and b
+            # lazily, so no sample of b follows a non-finite weight
+            return map(mul, map(_safe_exp, [-a - scale for a in reversed(_evaluate(A, ts[::-1]))]),
+                       map(fb, ts))
 
         self._w, self.weight, _, _ = _running_integral(
             w, float(n), float(n + 1), "the weight", n, "b_n")
@@ -373,9 +345,9 @@ class IntervalKernel:
 
 
 def _piece(pieces: Tuple[array, ...], t: float):
-    """The piece t belongs to, as in :func:`_evaluate`, as (lo, hi, offset,
-    c0, the rest of the series reversed, where the next piece starts or inf
-    after the last)."""
+    """The piece t belongs to, the one on its right where t is on an edge and
+    the nearest one outside the pieces, as (lo, hi, offset, c0, the rest of
+    the series reversed, where the next piece starts or inf after the last)."""
     i = max(bisect_right(pieces, t, key=itemgetter(0)) - 1, 0)
     piece = pieces[i]
     lo, hi, offset, c0 = piece[:4]
@@ -408,7 +380,7 @@ def integrate(f: Callable[[float], float], lo: float, hi: float,
         raise ValueError("integration bounds must be finite")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    _, total, evaluations, error = _running_integral(_pointwise(f), min(lo, hi),
+    _, total, evaluations, error = _running_integral(partial(map, f), min(lo, hi),
                                                      max(lo, hi), "the integrand")
     if error > tol:
         raise NumericFailure(f"error estimate {error:.3g} on [{lo!r}, {hi!r}] "

@@ -119,9 +119,10 @@ class ProblemSpec:
 
 
 def _scaled(expo: float, value: float, n: int, stage: str) -> float:
-    """value * exp(expo), or the stage's NumericFailure if that overflows.
-    Where it is not finite, value * h * h with h = exp(expo / 2) is tried,
-    since exp(expo) alone can overflow where the product does not."""
+    """value * exp(expo), or the stage's NumericFailure if that overflows;
+    a_n, b_n and Q_n each come out of it.  Where it is not finite,
+    value * h * h with h = exp(expo / 2) is tried, since exp(expo) alone can
+    overflow where the product does not."""
     out = value * _safe_exp(expo) if value != 0.0 else 0.0
     if not math.isfinite(out):
         h = _safe_exp(expo / 2)
@@ -134,11 +135,7 @@ def _scaled(expo: float, value: float, n: int, stage: str) -> float:
 
 def compute_an(spec: ProblemSpec, kernels: Kernels, n: int) -> float:
     """a_n = r_{n+1} * exp(T_n), T_n the integral of a over [n, n+1]."""
-    total = kernels[n].total
-    value = spec.impulse(n + 1) * _safe_exp(total)
-    if not math.isfinite(value):
-        raise NumericFailure(f"exp(T_n) overflowed (T_n = {total!r})", n, "a_n")
-    return value
+    return _scaled(kernels[n].total, spec.impulse(n + 1), n, "a_n")
 
 
 def compute_bn(spec: ProblemSpec, kernels: Kernels, n: int) -> float:

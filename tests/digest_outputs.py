@@ -25,6 +25,9 @@ alpha-past-range-h1000 run past the normal range of alpha (or of
 y_n = alpha_n z_n), which neither Q_n nor any check but alpha_telescoping
 reads: all of them pass check.  So does q-weight-exp-overflow's Q audit,
 but its z_3 underflows, which leaves simulate and check too short a tail.
+an-past-exp-range (a=720, b=0, delayed, k=1, jump factor 1e-10 at horizon
+40) has a_n = 4.9e302 although exp(720) overflows, so coeffs and analyze
+exit 0, and simulate and check exit 3 on the window's short tail.
 far-n0 (a=-1, b=-1/3, delayed, k=1 from n0 = 33554430) builds its one
 kernel on [n0, n0+1], so coeffs exits 0, and the other commands exit 3 on
 its six intervals' short tail; far-n0-reads-t (a = -1 + 0*t, the same
@@ -86,8 +89,9 @@ def _plain(a, b, **keys) -> dict:
 
 # numeric failures of each stage, and problems whose y_n = alpha_n z_n or
 # alpha leaves double range: alpha is subnormal from n = 709 on at h740 and
-# from n = 18 on at h61, and Q_n's weight exp(800) overflows alone while
-# Q_n = 6.8e44 does not in the last
+# from n = 18 on at h61; Q_n's weight exp(800) overflows alone while
+# Q_n = 6.8e44 does not in q-weight-exp-overflow, and exp(720) overflows
+# alone while a_n = 1e-10 exp(720) = 4.9e302 does not in an-past-exp-range
 FAILING = {
     "a-singular": _plain("1/t", "1"),
     "weight-singular": _plain("0", "1/(t - 0.5)"),
@@ -109,6 +113,7 @@ FAILING = {
                                   impulse={"factor": 0.8749578775898675},
                                   initial_window=[1, 1, 1, 1], horizon=61),
     "q-weight-exp-overflow": _plain("-400", "1e-300", horizon=30),
+    "an-past-exp-range": _plain("720", "0", impulse={"factor": 1e-10}, horizon=40),
     # far from the origin the weight is sampled at abscissae rounded to
     # ulp(n), so exp(-A(s)) carries about |a| ulp(n) of relative noise, above
     # the plateau the chop accepts from n = 2^25 on.  Constant coefficients

@@ -381,9 +381,9 @@ class TestIntervalKernel:
 
 
 def test_commands_evaluate_ascending_abscissae(monkeypatch, tmp_path):
-    # _evaluate finds each piece's points by bisection, and the kernel's
-    # sweep walks its pieces left to right, so every caller must pass
-    # ascending abscissae: the weight's integrand, check and simulate
+    # _evaluate and the kernel's sweep both walk the pieces left to right,
+    # taking the next piece where t reaches its edge, so every caller must
+    # pass ascending abscissae: the weight's integrand, check and simulate
     calls = []
     solution = IntervalKernel.solution
 

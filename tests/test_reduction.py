@@ -430,6 +430,31 @@ class TestStageFailures:
             compute_bn(spec, kernels, 0)
         assert exc.value.index == 0
 
+    def test_a_n_past_exp_range(self, tmp_path):
+        # exp(720) overflows alone, while a_n = 1e-10 exp(720) = 4.9e302 does
+        # not; the window's tail is too short for check
+        spec = make_spec(a="720", b="0", k=1, factor=1e-10)
+        kernels = kernels_of(spec, 0)
+        assert kernels[0].total == 720.0
+        assert compute_an(spec, kernels, 0) == 1e-10 * math.exp(360.0) * math.exp(360.0)
+        doc = {"a": "720", "b": "0", "direction": "delayed", "k": 1,
+               "impulse": {"factor": 1e-10}, "initial_window": [1, 1], "n0": 0,
+               "horizon": 40}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        assert main(["coeffs", str(path), "--out", str(tmp_path / "c.csv")]) == 0
+        assert main(["analyze", str(path)]) == 0
+        assert main(["check", str(path)]) == 3
+
+    def test_a_n_overflow(self):
+        # a_0 = e^800 overflows, split or not
+        spec = make_spec(a="800", b="0", factor=None)
+        with pytest.raises(NumericFailure) as exc:
+            compute_an(spec, kernels_of(spec, 0), 0)
+        assert str(exc.value) == ("a_n on [0, 1]: the weighted integral exp(800.0) * 1.0 "
+                                  "overflowed")
+        assert (exc.value.index, exc.value.stage) == (0, "a_n")
+
     def test_b_n_overflow_through_the_jump_factor(self):
         # b_0 = 1e300 * 1e10 overflows although the weighted integral does not
         spec = make_spec(a="0", b="1e10", factor=1e300)

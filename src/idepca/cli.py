@@ -9,8 +9,9 @@ Exit codes: 0 success, 1 invariant failure, 2 input/schema error,
 
 Every command loads exprlang, quad and reduction to read its problem file;
 the modules that only some commands run (diffeq, criteria, trajectory) are
-imported inside the functions that use them.  CSV rows are formatted lines
-(every number at 10 significant digits, ``.10g``) streamed to the file.
+imported inside the functions that use them; analyze builds from the
+first interval its criteria read.  CSV rows are formatted lines (every
+number at 10 significant digits, ``.10g``) streamed to the file.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def _record_dict(r) -> dict:
 def cmd_analyze(pf: ProblemFile, out: Optional[str]) -> int:
     from . import criteria as crit
 
-    ds = build_discrete_system(pf.spec)
+    ds = build_discrete_system(pf.spec, crit.first_read(pf.spec, pf.tail_fraction))
     reports = crit.evaluate_all(ds, pf.tail_fraction)
     doc = {
         "direction": pf.spec.direction.value,

@@ -7,7 +7,7 @@ the threshold as a function of the deviation k (delayed) or l (advanced)
 and the side of the threshold that fires.  Where a_n > 0, Q_n has the sign
 of b_n, so b_n must keep the row's sign of Q.  One evaluator turns a row
 into a ``CriterionReport``; ``evaluate_all`` runs the rows of the system's
-direction.
+direction, and ``first_read`` gives the first interval they read.
 
 liminf/limsup are estimated at desk scale as extrema over a trailing index
 window, with a two-window convergence diagnostic; a criterion only Fires
@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from .quad import NumericFailure
-from .reduction import Direction, DiscreteSystem, TooShort, tail_start
+from .reduction import Direction, DiscreteSystem, ProblemSpec, TooShort, q_range, tail_start
 
 __all__ = [
     "TailKind",
@@ -37,6 +37,7 @@ __all__ = [
     "advanced_sum_threshold",
     "advanced_pointwise_threshold",
     "evaluate_all",
+    "first_read",
     "synthesize_verdict",
     "OSCILLATION_IDS",
     "NONOSCILLATION_IDS",
@@ -76,8 +77,7 @@ def tail_stats(seq: Sequence[float], kind: TailKind, tail_fraction: float = 0.5,
     offset shifts the reported window to absolute indices.
     """
     m = len(seq)
-    if m < 8:
-        raise TooShort(f"need at least 8 points, got {m}")
+    _first_read(m, tail_fraction)   # raises TooShort below 8 points
     i0 = tail_start(m, tail_fraction)
     statistic = _extremum(seq[i0:], kind)
 
@@ -87,6 +87,13 @@ def tail_stats(seq: Sequence[float], kind: TailKind, tail_fraction: float = 0.5,
     scale = max(abs(est_half), abs(est_quarter))
     flag = diff <= _CONVERGENCE_RTOL * scale or diff == 0.0
     return TailStats(statistic, kind, (offset + i0, offset + m - 1), flag)
+
+
+def _first_read(m: int, tail_fraction: float) -> int:
+    """The first of m points tail_stats reads: its tail's or its diagnostic's."""
+    if m < 8:
+        raise TooShort(f"need at least 8 points, got {m}")
+    return min(tail_start(m, tail_fraction), m - max(1, m // 2))
 
 
 # thresholds are computed from integer powers, never hard-coded
@@ -181,32 +188,38 @@ def _preconditions(ds: DiscreteSystem, index_range: range,
     return violations
 
 
-def _moving_sums(values: Sequence[float], start: int, width: int) -> List[float]:
-    """Entry i: fsum of values[i : i + width]; values[0] is Q_start."""
-    sums = []
-    for i in range(len(values) - width + 1):
-        try:
-            sums.append(math.fsum(values[i:i + width]))
-        except OverflowError:
-            n = start + i
-            raise NumericFailure(
-                f"at index {n}: the sum of {width} Q values from Q_{n} overflows", n
-            ) from None
+def _sums(row: Criterion, ds: DiscreteSystem, start: int, stop: int) -> List[float]:
+    """The row's entries at the indices start..stop-1, each an fsum of sign * Q_j."""
+    lo, hi = row.terms(ds.k)
+    values = [row.sign * ds.q(j) for j in range(start + lo, stop + hi)]
+    sums: List[float] = []
+    try:
+        for i in range(stop - start):
+            sums.append(math.fsum(values[i:i + hi - lo + 1]))
+    except OverflowError:
+        n = start + lo + len(sums)
+        raise NumericFailure(f"at index {n}: the sum of {hi - lo + 1} Q values from Q_{n} "
+                             "overflows", n) from None
     return sums
 
 
-def _evaluate(row: Criterion, ds: DiscreteSystem, tail_fraction: float) -> CriterionReport:
-    k = ds.k
+def _entries(row: Criterion, k: int, q_all: range, tail_fraction: float) -> Tuple[int, int, int]:
+    """(n, s, m): the row's m entries are at the indices n.. whose terms
+    n+lo..n+hi all lie in q_all; tail_stats reads them from entry s on."""
     lo, hi = row.terms(k)
-    # positions p = n - q_start whose terms p+lo..p+hi are all Q positions
-    first, last = max(0, -lo), len(ds.q_seq) - 1 - max(0, hi)
-    if last < first:
+    m = len(q_all) - max(0, hi) - max(0, -lo)
+    if m < 1:
         what = "moving sum" if row.direction is _D else "advanced sums"
         raise TooShort(f"not enough Q values for the {what}")
-    values = [row.sign * q for q in ds.q_seq[first + lo:last + hi + 1]]
-    sums = _moving_sums(values, ds.q_start + first + lo, hi - lo + 1)
-    stats = tail_stats(sums, row.kind, tail_fraction, offset=ds.q_start + first)
-    threshold = row.threshold(k)
+    return q_all.start + max(0, -lo), _first_read(m, tail_fraction), m
+
+
+def _evaluate(row: Criterion, ds: DiscreteSystem, tail_fraction: float) -> CriterionReport:
+    n, s, m = _entries(row, ds.k, ds.q_all, tail_fraction)
+    # tail_stats reads no entry before s, so they are neither summed nor built
+    sums = _sums(row, ds, n + s, n + m)
+    stats = tail_stats([None] * s + sums, row.kind, tail_fraction, offset=n)
+    threshold = row.threshold(ds.k)
     margin = stats.statistic - threshold if row.above else threshold - stats.statistic
     violations = _preconditions(ds, range(stats.window[0], stats.window[1] + 1), row.sign)
     if violations:
@@ -220,13 +233,25 @@ def _evaluate(row: Criterion, ds: DiscreteSystem, tail_fraction: float) -> Crite
                            verdict)
 
 
+def _rows(direction: Direction, k: int) -> List[Criterion]:
+    """The rows of a direction; the advanced ones need an advance of at least 2."""
+    return [row for row in CRITERIA if row.direction is direction and (k > 1 or direction is _D)]
+
+
 def evaluate_all(ds: DiscreteSystem, tail_fraction: float = 0.5) -> List[CriterionReport]:
-    """The reports of the system's direction, in row order; the advanced
-    criteria need an advance of at least 2."""
-    if ds.direction is Direction.ADVANCED and ds.k < 2:
-        return []
-    return [_evaluate(row, ds, tail_fraction) for row in CRITERIA
-            if row.direction is ds.direction]
+    """The reports of the system's direction, in row order."""
+    return [_evaluate(row, ds, tail_fraction) for row in _rows(ds.direction, ds.k)]
+
+
+def first_read(spec: ProblemSpec, tail_fraction: float) -> int:
+    """The first interval whose kernel evaluate_all reads, through Q_n (the
+    kernels of n-k..n delayed, n..n+k-1 advanced) or a window's a_n and b_n.
+    Raises TooShort as evaluate_all does."""
+    k, first, lag = spec.k, spec.horizon, spec.k if spec.direction is _D else 0
+    for row in _rows(spec.direction, k):
+        n, s, m = _entries(row, k, q_range(spec, spec.n0), tail_fraction)
+        first = min(first, n + s + row.terms(k)[0] - lag, n + tail_start(m, tail_fraction))
+    return first
 
 
 def synthesize_verdict(reports: Sequence[CriterionReport]) -> str:

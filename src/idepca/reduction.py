@@ -16,13 +16,13 @@ derived, and the reduced-form coefficients Q_n from the same integrals.
 
 Every integral comes from one kernel per interval (quad.IntervalKernel),
 which build_discrete_system makes in index order, from a and b compiled
-once, and keeps on the DiscreteSystem.  Where neither a nor b reads t, every
-interval integrates the same functions, so one kernel, built on
-[n0, n0+1], serves them all.  T_n = I(n, n+1) is a kernel's ``total`` and
-G_n = int_n^{n+1} exp(-I(n, s)) b(s) ds = exp(scale) W_n its ``scale`` and
-``weight``, since I(s, target) = I(n, target) - I(n, s).  So
-b_n = r_{n+1} exp(T_n) G_n.  The reconstruction samples the same kernels
-inside each interval, so every command integrates an interval once.
+once, and keeps on the DiscreteSystem (analyze starts where its criteria
+first read).  Where neither a nor b reads t, one kernel, built on
+[n0, n0+1], serves every interval.  T_n = I(n, n+1) is a kernel's
+``total`` and G_n = int_n^{n+1} exp(-I(n, s)) b(s) ds = exp(scale) W_n its
+``scale`` and ``weight``, since I(s, target) = I(n, target) - I(n, s).
+So b_n = r_{n+1} exp(T_n) G_n.  The reconstruction samples the same
+kernels inside each interval, so no command integrates an interval twice.
 
 Q_n = alpha_{n+1} b_n / alpha_{n -+ k} is computed once, without alpha:
 the weight is aimed at the deviated node, the T_j between n and it are
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from enum import Enum
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .exprlang import Expr, compile_expr, _safe_exp
 from .quad import IntervalKernel, NumericFailure
@@ -52,6 +52,7 @@ __all__ = [
     "compute_an",
     "compute_bn",
     "compute_qn_direct",
+    "q_range",
     "build_discrete_system",
 ]
 
@@ -128,8 +129,7 @@ def _scaled(expo: float, value: float, n: int, stage: str) -> float:
         h = _safe_exp(expo / 2)
         out = value * h * h
     if not math.isfinite(out):
-        raise NumericFailure(f"the weighted integral exp({expo!r}) * {value!r} overflowed",
-                             n, stage)
+        raise NumericFailure(f"exp({expo!r}) * {value!r} overflowed", n, stage)
     return out
 
 
@@ -146,11 +146,11 @@ def compute_bn(spec: ProblemSpec, kernels: Kernels, n: int) -> float:
 
 
 class DiscreteSystem:
-    """Computed coefficient sequences over [n0, horizon]."""
+    """Computed coefficient sequences over [n0, horizon]; a partial build has no alpha_n."""
 
     def __init__(self, n0: int, direction: Direction, k: int, a_seq: List[float],
                  b_seq: List[float], alpha_seq: List[float], q_seq: List[float],
-                 q_start: int, kernels: Kernels):
+                 q_start: int, kernels: Kernels, q_all: Optional[range] = None):
         self.n0, self.direction, self.k = n0, direction, k
         self.a_seq = a_seq          # a_n for n in [n0, horizon)
         self.b_seq = b_seq          # b_n for n in [n0, horizon)
@@ -158,6 +158,7 @@ class DiscreteSystem:
         self.q_seq = q_seq          # Q_n for n in [q_start, q_start + len)
         self.q_start = q_start
         self.kernels = kernels      # the kernel of [n, n+1] for n in [n0, horizon)
+        self.q_all = self.q_indices() if q_all is None else q_all  # built or not
 
     @property
     def horizon(self) -> int:
@@ -213,35 +214,37 @@ def compute_qn_direct(spec: ProblemSpec, kernels: Kernels, n: int) -> float:
     return _scaled(expo + kernel.scale, prod * kernel.weight, n, "Q_n direct")
 
 
-def build_discrete_system(spec: ProblemSpec) -> DiscreteSystem:
+def q_range(spec: ProblemSpec, n0: int) -> range:
+    """The n whose Q_n reads kernels in [n0, horizon) only: n-k..n or n..n+k-1."""
+    delayed = spec.direction is Direction.DELAYED
+    return range(n0 + spec.k if delayed else n0, spec.horizon - (0 if delayed else spec.k - 1))
+
+
+def build_discrete_system(spec: ProblemSpec, first: Optional[int] = None) -> DiscreteSystem:
     """Compute a_n, b_n, alpha_n and Q_n over [n0, horizon], and keep the
-    kernels: one per interval, or one for all where a and b do not read t."""
-    n0, horizon, k = spec.n0, spec.horizon, spec.k
+    kernels: one per interval, or one for all where a and b do not read t.
+    Given first, build no alpha_n and nothing that reads a kernel before it."""
+    n0 = spec.n0 if first is None else first
     fa, fb = compile_expr(spec.a), compile_expr(spec.b)
-    shared = None if fa.reads_x or fb.reads_x else IntervalKernel(fa, fb, n0)
+    shared = None if fa.reads_x or fb.reads_x else IntervalKernel(fa, fb, spec.n0)
     kernels: Kernels = {}
     a_seq: List[float] = []
     b_seq: List[float] = []
-    for n in range(n0, horizon):
+    for n in range(n0, spec.horizon):
         kernels[n] = shared if shared is not None else IntervalKernel(fa, fb, n)
         a_seq.append(compute_an(spec, kernels, n))
         b_seq.append(compute_bn(spec, kernels, n))
 
-    alpha_seq = [1.0]
-    for j in range(n0, horizon):
-        aj = a_seq[j - n0]
+    alpha_seq = [1.0] if first is None else []    # only coeffs and check read alpha
+    for j, aj in enumerate(a_seq if alpha_seq else (), n0):
         if aj == 0.0:
             raise NumericFailure(f"a_{j} = 0; alpha is undefined past index {j}", j)
         alpha_seq.append(alpha_seq[-1] / aj)
 
-    # Q_n exists where the deviated node lies in [n0, horizon]
-    if spec.direction is Direction.DELAYED:
-        q_range = range(n0 + k, horizon)
-    else:
-        q_range = range(n0, horizon - k + 1)
+    built = q_range(spec, n0)
     return DiscreteSystem(
-        n0=n0, direction=spec.direction, k=k,
+        n0=n0, direction=spec.direction, k=spec.k,
         a_seq=a_seq, b_seq=b_seq, alpha_seq=alpha_seq,
-        q_seq=[compute_qn_direct(spec, kernels, n) for n in q_range], q_start=q_range[0],
-        kernels=kernels,
+        q_seq=[compute_qn_direct(spec, kernels, n) for n in built], q_start=built.start,
+        kernels=kernels, q_all=q_range(spec, spec.n0),
     )

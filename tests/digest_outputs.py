@@ -50,6 +50,20 @@ that the parser rejects with exit 2 (an unknown command, a --samples that
 is not an integer and an unknown flag), whose SystemExit code is recorded.
 The battery enters as its drawn data, not as built specs, so the script
 runs against another checkout's src as well.
+analyze builds only from the first interval its criteria read
+(criteria.first_read), and checks the tail's length before it builds
+anything.  Against a version that builds every interval, that moves 8
+analyze lines, and no analyze line that exits 0 there:
+a-singular and weight-singular go from exit 3 to exit 0 (Inconclusive),
+since their only failure is on [0, 1]; b-overflow, a-unresolved,
+a-overflow-weight-singular and a-underflow still exit 3, but name the
+first interval built, or its first Q_n, instead of [0, 1] or alpha; and
+advanced-a300-k3 and far-n0-reads-t still exit 3, but on their short
+tail ("need at least 8 points, got 6" and "got 5"), before the kernel
+failure that the full build meets.  An overflow of a_n, b_n or Q_n reads
+"exp(<expo>) * <value> overflowed", without "the weighted integral",
+which also moves the coeffs, both simulate and the check lines of
+b-overflow and advanced-a300-k3.
 pytest does not collect this file.
 """
 

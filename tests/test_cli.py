@@ -643,7 +643,12 @@ class TestNumericErrors:
     @pytest.mark.parametrize("command,doc,flags,message", [
         *[pytest.param(command, ZERO_A_DOC, [], "a_0 = 0; alpha is undefined past index 0",
                        id=f"zero_a-{command}")
-          for command in ("coeffs", "analyze", "simulate", "check")],
+          for command in ("coeffs", "simulate", "check")],
+        # analyze builds no alpha and starts at index 12; its first Q_n,
+        # Q_15, is aimed back across three intervals where a = -800, and
+        # overflows
+        pytest.param("analyze", ZERO_A_DOC, [], "Q_n direct on [15, 16]: exp(3200.0) * "
+                     "-0.003333333333333412 overflowed", id="zero_a-analyze"),
         *[pytest.param(command, ADVANCED_ZERO_B_DOC, [],
                        "b_1 = 0: advanced recursion cannot be rearranged",
                        id=f"advanced_zero_b-{command}")
@@ -730,10 +735,11 @@ class TestNumericErrors:
         assert res.stdout.splitlines()[1].startswith("PASS alpha_telescoping: max deviation ")
         assert "FAIL" not in res.stdout
 
-    # every Q_n is about 2.5e307, finite, but a sum of 8 of them is not
+    # every Q_n is about 2.5e307, finite, but a sum of 8 of them is not;
+    # the index is that of the first sum the tail reads
     @pytest.mark.parametrize("sign,direction,index", [
-        ("-", "delayed", 8),
-        ("", "advanced", 0),
+        ("-", "delayed", 30),
+        ("", "advanced", 23),
     ])
     def test_criterion_sum_overflow(self, tmp_path, sign, direction, index):
         doc = {"a": "0", "b": f"{sign}2.5e307", "direction": direction, "k": 8,

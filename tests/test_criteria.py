@@ -3,6 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from _battery import get_battery
+from idepca import cli, criteria, quad, reduction
+from idepca.cli import load_problem
 from idepca.criteria import (
     CRITERIA,
     CriterionReport,
@@ -15,12 +18,15 @@ from idepca.criteria import (
     delayed_liminf_threshold,
     delayed_sum_threshold,
     evaluate_all,
+    first_read,
     synthesize_verdict,
     tail_stats,
 )
 from idepca.diffeq import TooShort
 from idepca.quad import NumericFailure
-from idepca.reduction import Direction, DiscreteSystem
+from idepca.reduction import Direction, DiscreteSystem, build_discrete_system
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
 def system_with_q(q_values, k=3, direction=Direction.DELAYED, b_value=-0.3,
@@ -143,11 +149,12 @@ class TestLadasPhilosSficas:
             evaluate_all(ds)
 
     def test_sum_overflow_names_its_index(self):
-        # each Q*_n is finite, but two of them sum past the double range
+        # each Q*_n is finite, but two of them sum past the double range;
+        # of the 28 sums the tail reads the last 14, the first from Q_16
         ds = system_with_q([-1e308] * 30, k=2, b_value=-1e308)
-        with pytest.raises(NumericFailure, match=r"^at index 2: ") as info:
+        with pytest.raises(NumericFailure, match=r"^at index 16: ") as info:
             evaluate_all(ds)
-        assert info.value.index == 2
+        assert info.value.index == 16
 
 
 class TestGyoriLadas:
@@ -305,3 +312,55 @@ class TestTable:
         keys = [line[3:line.index("`", 3)] for line in section.splitlines()
                 if line.startswith("- `")]
         assert keys == list(CriterionReport._fields)
+
+
+class TestPartialBuild:
+    """analyze builds a_n, b_n and Q_n only from first_read on; the criteria
+    read nothing before it."""
+
+    @pytest.mark.parametrize("tail", [0.1, 0.25, 0.5, 0.75, 1.0])
+    def test_partial_system_gives_the_full_reports(self, tail):
+        specs = [load_problem(PROBLEMS / f"{name}.json", horizon).spec
+                 for name in ("example1", "example2") for horizon in (None, {"horizon": 505})]
+        cases = [(spec, build_discrete_system(spec)) for spec in specs]
+        cases += [(inst.spec, inst.ds) for inst in get_battery()]
+        for spec, full in cases:
+            partial = build_discrete_system(spec, first_read(spec, tail))
+            assert evaluate_all(partial, tail) == evaluate_all(full, tail)
+
+    def test_window_of_a_row_that_reads_ahead_is_built(self, monkeypatch):
+        # GyoriLadasA's first term is Q_{n+1}: alone, only its window's a_n
+        # and b_n read interval n
+        rows = tuple(row for row in CRITERIA if row.criterion_id == "GyoriLadasA")
+        monkeypatch.setattr(criteria, "CRITERIA", rows)
+        spec = load_problem(PROBLEMS / "example2.json").spec
+        first = first_read(spec, 0.5)
+        reports = evaluate_all(build_discrete_system(spec, first))
+        assert reports == evaluate_all(build_discrete_system(spec))
+        assert reports[0].window[0] == first
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The index of every kernel constructed."""
+        indices = []
+        build = quad.IntervalKernel
+
+        def counted(fa, fb, n):
+            indices.append(n)
+            return build(fa, fb, n)
+
+        monkeypatch.setattr(reduction, "IntervalKernel", counted)
+        return indices
+
+    def test_analyze_builds_the_kernels_it_reads(self, built, capsys):
+        assert cli.main(["analyze", str(PROBLEMS / "example2.json"), "--horizon", "505"]) == 0
+        assert built == list(range(249, 505))
+        built.clear()
+        # a and b do not read t: one kernel serves every interval
+        assert cli.main(["analyze", str(PROBLEMS / "example1.json")]) == 0
+        assert built == [0]
+
+    def test_too_short_before_any_kernel(self, built, capsys):
+        assert cli.main(["analyze", str(PROBLEMS / "example1.json"), "--horizon", "8"]) == 3
+        assert capsys.readouterr().err == "numeric failure: need at least 8 points, got 5\n"
+        assert built == []

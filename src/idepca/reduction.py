@@ -24,11 +24,11 @@ first read).  Where neither a nor b reads t, one kernel, built on
 So b_n = r_{n+1} exp(T_n) G_n.  The reconstruction samples the same
 kernels inside each interval, so no command integrates an interval twice.
 
-Q_n = alpha_{n+1} b_n / alpha_{n -+ k} is computed once, without alpha:
-the weight is aimed at the deviated node, the T_j between n and it are
-summed and the jump factors multiplied in, so no intermediate leaves
-double range where Q_n does not.  `check` compares it with the product
-spelling of a_n and b_n.
+Q_n = alpha_{n+1} b_n / alpha_{n -+ k}, for the n of q_range, is computed
+once, without alpha: the weight is aimed at the deviated node, the T_j
+between n and it are summed and the jump factors multiplied in, so no
+intermediate leaves double range where Q_n does not.  `check` compares it
+with the product spelling of a_n and b_n.
 """
 
 from __future__ import annotations
@@ -146,19 +146,20 @@ def compute_bn(spec: ProblemSpec, kernels: Kernels, n: int) -> float:
 
 
 class DiscreteSystem:
-    """Computed coefficient sequences over [n0, horizon]; a partial build has no alpha_n."""
+    """Computed coefficient sequences over [n0, horizon]; a partial build has no alpha_n.
+    Q_n exists for n in q_range(self, n0), and q_all is q_range from origin, the problem's n0."""
 
     def __init__(self, n0: int, direction: Direction, k: int, a_seq: List[float],
                  b_seq: List[float], alpha_seq: List[float], q_seq: List[float],
-                 q_start: int, kernels: Kernels, q_all: Optional[range] = None):
+                 kernels: Kernels, origin: int):
         self.n0, self.direction, self.k = n0, direction, k
         self.a_seq = a_seq          # a_n for n in [n0, horizon)
         self.b_seq = b_seq          # b_n for n in [n0, horizon)
         self.alpha_seq = alpha_seq  # alpha_n for n in [n0, horizon]
-        self.q_seq = q_seq          # Q_n for n in [q_start, q_start + len)
-        self.q_start = q_start
+        self.q_seq = q_seq          # Q_n for n in q_indices()
         self.kernels = kernels      # the kernel of [n, n+1] for n in [n0, horizon)
-        self.q_all = self.q_indices() if q_all is None else q_all  # built or not
+        self.q_start = q_range(self, n0).start
+        self.q_all = q_range(self, origin)  # built or not
 
     @property
     def horizon(self) -> int:
@@ -177,7 +178,7 @@ class DiscreteSystem:
         return _at(self.q_seq, self.q_start, n, "Q_n")
 
     def q_indices(self) -> range:
-        return range(self.q_start, self.q_start + len(self.q_seq))
+        return q_range(self, self.n0)
 
     def dev(self, n: int) -> int:
         """The deviated node n - k (delayed) or n + k (advanced)."""
@@ -214,10 +215,11 @@ def compute_qn_direct(spec: ProblemSpec, kernels: Kernels, n: int) -> float:
     return _scaled(expo + kernel.scale, prod * kernel.weight, n, "Q_n direct")
 
 
-def q_range(spec: ProblemSpec, n0: int) -> range:
-    """The n whose Q_n reads kernels in [n0, horizon) only: n-k..n or n..n+k-1."""
-    delayed = spec.direction is Direction.DELAYED
-    return range(n0 + spec.k if delayed else n0, spec.horizon - (0 if delayed else spec.k - 1))
+def q_range(problem, n0: int) -> range:
+    """The n whose Q_n reads kernels in [n0, horizon) only: n-k..n or n..n+k-1;
+    problem, a ProblemSpec or a DiscreteSystem, gives direction, k and horizon."""
+    delayed, k = problem.direction is Direction.DELAYED, problem.k
+    return range(n0 + k if delayed else n0, problem.horizon - (0 if delayed else k - 1))
 
 
 def build_discrete_system(spec: ProblemSpec, first: Optional[int] = None) -> DiscreteSystem:
@@ -241,10 +243,6 @@ def build_discrete_system(spec: ProblemSpec, first: Optional[int] = None) -> Dis
             raise NumericFailure(f"a_{j} = 0; alpha is undefined past index {j}", j)
         alpha_seq.append(alpha_seq[-1] / aj)
 
-    built = q_range(spec, n0)
-    return DiscreteSystem(
-        n0=n0, direction=spec.direction, k=spec.k,
-        a_seq=a_seq, b_seq=b_seq, alpha_seq=alpha_seq,
-        q_seq=[compute_qn_direct(spec, kernels, n) for n in built], q_start=built.start,
-        kernels=kernels, q_all=q_range(spec, spec.n0),
-    )
+    q_seq = [compute_qn_direct(spec, kernels, n) for n in q_range(spec, n0)]
+    return DiscreteSystem(n0=n0, direction=spec.direction, k=spec.k, a_seq=a_seq, b_seq=b_seq,
+                          alpha_seq=alpha_seq, q_seq=q_seq, kernels=kernels, origin=spec.n0)

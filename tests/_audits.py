@@ -38,12 +38,14 @@ def sign_change(u: float, v: float) -> bool:
 
 
 def max_node_discontinuity(traj: Trajectory) -> float:
-    """Largest relative gap between left limit and node value (continuity audit)."""
+    """Largest relative gap between left limit and node value (continuity
+    audit), relative to the larger of the two as check's node consistency
+    measures it, so a gap in a node value below 1 counts in full."""
     worst = 0.0
     for rec in traj.nodes:
         if not math.isfinite(rec.z_right):
             continue
-        gap = abs(rec.z_left - rec.z_right) / max(1.0, abs(rec.z_left))
+        gap = abs(rec.z_left - rec.z_right) / max(1e-300, abs(rec.z_left), abs(rec.z_right))
         worst = max(worst, gap)
     return worst
 

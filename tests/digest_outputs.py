@@ -15,7 +15,10 @@ whose window continuation reaches 0 (underflow-gradual, delayed a=-5,
 b=0.001 at horizon 400, decays through the subnormals; underflow-to-zero,
 delayed a=-41.5, b=0 at horizon 60, steps straight to 0; and
 exact-zeros-kept, advanced k=2, a=0, b=1 at horizon 30, whose window
-[1, 1, 1] gives exact zeros), a=-2, b=-1, delayed, k=1 at horizon 1000, a
+[1, 1, 1] gives exact zeros), two stiff problems whose samples inside an
+interval are wrong (stiff-a40, delayed a=-40, b=0.01 at horizon 40, and
+stiff-a720, advanced k=2, a=-720, b=-1/3 at horizon 30; see STIFF),
+a=-2, b=-1, delayed, k=1 at horizon 1000, a
 problem whose E(t) overflows inside every interval while the skeleton
 stays finite, and both examples under each impulse shape (formula, table,
 table with default, and two that exit 2).
@@ -147,6 +150,16 @@ STOPS = {
                                initial_window=[1, 1, 1], horizon=30),
 }
 
+# stiff intervals, whose interior samples carry about e^-a eps of error
+# (ROADMAP item 25): z > 0 everywhere in stiff-a40, whose continuous
+# verdict still reads Oscillatory, and z = 1 on [1, 2] in stiff-a720, whose
+# samples there reach 5e117, and whose Q_n = -9.4e-317 is subnormal
+STIFF = {
+    "stiff-a40": _plain("-40", "0.01", horizon=40),
+    "stiff-a720": _plain("-720", "-1/3", direction="advanced", k=2,
+                         initial_window=[1, 1, 1], horizon=30),
+}
+
 
 # kinks in a and b split A and W into pieces: at t = n + 0.3 and n + 0.7,
 # off every bisection point (18 and 30 pieces), and at n + 0.5 and n + 0.75,
@@ -198,6 +211,7 @@ def cases():
         }
     yield from FAILING.items()
     yield from STOPS.items()
+    yield from STIFF.items()
     yield "alpha-past-range-h1000", _plain("-2", "-1", horizon=1000)
     # A(t) = 800 sin^2(pi t) with every T_n = 0
     yield "exp-overflow-inside", _plain("2513.2741228718345*sin(6.283185307179586*t)",

@@ -31,15 +31,14 @@ PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 def system_with_q(q_values, k=3, direction=Direction.DELAYED, b_value=-0.3,
                   a_value=0.5):
-    """DiscreteSystem scaffold with prescribed Q values and coefficient signs."""
-    m = len(q_values)
-    size = m + k + 1
-    q_start = k if direction is Direction.DELAYED else 0
+    """DiscreteSystem scaffold with prescribed Q values and coefficient signs,
+    with the m + k (delayed) or m + k - 1 (advanced) a_n of m Q values."""
+    size = len(q_values) + (k if direction is Direction.DELAYED else k - 1)
     return DiscreteSystem(
         n0=0, direction=direction, k=k,
         a_seq=[a_value] * size, b_seq=[b_value] * size,
         alpha_seq=[1.0] * (size + 1),
-        q_seq=[float(q) for q in q_values], q_start=q_start, kernels={},
+        q_seq=[float(q) for q in q_values], kernels={}, origin=0,
     )
 
 

@@ -30,24 +30,13 @@ def fabricate(a_seq, b_seq, k=1, direction=Direction.DELAYED, n0=0):
     alpha = [1.0]
     for v in a_seq:
         alpha.append(alpha[-1] / v if v != 0.0 else math.nan)
-    horizon = n0 + len(a_seq)
-    if direction is Direction.DELAYED:
-        q_start = n0 + k
-        q_range = range(n0 + k, horizon)
-    else:
-        q_start = n0
-        q_range = range(n0, horizon - k + 1)
-    q_seq = []
-    for n in q_range:
-        other = n - k if direction is Direction.DELAYED else n + k
-        denom = alpha[other - n0]
-        if denom == 0.0 or math.isnan(denom):
-            q_seq.append(math.nan)
-        else:
-            q_seq.append(alpha[n + 1 - n0] * b_seq[n - n0] / denom)
-    return DiscreteSystem(n0=n0, direction=direction, k=k, a_seq=a_seq,
-                          b_seq=b_seq, alpha_seq=alpha, q_seq=q_seq,
-                          q_start=q_start, kernels={})
+    ds = DiscreteSystem(n0=n0, direction=direction, k=k, a_seq=a_seq, b_seq=b_seq,
+                        alpha_seq=alpha, q_seq=[], kernels={}, origin=n0)
+    for n in ds.q_indices():
+        denom = ds.alpha(ds.dev(n))
+        ds.q_seq.append(math.nan if denom == 0.0 or math.isnan(denom)
+                        else ds.alpha(n + 1) * ds.b(n) / denom)
+    return ds
 
 
 class TestSolveDelayed:

@@ -361,7 +361,7 @@ class TestDualRoutes:
         # inf <= 1e-8 * inf would otherwise pass the relative test
         ds = DiscreteSystem(n0=0, direction=Direction.ADVANCED, k=1, a_seq=[1.0] * 3,
                             b_seq=[1.0, product, 1.0], alpha_seq=[1.0] * 4,
-                            q_seq=[1.0, q, 1.0], q_start=0, kernels={})
+                            q_seq=[1.0, q, 1.0], kernels={}, origin=0)
         assert cli._q_audit(ds) == ("dual_route_q_audit", False,
                                     f"Q_1 mismatch: direct {q!r} vs product {product!r}")
 

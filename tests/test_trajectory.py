@@ -227,6 +227,44 @@ class TestExpOverflowInsideInterval:
             assert sign * math.inf in traj.samples
 
 
+STIFF = "ROADMAP item 25: a stiff interval's samples carry about e^scale eps of error"
+
+
+class TestStiffInterval:
+    """Constant a < 0 and b, so on [n, n+1] z(n + u) = e^(au) z_n
+    + z_dev b (e^(au) - 1) / a.  A sample is exp(A) z_n + z_dev
+    exp(A + scale) W, scale = -a: W is accurate to about eps |W(n+1)|, and
+    exp(A + scale) reaches e^scale near t = n, so the sample's error grows
+    like e^(-a) eps.  a_n, b_n, Q_n and the node values read W only at
+    n + 1, where exp(A + scale) = 1."""
+
+    @pytest.mark.parametrize("a", [-1, -10, pytest.param(-50, marks=pytest.mark.xfail(
+        strict=True, reason=STIFF))])
+    def test_samples_match_closed_form(self, a):
+        b, m = -1 / 3, 16
+        _, ds, sol, traj = make_pipeline(a=str(a), direction=Direction.ADVANCED, k=2,
+                                         factor=None, horizon=30, samples=m)
+        worst = 0.0
+        for j, z in enumerate(traj.samples):
+            n, u = traj.interval_start + j // m, (j % m) / m
+            z_n, z_dev = sol.value(n), sol.value(ds.dev(n))
+            exact = math.exp(a * u) * z_n + z_dev * b * math.expm1(a * u) / a
+            worst = max(worst, abs(z - exact) / max(abs(z_n), abs(z_dev * b / a)))
+        assert worst <= 1e-9
+
+    @pytest.mark.xfail(strict=True, reason=STIFF)
+    def test_positive_solution_is_not_oscillatory(self, tmp_path):
+        # b > 0 keeps every z_n > 0, and then z > 0 on every interval too
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps({"a": "-40", "b": "0.01", "direction": "delayed", "k": 1,
+                                    "impulse": "none", "initial_window": [1, 1], "n0": 0,
+                                    "horizon": 40}))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "s")]) == 0
+        verdicts = json.loads((tmp_path / "s.verdicts.json").read_text())
+        assert verdicts["discrete"]["verdict"] == "EventuallyPositive"
+        assert verdicts["continuous"]["verdict"] == "EventuallyPositive"
+
+
 def reference_samples(ds, sol, m):
     """Every interval's samples and left limit as reconstruct formed them
     from evaluated series: z_n, then the solution formula on each series

@@ -1,27 +1,32 @@
 """Command line interface: problem-file ingestion and machine-readable output.
 
-One parser reads ``idepca <command> <problem> [flags]`` for the four
-commands that ``idepca -h`` lists.  simulate and check share one run, so
-check audits what simulate writes.
+``idepca <command> <problem> [flags]`` takes the four commands that
+``idepca -h`` lists and the four flags, declared once in COMMANDS and
+FLAGS.  read_strict reads a command line in the strict form (the command,
+the problem, then separate ``--flag value`` pairs); argparse is imported
+only to read any other, so it alone writes help and errors.  simulate and
+check share one run, so check audits what simulate writes, with the
+invariants of idepca.invariants.
 
 Exit codes: 0 success, 1 invariant failure, 2 input/schema error,
 3 numeric failure.
 
 Every command loads exprlang, quad and reduction to read its problem file;
-the modules that only some commands run (diffeq, criteria, trajectory) are
-imported inside the functions that use them; analyze builds from the
-first interval its criteria read.  CSV rows are formatted lines (every
-number at 10 significant digits, ``.10g``) streamed to the file.
+the modules that only some commands run (diffeq, criteria, trajectory,
+invariants) are imported inside the functions that use them; analyze
+builds from the first interval its criteria read.  CSV rows are formatted
+lines (every number at 10 significant digits, ``.10g``) streamed to the
+file.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 from enum import Enum
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
 from .exprlang import Expr, ParseError, compile_expr, parse
@@ -38,6 +43,22 @@ EXIT_NUMERIC = 3
 
 class SchemaError(Exception):
     pass
+
+
+# the four commands and the four flags (type, default, help), which both
+# build_parser and read_strict read
+COMMANDS = {
+    "coeffs": "write the coefficient table as CSV",
+    "analyze": "evaluate oscillation criteria and write a JSON report",
+    "simulate": "solve and reconstruct the trajectory",
+    "check": "run all per-instance consistency invariants",
+}
+FLAGS = {
+    "--out": (str, None, "output path (coeffs/analyze) or prefix (simulate)"),
+    "--tail": (float, None, "override tail fraction"),
+    "--samples": (int, 32, "trajectory samples per unit interval"),
+    "--horizon": (int, None, "override the index horizon"),
+}
 
 
 _ALLOWED_KEYS = {
@@ -263,120 +284,60 @@ def cmd_simulate(pf: ProblemFile, prefix: str, samples: int) -> int:
     return EXIT_OK
 
 
-def _invariant(name: str, bound: float, what: str, residuals):
-    """(name, ok, detail) of "every residual r of the pairs (n, r) is finite
-    and at most bound"; the detail names the first n whose r is not finite."""
-    worst = 0.0
-    for n, r in residuals:
-        if not math.isfinite(r):
-            return name, False, f"{what} at index {n} is {r!r}"
-        worst = max(worst, r)
-    return name, worst <= bound, f"max {what} {worst:.3e}"
-
-
-def _span(ds, n: int, x: float, power: int) -> float:
-    """x * span_n ** power (power 1 or -1), span_n = alpha_dev(n) / alpha_{n+1}
-    spelled from a_n alone: a_{n-k} ... a_n delayed, 1 / (a_{n+1} ... a_{n+k-1})
-    advanced.  The factors are applied to x one at a time, since span_n can
-    leave double range where x and the result do not (jump factor 1e-200, k = 1)."""
-    delayed = ds.direction is Direction.DELAYED
-    for j in range(n - ds.k, n + 1) if delayed else range(n + 1, n + ds.k):
-        x = x * ds.a(j) if (power > 0) == delayed else x / ds.a(j)
-    return x
-
-
-def _q_audit(ds):
-    """(name, ok, detail) of "every Q_n agrees with its product spelling
-    b_n / span_n from a_n and b_n".  Agreement is relative, to 1e-8, and a
-    value that is not finite never agrees; the detail names the first n
-    that fails."""
-    for n, q in zip(ds.q_indices(), ds.q_seq):
-        product = _span(ds, n, ds.b(n), -1)
-        if not (math.isfinite(q) and math.isfinite(product)
-                and abs(q - product) <= 1e-8 * max(abs(q), abs(product))):
-            return ("dual_route_q_audit", False,
-                    f"Q_{n} mismatch: direct {q!r} vs product {product!r}")
-    return "dual_route_q_audit", True, f"{len(ds.q_seq)} indices compared"
-
-
-def _check_instance(pf: ProblemFile, samples: int):
-    """Every per-instance invariant of simulate's run, as (name, ok, detail)."""
-    from .diffeq import Verdict
-
-    ds, sol, traj, discrete, continuous = _simulation(pf, samples)
-    yield _q_audit(ds)
-
-    # every residual is relative to the terms of its own interval n
-    def relative(gap, *sizes):
-        return abs(gap) / max(1e-300, *map(abs, sizes))
-
-    # alpha is read nowhere else, so only the alpha_{n+1} that coeffs
-    # writes is measured
-    yield _invariant("alpha_telescoping", 1e-12, "deviation", (
-        (n, relative(ds.alpha(n + 1) * ds.a(n) - ds.alpha(n), ds.alpha(n)))
-        for n in range(ds.n0, ds.horizon) if in_range(ds.alpha(n + 1))))
-
-    z = sol.value
-    terms = {n: (ds.a(n) * z(n), ds.b(n) * z(ds.dev(n))) for n in sol.relation_indices()}
-    yield _invariant("recursion_residual", 1e-9, "relative residual", (
-        (n, relative(z(n + 1) - (az + bz), z(n + 1), abs(az) + abs(bz)))
-        for n, (az, bz) in terms.items()))
-
-    # y_{n+1} - y_n - Q_n y_dev(n), y_n = alpha_n z_n, divided by alpha_{n+1},
-    # so it is measured wherever z and Q_n are finite, whatever alpha does
-    qz = {n: _span(ds, n, ds.q(n), 1) * z(ds.dev(n)) for n in terms if n in ds.q_indices()}
-    yield _invariant("reduced_form_residual", 1e-8, "relative residual", (
-        (n, relative(z(n + 1) - terms[n][0] - q, z(n + 1), abs(terms[n][0]) + abs(q)))
-        for n, q in qz.items()))
-
-    # the terms of interval n also keep a window 0 from being measured
-    # against a rounding residue in z_left
-    yield _invariant("node_consistency", 1e-7, "relative gap", (
-        (rec.n, relative(rec.jump_factor * rec.z_left - rec.z_right,
-                         rec.z_right, rec.z_left, sum(map(abs, terms[rec.n - 1]))))
-        for rec in traj.nodes if math.isfinite(rec.z_right)))
-
-    if discrete.verdict is Verdict.OSCILLATORY:
-        ok = continuous.verdict is Verdict.OSCILLATORY
-        yield ("discrete_to_continuous_transfer", ok,
-               f"discrete {discrete.verdict.value}, continuous {continuous.verdict.value}")
-
-
 def cmd_check(pf: ProblemFile, samples: int) -> int:
+    from .invariants import check_instance
+
     # every invariant runs before the first line is printed, so a numeric
     # failure (exit 3) leaves stdout empty rather than a partial report
-    results = list(_check_instance(pf, samples))
+    results = list(check_instance(*_simulation(pf, samples)))
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_INVARIANT
 
 
-def build_parser() -> argparse.ArgumentParser:
-    commands = {
-        "coeffs": "write the coefficient table as CSV",
-        "analyze": "evaluate oscillation criteria and write a JSON report",
-        "simulate": "solve and reconstruct the trajectory",
-        "check": "run all per-instance consistency invariants",
-    }
+def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="idepca",
         description="Oscillation analysis of linear impulsive systems with\n"
                     "piecewise constant deviating arguments.",
         formatter_class=argparse.RawTextHelpFormatter,
     )
-    parser.add_argument("command", choices=tuple(commands), help="\n".join(
-        f"{name:<9} {text}" for name, text in commands.items()))
+    parser.add_argument("command", choices=tuple(COMMANDS), help="\n".join(
+        f"{name:<9} {text}" for name, text in COMMANDS.items()))
     parser.add_argument("problem", help="path to a JSON problem file")
-    parser.add_argument("--out", help="output path (coeffs/analyze) or prefix (simulate)")
-    parser.add_argument("--tail", type=float, help="override tail fraction")
-    parser.add_argument("--samples", type=int, default=32,
-                        help="trajectory samples per unit interval")
-    parser.add_argument("--horizon", type=int, help="override the index horizon")
+    for flag, (kind, default, text) in FLAGS.items():
+        parser.add_argument(flag, type=kind, default=default, help=text)
     return parser
 
 
+def read_strict(argv: list) -> Optional[SimpleNamespace]:
+    """What build_parser().parse_args(argv) returns, for an argv in the
+    strict form: the command, the problem, then flags of FLAGS, each at most
+    once and each a separate pair whose value does not start with "-" and
+    converts by the flag's type.  None for any other argv (help,
+    abbreviations, --flag=value, negative numbers, flags before the
+    problem, every error), which argparse reads instead."""
+    flags, values = argv[2::2], argv[3::2]
+    if (len(argv) < 2 or len(flags) != len(values) or argv[0] not in COMMANDS
+            or argv[1].startswith("-") or len(set(flags)) != len(flags)):
+        return None
+    args = SimpleNamespace(command=argv[0], problem=argv[1],
+                           **{flag[2:]: default for flag, (_, default, _) in FLAGS.items()})
+    for flag, value in zip(flags, values):
+        if flag not in FLAGS or value.startswith("-"):
+            return None
+        try:
+            setattr(args, flag[2:], FLAGS[flag][0](value))
+        except ValueError:
+            return None
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = read_strict(argv) or build_parser().parse_args(argv)
     flags = {"tail_fraction": args.tail, "horizon": args.horizon}
     try:
         pf = load_problem(args.problem, {k: v for k, v in flags.items() if v is not None})

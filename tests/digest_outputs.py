@@ -48,9 +48,14 @@ same from n0 = -5 to horizon 20) formats t sample by sample on its
 intervals with n <= 0.  Last come the benchmark's
 simulate-dense operations,
 simulate --samples 128 on example 1 at horizon 240 and on example 2 at
-horizon 505, with its flags, and then three command lines on example 1
+horizon 505, with its flags, then three command lines on example 1
 that the parser rejects with exit 2 (an unknown command, a --samples that
-is not an integer and an unknown flag), whose SystemExit code is recorded.
+is not an integer and an unknown flag), whose SystemExit code is recorded,
+and last four on example 1 that cli.read_strict declines and argparse
+reads and runs (ARGPARSE): coeffs --hor 30, simulate --samples=4 --out
+problem and --horizon 30 coeffs, which give the same bytes as their
+strict-form twins (tests/test_cli.py checks it), and -h, whose exit 0
+is recorded.
 The battery enters as its drawn data, not as built specs, so the script
 runs against another checkout's src as well.
 analyze builds only from the first interval its criteria read
@@ -87,6 +92,7 @@ from _battery import HORIZON, draws  # noqa: E402
 from idepca.cli import main  # noqa: E402
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+PROBLEM = "problem.json"
 COMMANDS = (["coeffs"], ["analyze"], ["simulate", "--samples", "4"],
             ["simulate", "--samples", "1"], ["check"])
 SEVEN = ["simulate", "--samples", "7"]
@@ -95,6 +101,15 @@ DENSE = (("example1", ["simulate", "--horizon", "240", "--samples", "128"]),
          ("example2", ["simulate", "--horizon", "505", "--samples", "128"]))
 PARSER_ERRORS = (["frobnicate"], ["check", "--samples", "x"],
                  ["coeffs", "--no-such-flag", "1"])
+# whole command lines that cli.read_strict declines and argparse reads and
+# runs: an abbreviation, --flag=value and a flag before the positionals,
+# each with the strict-form twin whose outputs it gives, and -h, which has
+# none
+ARGPARSE = ((["coeffs", PROBLEM, "--hor", "30"], ["coeffs", PROBLEM, "--horizon", "30"]),
+            (["simulate", PROBLEM, "--samples=4", "--out", "problem"],
+             ["simulate", PROBLEM, "--samples", "4"]),
+            (["--horizon", "30", "coeffs", PROBLEM], ["coeffs", PROBLEM, "--horizon", "30"]),
+            (["-h"], None))
 
 
 def _plain(a, b, **keys) -> dict:
@@ -221,19 +236,25 @@ def cases():
             yield f"{name}-{shape}", {**_shipped(name), "impulse": impulse}
 
 
-def digest(doc: dict, command: list, directory: Path) -> tuple:
-    """(exit code, sha256 hex) of one operation run in directory; the code
-    of a SystemExit, as the parser raises, is recorded like a return."""
+def strict(command: list) -> list:
+    """The command line of command (its name, then its flags) on PROBLEM."""
+    return [command[0], PROBLEM, *command[1:]]
+
+
+def digest(doc: dict, argv: list, directory: Path) -> tuple:
+    """(exit code, sha256 hex) of one operation, argv with doc as PROBLEM,
+    run in directory; the code of a SystemExit, as the parser raises, is
+    recorded like a return."""
     for old in directory.iterdir():
         old.unlink()
-    problem = directory / "problem.json"
+    problem = directory / PROBLEM
     problem.write_text(json.dumps(doc), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(directory)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command[0], problem.name, *command[1:]])
+            code = main(argv)
     except SystemExit as exc:
         code = exc.code
     finally:
@@ -249,18 +270,22 @@ def digest(doc: dict, command: list, directory: Path) -> tuple:
 
 def run() -> None:
     with tempfile.TemporaryDirectory() as tmp:
+        def emit(name, doc, argv):
+            code, sha = digest(doc, argv, Path(tmp))
+            print(f"{name} {' '.join(a for a in argv if a != PROBLEM)} {code} {sha}",
+                  flush=True)
+
         for name, doc in cases():
             for command in COMMANDS:
-                code, sha = digest(doc, command, Path(tmp))
-                print(f"{name} {' '.join(command)} {code} {sha}", flush=True)
+                emit(name, doc, strict(command))
         for group, extra in ((BISECTED, (SEVEN,)), (TIME_EDGES, (SEVEN, TWENTY))):
             for name, doc in group.items():
                 for command in (*COMMANDS, *extra):
-                    code, sha = digest(doc, command, Path(tmp))
-                    print(f"{name} {' '.join(command)} {code} {sha}", flush=True)
+                    emit(name, doc, strict(command))
         for name, command in (*DENSE, *(("example1", c) for c in PARSER_ERRORS)):
-            code, sha = digest(_shipped(name), command, Path(tmp))
-            print(f"{name} {' '.join(command)} {code} {sha}", flush=True)
+            emit(name, _shipped(name), strict(command))
+        for argv, _ in ARGPARSE:
+            emit("example1", _shipped("example1"), argv)
 
 
 if __name__ == "__main__":

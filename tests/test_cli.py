@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 import random
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from _battery import HORIZON, draws, get_battery
-from idepca import cli, diffeq, quad, reduction, trajectory
+from idepca import cli, diffeq, invariants, quad, reduction, trajectory
 from idepca.quad import NumericFailure
 
 REPO = Path(__file__).resolve().parent.parent
@@ -413,7 +414,7 @@ class TestCheck:
                              ids=["span-underflow", "q-weight-exp-overflow"])
     def test_past_alpha_range_q_audit_passes(self, doc):
         ds = reduction.build_discrete_system(cli.validate_problem(doc).spec)
-        assert cli._q_audit(ds) == ("dual_route_q_audit", True,
+        assert invariants.q_audit(ds) == ("dual_route_q_audit", True,
                                     f"{len(ds.q_seq)} indices compared")
 
     # z_3 underflows on both, so the continuation is cut at 3 and leaves a
@@ -547,6 +548,93 @@ def test_readme_common_flags_match_parser():
     (command,) = [action for action in parser._actions if action.dest == "command"]
     section = text[text.index("## Command line"):text.index("## Start-up")]
     assert list(command.choices) == re.findall(r"^idepca (\w+) problems/", section, re.M)
+
+
+class TestStrictReader:
+    """cli.read_strict reads a command line without argparse exactly as
+    argparse would, or declines it; argparse then reads it."""
+
+    VALUES = (*cli.COMMANDS, "p.json", "-", "-5", "", "x", "4", "1.5", "nan")
+    OPTIONS = ("--out", "--tail", "--samples", "--horizon", "--hor", "--samples=4", "--", "-h")
+    ALPHABET = VALUES + OPTIONS
+
+    @classmethod
+    def longer_argvs(cls, count, seed=20251021):
+        """count argvs of 5 to 9 tokens: half drawn token by token from the
+        alphabet, half shaped like the strict form (a command, a value, then
+        pairs of a distinct flag and a value), so that the reader accepts
+        some with several flags."""
+        rng = random.Random(seed)
+        for i in range(count):
+            size = rng.randint(5, 9)
+            if i % 2:
+                yield [rng.choice(cls.ALPHABET) for _ in range(size)]
+            else:
+                argv = [rng.choice(tuple(cli.COMMANDS)), rng.choice(cls.VALUES)]
+                for flag in rng.sample(tuple(cli.FLAGS), (size - 1) // 2):
+                    argv += [flag, rng.choice(cls.VALUES)]
+                yield argv
+
+    def test_agrees_with_argparse_wherever_it_accepts(self):
+        parser = cli.build_parser()
+        short = (list(argv) for size in range(5)
+                 for argv in itertools.product(self.ALPHABET, repeat=size))
+        accepted = {"short": 0, "longer": 0}
+        for label, argvs in (("short", short), ("longer", self.longer_argvs(20_000))):
+            for argv in argvs:
+                args = cli.read_strict(argv)
+                if args is None:
+                    continue
+                accepted[label] += 1
+                try:
+                    expected = parser.parse_args(argv)
+                except SystemExit:
+                    pytest.fail(f"argparse exits on {argv!r}, which the reader accepts")
+                # repr, so that nan compares equal to nan and 4 differs from 4.0
+                assert repr(sorted(vars(args).items())) == repr(sorted(vars(expected).items()))
+        # a command and a problem that does not start with "-" (4 x 10), then
+        # at most one flag with a value its type takes (10 + 3 + 1 + 1)
+        assert accepted["short"] == 40 + 40 * 15
+        assert accepted["longer"] > 200
+
+    def test_accepts_the_measured_command_lines(self, tmp_path):
+        import digest_outputs as dig
+
+        # the benchmark's modules (workloads, checks, problems, oracle) are
+        # imported by bare name, so they leave sys.modules afterwards
+        bench = REPO / "perfbench"
+        sys.path.insert(0, str(bench))
+        try:
+            import workloads
+
+            measured = [[arg.replace("{out}", "out") for arg in op.args]
+                        for build in workloads.BUILDERS.values()
+                        for op in build(REPO, tmp_path / "work", 1).ops]
+        finally:
+            sys.path.remove(str(bench))
+            for name, module in list(sys.modules.items()):
+                if Path(getattr(module, "__file__", None) or "/").parent == bench:
+                    del sys.modules[name]
+        measured += [dig.strict(command)
+                     for command in (*dig.COMMANDS, dig.SEVEN, dig.TWENTY,
+                                     *(command for _, command in dig.DENSE))]
+        assert len(measured) > 100
+        assert [argv for argv in measured if cli.read_strict(argv) is None] == []
+        # the digest's argparse cases are declined, and their twins accepted
+        for argv, twin in dig.ARGPARSE:
+            assert cli.read_strict(argv) is None
+            assert twin is None or cli.read_strict(twin) is not None
+
+    def test_argparse_cases_match_their_strict_twins(self, tmp_path):
+        import digest_outputs as dig
+
+        doc = dig._shipped("example1")
+        for argv, twin in dig.ARGPARSE:
+            code, sha = dig.digest(doc, argv, tmp_path)
+            if twin is None:
+                assert code == 0
+            else:
+                assert (code, sha) == dig.digest(doc, twin, tmp_path) and code == 0
 
 
 class TestCheckAuditsSimulate:

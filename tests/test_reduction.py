@@ -9,7 +9,7 @@ import pytest
 
 from _audits import q_by_alpha_ratio, respec
 from _battery import get_battery
-from idepca import cli, reduction
+from idepca import cli, invariants, reduction
 from idepca.cli import _parse_impulse, load_problem, main, validate_problem
 from idepca.diffeq import continue_window
 from idepca.exprlang import compile_expr, parse
@@ -234,7 +234,7 @@ class TestAlpha:
         ds = build_discrete_system(spec)
         assert 0.0 < abs(ds.alpha(242)) < sys.float_info.min
         assert ds.q_indices() == range(0, 244)
-        assert cli._q_audit(ds) == ("dual_route_q_audit", True, "244 indices compared")
+        assert invariants.q_audit(ds) == ("dual_route_q_audit", True, "244 indices compared")
 
 
 class TestBuildDelayed:
@@ -350,7 +350,7 @@ class TestDualRoutes:
                 direct = compute_qn_direct(spec, ds.kernels, n)
                 assert ds.q(n) == direct
                 assert abs(ratio - direct) <= 1e-12 * max(abs(ratio), abs(direct))
-            assert cli._q_audit(ds) == ("dual_route_q_audit", True,
+            assert invariants.q_audit(ds) == ("dual_route_q_audit", True,
                                         f"{len(ds.q_seq)} indices compared")
 
     @pytest.mark.parametrize("q,product", [
@@ -362,7 +362,7 @@ class TestDualRoutes:
         ds = DiscreteSystem(n0=0, direction=Direction.ADVANCED, k=1, a_seq=[1.0] * 3,
                             b_seq=[1.0, product, 1.0], alpha_seq=[1.0] * 4,
                             q_seq=[1.0, q, 1.0], kernels={}, origin=0)
-        assert cli._q_audit(ds) == ("dual_route_q_audit", False,
+        assert invariants.q_audit(ds) == ("dual_route_q_audit", False,
                                     f"Q_1 mismatch: direct {q!r} vs product {product!r}")
 
     @pytest.mark.parametrize("wrong", [lambda q: 0.0, lambda q: 2.0 * q],
@@ -374,7 +374,7 @@ class TestDualRoutes:
         monkeypatch.setattr(reduction, "compute_qn_direct", lambda spec, kernels, n: (
             wrong(direct(spec, kernels, n)) if n == 6 else direct(spec, kernels, n)))
         ds = build_discrete_system(make_spec(b="1e-12", k=1, horizon=12))
-        name, ok, detail = cli._q_audit(ds)
+        name, ok, detail = invariants.q_audit(ds)
         assert (name, ok) == ("dual_route_q_audit", False)
         assert detail.startswith("Q_6 mismatch: direct ")
 

@@ -18,16 +18,18 @@ length, since that is what the piece contributes to the integral.  The
 rule has no tolerance parameter: it resolves to machine precision.  A
 non-finite sample stops it at once, naming its abscissa.
 
-A kernel samples the interval's solution z = exp(A) (z_n + z_dev G), as
-exp(A) z_n + z_dev exp(A + scale) W with G = exp(scale) W, on a whole
+The interval's solution z = exp(A) (z_n + z_dev G) is sampled one way,
+as exp(A) z_n + z_dev exp(A + scale) W with G = exp(scale) W, on a whole
 ascending list of offsets u = t - n at once, forming t = n + u itself, so
 one kernel can serve every interval whose integrands are the same
-function.  ``IntervalKernel.solution`` does it in one sweep: per t it
-finds the pieces of A and W that t belongs to, forms x once where their
-bounds agree, runs A's Clenshaw recurrence and then W's, and forms z.
-A kernel that serves a run of intervals takes its exponentials once
-instead (``IntervalKernel.factors``), and each interval of the run is
-then two products and a sum per sample.  :func:`_evaluate` reads one
+function.  ``IntervalKernel.factors`` takes the exponentials in one
+sweep: per t it finds the pieces of A and W that t belongs to, forms x
+once where their bounds agree, and runs A's Clenshaw recurrence and then
+W's.  Each interval the kernel serves is then two products and a sum per
+sample (``IntervalKernel.values``).  Where an exponential overflows,
+every value of the interval, and a left limit at n+1 whose exponentials
+overflow, takes the one overflow form, :func:`_overflowed`.
+:func:`_evaluate` reads one
 series on ascending abscissae by the same walk; :func:`_piece` alone says
 which piece a point belongs to.  The weight's integrand takes A this way
 for a whole sampling round, whose Clenshaw-Curtis abscissae descend, by
@@ -47,7 +49,7 @@ from functools import lru_cache, partial
 from itertools import cycle
 from math import exp, inf, isfinite, log, log10, pi, sin
 from operator import itemgetter, mul
-from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from .exprlang import _safe_exp
 
@@ -290,18 +292,18 @@ class IntervalKernel:
         self._w, self.weight, _, _ = _running_integral(
             w, float(n), float(n + 1), "the weight", n, "b_n")
 
-    def solution(self, us: List[float], z_n: float, z_dev: float) -> List[float]:
-        """z = exp(A) z_n + z_dev exp(A + scale) W at t = n + u for ascending
-        offsets u of us in [0, 1]: the interval's solution from z_n and the
-        deviated value z_dev.  If an exp overflows, every z is formed as
-        :func:`_solution` forms it then.
+    def factors(self, us: List[float]) -> Optional[List[Tuple[float, float]]]:
+        """(E, E G) = (exp(A), exp(A + scale) W) at t = n + u for ascending
+        offsets u of us in [0, 1], or None where an exp overflows; every
+        interval the kernel serves takes its values from them by
+        :meth:`values`.
 
         One sweep: per t, x is formed once where A's and W's pieces share
         their bounds, and A's Clenshaw recurrence runs, then W's, with the
         floating-point operations of :func:`_evaluate` in its order.
         """
         n, scale = self.n, self.scale
-        out: List[float] = []
+        out: List[Tuple[float, float]] = []
         edge = -inf      # where the pieces in hand end
         try:
             for u in us:
@@ -323,25 +325,30 @@ class IntervalKernel:
                 b1 = b2 = 0.0
                 for ck in w_rest:
                     b1, b2 = ck + x2 * b1 - b2, b1
-                out.append(exp(a) * z_n
-                           + z_dev * (exp(a + scale) * (w_offset + (w0 + x * b1 - b2))))
-        except OverflowError:
-            ts = [n + u for u in us]
-            return _solution(_evaluate(self._a, ts), _evaluate(self._w, ts), scale, z_n, z_dev)
-        return out
-
-    def factors(self, us: List[float]) -> Optional[List[Tuple[float, float]]]:
-        """(E, G) = (exp(A), exp(A + scale) W) at t = n + u for ascending
-        offsets u of us in [0, 1], for a kernel that serves several
-        intervals: an interval's e z_n + z_dev g are then the bits of
-        ``solution(us, z_n, z_dev)``.  None where an exp overflows."""
-        ts = [self.n + u for u in us]
-        scale = self.scale
-        try:
-            return [(exp(a), exp(a + scale) * w)
-                    for a, w in zip(_evaluate(self._a, ts), _evaluate(self._w, ts))]
+                out.append((exp(a), exp(a + scale) * (w_offset + (w0 + x * b1 - b2))))
         except OverflowError:
             return None
+        return out
+
+    def values(self, factors: Optional[List[Tuple[float, float]]], us: List[float],
+               z_n: float, z_dev: float) -> List[float]:
+        """The interval's solution z = E z_n + z_dev (E G) at t = n + u from z_n
+        and the deviated value z_dev, given ``factors(us)``.  Where those are
+        None, every z is :func:`_overflowed`'s form instead."""
+        if factors is None:
+            ts = [self.n + u for u in us]
+            return _overflowed(zip(_evaluate(self._a, ts), _evaluate(self._w, ts)),
+                               self.scale, z_n, z_dev)
+        return [e * z_n + z_dev * g for e, g in factors]
+
+    def left_limit(self, z_n: float, z_dev: float) -> float:
+        """z at n+1 by the rule of :meth:`values`, from A(n+1) = T_n and
+        W(n+1) as the kernel holds them."""
+        total, weight, scale = self.total, self.weight, self.scale
+        try:
+            return exp(total) * z_n + z_dev * (exp(total + scale) * weight)
+        except OverflowError:
+            return _overflowed(((total, weight),), scale, z_n, z_dev)[0]
 
 
 def _piece(pieces: Tuple[array, ...], t: float):
@@ -355,17 +362,13 @@ def _piece(pieces: Tuple[array, ...], t: float):
     return lo, hi, offset, c0, piece[:3:-1].tolist(), end
 
 
-def _solution(expos: Sequence[float], ws: Sequence[float], scale: float, z_n: float,
-              z_dev: float) -> List[float]:
-    """z = E z_n + z_dev exp(I + scale) W at each (I, W), E = exp(I).  If any
-    exp overflows, every z is E (z_n + z_dev exp(scale) W) instead, which is
-    +-inf, not nan, where E is inf."""
-    try:
-        return [exp(expo) * z_n + z_dev * (exp(expo + scale) * w)
-                for expo, w in zip(expos, ws)]
-    except OverflowError:
-        g = _safe_exp(scale)
-        return [_safe_exp(expo) * (z_n + z_dev * (g * w)) for expo, w in zip(expos, ws)]
+def _overflowed(aws: Iterable[Tuple[float, float]], scale: float, z_n: float,
+                z_dev: float) -> List[float]:
+    """z = E (z_n + z_dev exp(scale) W) at each (A, W), E = exp(A): the
+    solution where exp(A) or exp(A + scale) overflows, which is +-inf, not
+    nan, where E is inf."""
+    g = _safe_exp(scale)
+    return [_safe_exp(a) * (z_n + z_dev * (g * w)) for a, w in aws]
 
 
 # -- the rule over any interval ------------------------------------------------

@@ -9,15 +9,14 @@ where z_dev is the solution value at the deviated node n -+ k and I is the
 running integral of the coefficient a.  This is the interval solution
 formula with the exponential weight factored out.  The kernel the reduction
 built for the interval (ds.kernels[n]) holds I(n, t) and the scaled weight
-W(t), G(t) = exp(scale) W(t), and samples z at all of the interval's
-offsets t - n in one sweep over its series (IntervalKernel.solution).  A
-kernel that also serves the next interval takes E(t) and E(t) G(t) once
-for the whole run of intervals it serves (IntervalKernel.factors), and
-each interval of the run is then E z_n + z_dev (E G) per sample, the same
-bits.  Where an exponential leaves double range among an interval's
-samples, or at its left limit, those values are formed as
-E(t) * (z_n + z_dev exp(scale) W(t)), so where E(t) is inf the value is
-+-inf with the bracket's sign rather than inf - inf.
+W(t), G(t) = exp(scale) W(t).  Each time ds.kernels[n] changes, the
+kernel takes E(t) and E(t) G(t) at the interval's offsets t - n in one
+sweep over its series (IntervalKernel.factors), and each interval it
+serves is then E z_n + z_dev (E G) per sample.  Where an exponential
+leaves double range among an interval's samples, or at its left limit,
+those values are formed as E(t) * (z_n + z_dev exp(scale) W(t)), so where
+E(t) is inf the value is +-inf with the bracket's sign rather than
+inf - inf.
 
 Samples are z alone at t = n + i/m, i < m, held as one array('d') of 8
 bytes each, and Trajectory.rows() adds t as it formats them.
@@ -33,7 +32,6 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence
 
 from .diffeq import (DiscreteSolution, OscillationVerdict, TooShort, block_sign,
                      block_verdict, default_window)
-from .quad import _solution
 from .reduction import DiscreteSystem, ProblemSpec
 
 __all__ = [
@@ -125,15 +123,11 @@ def reconstruct(spec: ProblemSpec, ds: DiscreteSystem, sol: DiscreteSolution,
         z_dev = sol.value(ds.dev(n))
         if kernels[n] is not kernel:
             kernel = kernels[n]
-            shared = n + 1 in intervals and kernels[n + 1] is kernel
-            factors = kernel.factors(offsets) if shared else None
+            factors = kernel.factors(offsets)
         samples.append(z_n)
-        if factors is None:
-            samples.extend(kernel.solution(offsets, z_n, z_dev))
-        else:
-            samples.extend([e * z_n + z_dev * g for e, g in factors])
-        (z_left,) = _solution((kernel.total,), (kernel.weight,), kernel.scale, z_n, z_dev)
-        nodes.append(NodeRecord(n + 1, z_left, sol.value(n + 1), spec.impulse(n + 1)))
+        samples.extend(kernel.values(factors, offsets, z_n, z_dev))
+        nodes.append(NodeRecord(n + 1, kernel.left_limit(z_n, z_dev), sol.value(n + 1),
+                                spec.impulse(n + 1)))
     return Trajectory(spec.k, samples, nodes, intervals.start, m)
 
 

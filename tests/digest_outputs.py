@@ -56,6 +56,10 @@ reads and runs (ARGPARSE): coeffs --hor 30, simulate --samples=4 --out
 problem and --horizon 30 coeffs, which give the same bytes as their
 strict-form twins (tests/test_cli.py checks it), and -h, whose exit 0
 is recorded.
+argparse wraps its usage and help text to COLUMNS, or else to the width
+of the terminal on the real stdout, so the script sets COLUMNS to 80, the
+width argparse takes when stdout goes to a file: the argparse lines hash
+the same in any terminal as redirected.
 The battery enters as its drawn data, not as built specs, so the script
 runs against another checkout's src as well.
 analyze builds only from the first interval its criteria read
@@ -269,6 +273,7 @@ def digest(doc: dict, argv: list, directory: Path) -> tuple:
 
 
 def run() -> None:
+    os.environ["COLUMNS"] = "80"    # argparse's width when stdout is a file
     with tempfile.TemporaryDirectory() as tmp:
         def emit(name, doc, argv):
             code, sha = digest(doc, argv, Path(tmp))

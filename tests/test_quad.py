@@ -258,9 +258,9 @@ class TestIntervalKernel:
         expos = [_scalar_running(k._a, t) for t in ts]
         ws = [_scalar_running(k._w, t) for t in ts]
         expected = solution_reference(expos, ws, k.scale, 0.75, -1.25)
-        assert hexes(k.solution(us, 0.75, -1.25)) == hexes(expected)
-        assert k.factors(us) == [(math.exp(a), math.exp(a + k.scale) * w)
-                                 for a, w in zip(expos, ws)]
+        factors = k.factors(us)
+        assert factors == [(math.exp(a), math.exp(a + k.scale) * w) for a, w in zip(expos, ws)]
+        assert hexes(k.values(factors, us, 0.75, -1.25)) == hexes(expected)
 
     @pytest.mark.parametrize("n", [0, 7, 400, 1000003])
     def test_offsets_are_the_interval_abscissae(self, n):
@@ -271,8 +271,7 @@ class TestIntervalKernel:
         ts = [n + u for u in us]
         expected = solution_reference(_evaluate(k._a, ts), _evaluate(k._w, ts), k.scale,
                                        -0.5, 2.0)
-        assert hexes(k.solution(us, -0.5, 2.0)) == hexes(expected)
-        assert hexes(e * -0.5 + 2.0 * g for e, g in k.factors(us)) == hexes(expected)
+        assert hexes(k.values(k.factors(us), us, -0.5, 2.0)) == hexes(expected)
 
     def test_overflow_falls_back_for_the_whole_interval(self):
         # scale = 720, so exp(A + scale) overflows near the left end: every
@@ -284,10 +283,19 @@ class TestIntervalKernel:
         expos, ws = _evaluate(k._a, us), _evaluate(k._w, us)
         with pytest.raises(OverflowError):
             [math.exp(a + k.scale) for a in expos]
-        z = k.solution(us, 1.0, 1.0)
+        z = k.values(None, us, 1.0, 1.0)
         assert hexes(z) == hexes(solution_reference(expos, ws, k.scale, 1.0, 1.0))
         assert math.isinf(z[0]) and z[0] < 0.0
         assert not any(map(math.isnan, z))
+
+    # a = 720 overflows exp(T_n) at n+1 alone, a = -720 exp(A + scale) at n
+    # alone, and a = 0.7 neither
+    @pytest.mark.parametrize("alpha", [0.7, 720.0, -720.0])
+    def test_left_limit_is_the_rule_at_the_end_values(self, alpha):
+        k = IntervalKernel(lambda t: alpha, lambda t: -1.0 / 3.0, 3)
+        expected = solution_reference((k.total,), (k.weight,), k.scale, 1.0, 1.0)
+        assert hexes([k.left_limit(1.0, 1.0)]) == hexes(expected)
+        assert not math.isnan(expected[0])
 
     def test_evaluate_is_the_per_point_reference(self):
         # kinks off every bisection point give both integrals several pieces;
@@ -385,18 +393,18 @@ def test_commands_evaluate_ascending_abscissae(monkeypatch, tmp_path):
     # taking the next piece where t reaches its edge, so every caller must
     # pass ascending abscissae: the weight's integrand, check and simulate
     calls = []
-    solution = IntervalKernel.solution
+    factors = IntervalKernel.factors
 
     def ascending(pieces, ts):
         calls.append(all(u <= v for u, v in zip(ts, ts[1:])))
         return _evaluate(pieces, ts)
 
-    def sweep(self, us, z_n, z_dev):
+    def sweep(self, us):
         calls.append(all(u <= v for u, v in zip(us, us[1:])))
-        return solution(self, us, z_n, z_dev)
+        return factors(self, us)
 
     monkeypatch.setattr(quad, "_evaluate", ascending)
-    monkeypatch.setattr(IntervalKernel, "solution", sweep)
+    monkeypatch.setattr(IntervalKernel, "factors", sweep)
     example2 = str(Path(__file__).resolve().parent.parent / "problems" / "example2.json")
     monkeypatch.chdir(tmp_path)
     assert main(["check", example2]) == 0

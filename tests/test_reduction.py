@@ -598,11 +598,7 @@ class TestSharedKernel:
             calls.append(len(us))
             return factors(self, us)
 
-        def sweep(self, us, z_n, z_dev):
-            calls.append("solution")
-
         monkeypatch.setattr(IntervalKernel, "factors", counting)
-        monkeypatch.setattr(IntervalKernel, "solution", sweep)
         traj = reconstruct(spec, ds, continue_window(ds, spec.initial_window), 16)
         assert calls == [15]
         assert len(traj.nodes) > 1

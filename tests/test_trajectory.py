@@ -293,10 +293,10 @@ KINKED = {
 
 
 class TestOneSweep:
-    """reconstruct takes each interval's samples from its kernel in one sweep
-    (IntervalKernel.solution), or, for a kernel that serves a run of
-    intervals, from the exponentials it takes once (IntervalKernel.factors);
-    both are the solution formula on the evaluated series, bit for bit."""
+    """reconstruct takes the exponentials of each run of intervals that share
+    a kernel once, in one sweep over its series (IntervalKernel.factors), a
+    run of one interval included; every interval's samples and left limit
+    are then the solution formula on the evaluated series, bit for bit."""
 
     def assert_reference(self, spec, m):
         ds = build_discrete_system(spec)
@@ -341,23 +341,38 @@ class TestOneSweep:
         assert math.inf in traj.samples
         assert not any(map(math.isnan, traj.samples))
 
+    @pytest.mark.parametrize("m", [16, 128])
+    def test_shared_kernel_whose_exponentials_overflow(self, m):
+        # stiff-a720: one kernel serves every interval, and exp(A + scale)
+        # = exp(720 (1 - u)) overflows at the first offset u = 1/128, not at
+        # u = 1/16, so at m = 128 every interval takes the overflow form; the
+        # samples are inaccurate (ROADMAP item 25), but none is nan
+        doc = {"a": "-720", "b": "-1/3", "direction": "advanced", "k": 2, "impulse": "none",
+               "initial_window": [1, 1, 1], "n0": 0, "horizon": 30}
+        ds, traj = self.assert_reference(validate_problem(doc).spec, m)
+        kernels = list(ds.kernels.values())
+        assert len({id(k) for k in kernels}) == 1
+        assert (kernels[0].factors([i / m for i in range(1, m)]) is None) == (m == 128)
+        assert not any(map(math.isnan, traj.samples))
+
     def test_each_kernel_is_evaluated_once_per_run(self, monkeypatch):
         # example 2 has one kernel per interval; one kernel made to serve
-        # intervals 10 to 19 and another 25 and 26 make runs of 10 and 2,
-        # each of which takes its factors once, while every other interval
-        # sweeps its own kernel: the path follows the kernels, not the
-        # problem
+        # intervals 10 to 19 and another 25 and 26 make runs of 10 and 2:
+        # each run takes its factors once, whatever its length, and the
+        # sweep reads no series through _evaluate
         spec = load_problem(REPO / "problems" / "example2.json", {"horizon": 40}).spec
         ds = build_discrete_system(spec)
         for n in range(11, 20):
             ds.kernels[n] = ds.kernels[10]
         ds.kernels[26] = ds.kernels[25]
         calls, evaluated = [], []
-        for method in ("solution", "factors"):
-            def counting(self, us, *args, _method=method, _original=getattr(IntervalKernel, method)):
-                calls.append((self, _method))
-                return _original(self, us, *args)
-            monkeypatch.setattr(IntervalKernel, method, counting)
+        factors = IntervalKernel.factors
+
+        def counting(self, us):
+            calls.append(self)
+            return factors(self, us)
+
+        monkeypatch.setattr(IntervalKernel, "factors", counting)
 
         def evaluate(pieces, ts):
             evaluated.append(pieces)
@@ -369,13 +384,13 @@ class TestOneSweep:
         runs = [(kernel, len(list(run)))
                 for kernel, run in groupby(ds.kernels[n] for n in sol.relation_indices())]
         assert [length for _, length in runs if length > 1] == [10, 2]
-        assert calls == [(kernel, "factors" if length > 1 else "solution")
-                         for kernel, length in runs]
-        assert [id(p) for p in evaluated] == [id(p) for kernel, length in runs if length > 1
-                                              for p in (kernel._a, kernel._w)]
+        assert 1 in [length for _, length in runs]
+        assert calls == [kernel for kernel, _ in runs]
+        assert evaluated == []
         monkeypatch.setattr(quad, "_evaluate", _evaluate)
         samples, lefts = reference_samples(ds, sol, 16)
         assert hexes(traj.samples) == hexes(samples)
+        assert hexes(rec.z_left for rec in traj.nodes) == hexes(lefts)
 
 
 def t_rows(n_lo, intervals, m):

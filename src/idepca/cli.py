@@ -9,7 +9,8 @@ check share one run, so check audits what simulate writes, with the
 invariants of idepca.invariants.
 
 Exit codes: 0 success, 1 invariant failure, 2 input/schema error,
-3 numeric failure.
+3 numeric failure.  A process enters through run, which flushes stdout and
+stderr, runs the atexit handlers and skips the teardown through os._exit.
 
 Every command loads exprlang, quad and reduction to read its problem file;
 the modules that only some commands run (diffeq, criteria, trajectory,
@@ -21,8 +22,10 @@ file.
 
 from __future__ import annotations
 
+import atexit
 import json
 import math
+import os
 import sys
 from enum import Enum
 from pathlib import Path
@@ -33,7 +36,7 @@ from .exprlang import Expr, ParseError, compile_expr, parse
 from .quad import NumericFailure
 from .reduction import Direction, ProblemSpec, build_discrete_system, in_range
 
-__all__ = ["main", "load_problem", "SchemaError"]
+__all__ = ["main", "run", "load_problem", "SchemaError"]
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -359,5 +362,19 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
 
 
+def run() -> None:
+    """main's exit code as the process's, without the interpreter's
+    teardown: every file main writes is closed when it returns."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -56,6 +56,12 @@ reads and runs (ARGPARSE): coeffs --hor 30, simulate --samples=4 --out
 problem and --horizon 30 coeffs, which give the same bytes as their
 strict-form twins (tests/test_cli.py checks it), and -h, whose exit 0
 is recorded.
+Last of all, coeffs, analyze, simulate --samples 4 and check on both
+shipped examples run again as processes, through python -m idepca.cli,
+whose cli.run ends the process with os._exit instead of the interpreter's
+teardown (PROCESS).  Their lines name the case process:example1 and
+process:example2 and hash the process's stdout, stderr and files the
+same way, so each equals its in-process twin's line but for the name.
 argparse wraps its usage and help text to COLUMNS, or else to the width
 of the terminal on the real stdout, so the script sets COLUMNS to 80, the
 width argparse takes when stdout goes to a file: the argparse lines hash
@@ -86,6 +92,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -93,7 +100,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _battery import HORIZON, draws  # noqa: E402
-from idepca.cli import main  # noqa: E402
+from idepca import cli  # noqa: E402
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 PROBLEM = "problem.json"
@@ -114,6 +121,8 @@ ARGPARSE = ((["coeffs", PROBLEM, "--hor", "30"], ["coeffs", PROBLEM, "--horizon"
              ["simulate", PROBLEM, "--samples", "4"]),
             (["--horizon", "30", "coeffs", PROBLEM], ["coeffs", PROBLEM, "--horizon", "30"]),
             (["-h"], None))
+# the shipped examples' commands, run again through python -m idepca.cli
+PROCESS = ("example1", "example2")
 
 
 def _plain(a, b, **keys) -> dict:
@@ -245,26 +254,43 @@ def strict(command: list) -> list:
     return [command[0], PROBLEM, *command[1:]]
 
 
-def digest(doc: dict, argv: list, directory: Path) -> tuple:
+def in_process(argv: list) -> tuple:
+    """(exit code, stdout, stderr) of cli.main(argv); the code of a
+    SystemExit, as the parser raises, is recorded like a return."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def as_process(argv: list) -> tuple:
+    """(exit code, stdout, stderr) of python -m idepca.cli argv, with the
+    package this script imported first on the child's path."""
+    path = [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
+    res = subprocess.run([sys.executable, "-m", "idepca.cli", *argv], capture_output=True,
+                         encoding="utf-8",
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    return res.returncode, res.stdout, res.stderr
+
+
+def digest(doc: dict, argv: list, directory: Path, runner=in_process) -> tuple:
     """(exit code, sha256 hex) of one operation, argv with doc as PROBLEM,
-    run in directory; the code of a SystemExit, as the parser raises, is
-    recorded like a return."""
+    run in directory by runner."""
     for old in directory.iterdir():
         old.unlink()
     problem = directory / PROBLEM
     problem.write_text(json.dumps(doc), encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(directory)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
+        code, out, err = runner(argv)
     finally:
         os.chdir(cwd)
     h = hashlib.sha256()
-    for label, text in (("stdout", out.getvalue()), ("stderr", err.getvalue())):
+    for label, text in (("stdout", out), ("stderr", err)):
         h.update(f"{label}\0{text}\0".encode())
     for path in sorted(directory.iterdir()):
         if path != problem:
@@ -275,8 +301,8 @@ def digest(doc: dict, argv: list, directory: Path) -> tuple:
 def run() -> None:
     os.environ["COLUMNS"] = "80"    # argparse's width when stdout is a file
     with tempfile.TemporaryDirectory() as tmp:
-        def emit(name, doc, argv):
-            code, sha = digest(doc, argv, Path(tmp))
+        def emit(name, doc, argv, runner=in_process):
+            code, sha = digest(doc, argv, Path(tmp), runner)
             print(f"{name} {' '.join(a for a in argv if a != PROBLEM)} {code} {sha}",
                   flush=True)
 
@@ -291,6 +317,9 @@ def run() -> None:
             emit(name, _shipped(name), strict(command))
         for argv, _ in ARGPARSE:
             emit("example1", _shipped("example1"), argv)
+        for name in PROCESS:
+            for command in (["coeffs"], ["analyze"], ["simulate", "--samples", "4"], ["check"]):
+                emit(f"process:{name}", _shipped(name), strict(command), as_process)
 
 
 if __name__ == "__main__":

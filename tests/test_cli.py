@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import random
 import re
 import subprocess
@@ -1173,3 +1174,120 @@ def test_work_per_interval_within_bound(tmp_path, kernel_work, a, b):
     assert cli.main(["coeffs", str(write_problem(tmp_path, doc)), "--out", str(out)]) in (0, 3)
     assert kernel_work
     assert all(fa <= WORK_BOUND and fb <= WORK_BOUND for _, fa, fb in kernel_work), kernel_work
+
+
+# -- the process path ---------------------------------------------------------
+
+# cli.run ends the process with os._exit after flushing stdout and stderr;
+# each case runs through python -m idepca.cli and through the ordinary exit,
+# and gives the same exit code, stdout, stderr and written files
+ORDINARY_EXIT = "import sys; from idepca import cli; sys.exit(cli.main(sys.argv[1:]))"
+DRAW0 = next(draws())
+PROCESS_DOCS = {
+    "example1": json.loads(EXAMPLE1.read_text()),
+    "battery-000": {"a": DRAW0.source_a, "b": DRAW0.source_b,
+                    "direction": DRAW0.direction.value, "k": DRAW0.k,
+                    "impulse": {"factor": DRAW0.factor}, "initial_window": list(DRAW0.window),
+                    "horizon": HORIZON, "tol": 1e-10},
+    "stiff-a720": {**BASE_DOC, "a": "-720", "b": "-1/3", "direction": "advanced", "k": 2,
+                   "impulse": "none", "initial_window": [1, 1, 1]},
+    "schema-error": {**BASE_DOC, "colour": "blue"},
+    "a-singular": {**BASE_DOC, "a": "1/(t-1.5)"},
+}
+# (problem, argv after it, expected exit code, stdout: "pipe", "closed"
+# (fd 1 closed) or "broken" (a pipe whose reader has closed))
+PROCESS_CASES = {
+    **{f"{name}-{command[0]}": (name, command, 0, "pipe")
+       for name in ("example1", "battery-000")
+       for command in (["coeffs"], ["analyze"], ["simulate", "--samples", "4"], ["check"])},
+    "stiff-a720-check": ("stiff-a720", ["check"], 1, "pipe"),
+    "unknown-command": ("example1", None, 2, "pipe"),
+    "schema-error": ("schema-error", ["coeffs"], 2, "pipe"),
+    "numeric-failure": ("a-singular", ["coeffs"], 3, "pipe"),
+    "stdout-closed": ("example1", ["analyze", "--out", "report.json"], 0, "closed"),
+    # the report stays buffered until run flushes it, and the failed flush
+    # exits 120 as the interpreter's own does
+    "stdout-broken": ("example1", ["analyze"], 120, "broken"),
+}
+
+
+def child_env(**changes) -> dict:
+    """The environment, with this package first on the path whatever the
+    child's working directory, and each key of changes set (None removes it)."""
+    path = [str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **changes}
+    return {key: value for key, value in env.items() if value is not None}
+
+
+def run_process(entry: list, argv: list, cwd: Path, stdout: str):
+    """(exit code, stdout, stderr, {name: bytes} written into cwd) of one
+    process, with stdout buffered, so that what reaches it passes through
+    run's flush."""
+    cwd.mkdir()
+    keys = {"stdout": subprocess.PIPE}
+    if stdout == "closed":
+        keys = {"stdout": subprocess.DEVNULL, "preexec_fn": lambda: os.close(1)}
+    elif stdout == "broken":
+        reader, writer = os.pipe()
+        os.close(reader)
+        keys = {"stdout": writer}
+    try:
+        res = subprocess.run([sys.executable, *entry, *argv], stderr=subprocess.PIPE, cwd=cwd,
+                             env=child_env(PYTHONUNBUFFERED=None), **keys)
+    finally:
+        if stdout == "broken":
+            os.close(writer)
+    files = {path.name: path.read_bytes() for path in sorted(cwd.iterdir())}
+    return res.returncode, res.stdout, res.stderr, files
+
+
+@pytest.mark.parametrize("case", PROCESS_CASES)
+def test_process_exit_matches_ordinary_exit(tmp_path, case):
+    name, command, code, stdout = PROCESS_CASES[case]
+    problem = str(write_problem(tmp_path, PROCESS_DOCS[name], f"{name}.json"))
+    argv = ["frobnicate", problem] if command is None else [command[0], problem, *command[1:]]
+    via_run = run_process(["-m", "idepca.cli"], argv, tmp_path / "run", stdout)
+    ordinary = run_process(["-c", ORDINARY_EXIT], argv, tmp_path / "ordinary", stdout)
+    assert via_run == ordinary
+    assert via_run[0] == code, via_run[2]
+    assert stdout != "closed" or "report.json" in via_run[3]
+
+
+MECHANISM = """
+import atexit, sys
+
+class Noisy:
+    def __del__(self):
+        sys.stderr.write("__del__ ran\\n")
+
+noisy = Noisy()
+atexit.register(sys.stderr.write, "atexit handler ran\\n")
+sys.argv[1:] = ["coeffs", {problem!r}, "--out", "coeffs.csv"]
+{end}
+"""
+
+
+@pytest.mark.parametrize("end,teardown", [
+    ("from idepca import cli; cli.run()", False),
+    ("import runpy; runpy.run_module('idepca.cli', run_name='__main__')", False),
+    ("from idepca import cli; sys.exit(cli.main())", True),
+], ids=["run", "python-m", "ordinary-exit"])
+def test_run_skips_teardown_but_runs_exit_handlers(tmp_path, end, teardown):
+    # run, called directly or by python -m idepca.cli's __main__ block, ends
+    # with os._exit, which skips the teardown that calls __del__; the
+    # ordinary exit is the control.  Both run the atexit handlers, where a
+    # coverage or profiler hook registers
+    code = MECHANISM.format(problem=str(EXAMPLE1), end=end)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=tmp_path, env=child_env())
+    assert res.returncode == 0, res.stderr
+    assert "atexit handler ran\n" in res.stderr
+    assert ("__del__ ran\n" in res.stderr) == teardown
+    assert cli.main(["coeffs", str(EXAMPLE1), "--out", str(tmp_path / "expected.csv")]) == 0
+    assert (tmp_path / "coeffs.csv").read_text() == (tmp_path / "expected.csv").read_text()
+
+
+def test_console_script_enters_through_run():
+    text = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^(\S+)\s*=\s*"([^"]*)"', scripts, re.M) == [("idepca", "idepca.cli:run")]

@@ -1,6 +1,9 @@
 """Start-up pays only for what a command runs.
 
-Most of an ``idepca`` process is interpreter start-up and imports, so the
+Most of an ``idepca`` process is interpreter start-up and imports, and
+then the interpreter's teardown.  cli.run, the process entry point, skips
+the teardown (tests/test_cli.py checks that it still runs the atexit
+handlers and gives the ordinary exit's outputs).  For start-up the
 package keeps ``dataclasses`` (and the inspect, ast, dis and tokenize it
 pulls in) off its import path, ``import idepca`` re-exports nothing and so
 loads no submodule, and ``cli`` imports the modules a command runs inside
